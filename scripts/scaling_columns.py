@@ -4,7 +4,8 @@
 Times a fixed number of iterations at geometrically growing N with one
 worker, reporting the fastest per-iteration compute time (scheduler noise
 only adds time) and the ratio to the previous size. Linear scaling in N
-shows up as ratios near the size step (10x here).
+shows up as ratios near the size step (10x here). BLAS runs one thread,
+as it does inside a distributed run.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import time
 
 import numpy as np
 
+from didnmf.blas import one_blas_thread
 from didnmf.comm import make_inprocess_worlds
 from didnmf.distributed import did_worker_iterate
 from didnmf.harness import init_factors, synth_data
@@ -25,7 +27,7 @@ def best_iteration_seconds(m, n, k, seed, iters):
     B = np.array(B0, order="F")
     [world] = make_inprocess_worlds(1)
     times = []
-    with world:
+    with world, one_blas_thread():
         for _ in range(iters):
             t0 = time.perf_counter()
             did_worker_iterate(world, block, B)

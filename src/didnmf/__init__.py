@@ -25,8 +25,6 @@ from .kernels import (
     admm_iterate,
     anls_iterate,
     bcd_iterate,
-    bcd_update_b_column,
-    bcd_update_c_element,
     hals_iterate,
 )
 from .comm import (
@@ -41,7 +39,6 @@ from .comm import (
 )
 from .distributed import (
     DadmmWorkerState,
-    DidMessage,
     dadmm_worker_iterate,
     dbcd_worker_iterate,
     did_build_message,
@@ -68,7 +65,6 @@ __all__ = [
     "CommTimeoutError",
     "CommWorld",
     "DadmmWorkerState",
-    "DidMessage",
     "FactorState",
     "NnlsError",
     "RunConfig",
@@ -79,8 +75,6 @@ __all__ = [
     "as_matrix",
     "barrier",
     "bcd_iterate",
-    "bcd_update_b_column",
-    "bcd_update_c_element",
     "dadmm_worker_iterate",
     "dbcd_worker_iterate",
     "did_build_message",

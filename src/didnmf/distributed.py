@@ -15,6 +15,11 @@ Three workers:
   between columns updated in the same sweep.
 * dadmm: per-block splitting with scaled duals and one (Gram, right-hand
   side) reduction per iteration; both factor updates are solved exactly.
+
+dbcd and did share the Gram-form, tile-streamed C pass of `kernels`
+(sequential bcd runs it too), which hands the basis step X C^T and C C^T
+instead of a residual. Each worker returns its block's exact
+||X - B C||^2 from a second tile pass after the basis update.
 """
 
 from __future__ import annotations
@@ -29,41 +34,30 @@ from .kernels import (
     b_column_apply,
     b_column_partials,
     c_rowwise_sweep,
+    residual_sq,
 )
 from .matrix import ColumnBlock
 from .nnls import nnls_rows
 
 
-@dataclass
-class DidMessage:
-    """One worker's reduction payload.
+def did_c_phase(block: ColumnBlock, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run the Gram-form coordinate pass over the block's C.
 
-    `Wsum` has column i equal to sum_j e_j c_ij over the local columns;
-    `Vsum` is the lower triangle of the local C C^T (the strict upper
-    triangle is exactly zero, halving nothing on the wire but making the
-    payload's meaning unambiguous).
+    Returns (S, V, skipped): the block's X C^T and C C^T for the updated
+    C, and the number of degenerate rows left untouched.
     """
-
-    Wsum: np.ndarray
-    Vsum: np.ndarray
+    return c_rowwise_sweep(block.x_block, block.c_block, B)
 
 
-def did_c_phase(block: ColumnBlock, B: np.ndarray) -> tuple[np.ndarray, int]:
-    """Refresh the block residual and run the coordinate pass over C.
+def did_build_message(B: np.ndarray, S: np.ndarray,
+                      V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Assemble the (W, V) payload from the block's sums.
 
-    Returns (E, skipped): E holds e_j = x_j - B c_j for the updated c_j,
-    maintained incrementally through the pass, and skipped counts
-    degenerate rows left untouched.
+    W = X C^T - B C C^T, whose column i is sum_j e_j c_ij with
+    E = X - B C; V is the lower triangle of C C^T (the zero upper
+    triangle travels too, which keeps the payload's meaning plain).
     """
-    E = block.x_block - B @ block.c_block
-    skipped = c_rowwise_sweep(E, block.c_block, B)
-    return E, skipped
-
-
-def did_build_message(block: ColumnBlock, E: np.ndarray) -> DidMessage:
-    """Assemble the (W, V) payload from the current block residual."""
-    C = block.c_block
-    return DidMessage(Wsum=E @ C.T, Vsum=np.tril(C @ C.T))
+    return S - B @ V, np.tril(V)
 
 
 def did_update_basis(B: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -91,34 +85,33 @@ def did_update_basis(B: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def did_worker_iterate(world: CommWorld, block: ColumnBlock,
-                       B: np.ndarray) -> tuple[np.ndarray, int]:
+                       B: np.ndarray) -> tuple[float, int]:
     """One incremental-update iteration; exactly one allreduce.
 
-    Returns the block residual (consistent with the new B and C) and the
+    Returns the block's ||X - B C||^2 for the new B and C, and the
     degenerate-update count for this iteration.
     """
-    E, skipped = did_c_phase(block, B)
-    msg = did_build_message(block, E)
-    W, V = allreduce_sum(world, msg.Wsum, msg.Vsum)
-    delta = did_update_basis(B, W, V)
-    E -= delta @ block.c_block
-    return E, skipped
+    S, V, skipped = did_c_phase(block, B)
+    W, V = allreduce_sum(world, *did_build_message(B, S, V))
+    did_update_basis(B, W, V)
+    skipped += int(np.count_nonzero(np.diag(V) < DEGENERATE_NORM_TOL))
+    return residual_sq(block.x_block, B, block.c_block), skipped
 
 
 def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock,
-                        B: np.ndarray) -> tuple[np.ndarray, int]:
+                        B: np.ndarray) -> tuple[float, int]:
     """One distributed coordinate-descent iteration; K allreduces.
 
     The C pass is local; each basis column then reduces its (y, z) pair
-    and every rank applies the identical closed-form update.
+    and every rank applies the identical closed-form update. Returns the
+    block's ||X - B C||^2 and the degenerate-update count.
     """
-    E = block.x_block - B @ block.c_block
-    skipped = c_rowwise_sweep(E, block.c_block, B)
+    S, V, skipped = c_rowwise_sweep(block.x_block, block.c_block, B)
     for i in range(B.shape[1]):
-        y_local, z_local = b_column_partials(E, block.c_block, B, i)
+        y_local, z_local = b_column_partials(S, V, B, i)
         y, z = allreduce_sum(world, y_local, np.array([z_local]))
-        skipped += b_column_apply(E, block.c_block, B, i, y, float(z[0]))
-    return E, skipped
+        skipped += b_column_apply(B, i, y, float(z[0]))
+    return residual_sq(block.x_block, B, block.c_block), skipped
 
 
 @dataclass

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .comm import allreduce_sum, make_inprocess_worlds, make_tcp_world
 from .distributed import (
     DadmmWorkerState,
@@ -34,6 +35,7 @@ from .kernels import (
     anls_iterate,
     bcd_iterate,
     hals_iterate,
+    residual_sq,
 )
 from .matrix import (
     as_matrix,
@@ -282,6 +284,26 @@ def _get_data(config: RunConfig) -> np.ndarray:
     return synth_data(config.m, config.n, config.seed)
 
 
+def check_data(X, k: int, p: int) -> None:
+    """Reject data no solver can factor, before any worker starts.
+
+    Every rank sees the same X and config, so every rank raises the same
+    message. min and max are reductions, with no M x N temporary.
+    """
+    m, n = X.shape
+    if X.size == 0:
+        raise ValueError(f"data matrix is empty ({m} x {n})")
+    lo, hi = float(X.min()), float(X.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("data matrix has NaN or infinite entries")
+    if lo < 0.0:
+        raise ValueError(f"data matrix has negative entries (min {lo!r})")
+    if k > min(m, n):
+        raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
+    if p > n:
+        raise ValueError(f"p={p} workers exceed the n={n} columns")
+
+
 def run(config: RunConfig, X=None) -> RunMetrics:
     """Execute one configured run and return its metrics.
 
@@ -296,6 +318,7 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     if X is None:
         X = _get_data(config)
     X = as_matrix(X)
+    check_data(X, config.k, config.p)
     B0, C0 = init_factors(X, config.k, config.seed, config.init)
     if config.algorithm in SEQUENTIAL_ALGS:
         metrics = _run_sequential(config, X, B0, C0)
@@ -326,21 +349,24 @@ def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
     """Run one TCP rank to completion; rank 0 writes the CSV if requested.
 
     Every rank loads (or synthesizes) the same data and initial factors
-    deterministically, then works only on its own column block.
+    deterministically, then works only on its own column block. The BLAS
+    pool runs one thread for the length of the run (see `blas`).
     """
     config.validate()
     if X is None:
         X = _get_data(config)
     X = as_matrix(X)
+    check_data(X, config.k, config.p)
     B0, C0 = init_factors(X, config.k, config.seed, config.init)
     blocks = make_column_blocks(X, C0, config.p)
-    world = make_tcp_world(rank, config.p, config.tcp_address,
-                           timeout=config.comm_timeout)
-    try:
-        B = np.array(B0, order="F")
-        metrics = _distributed_worker(config, world, blocks[rank], B)
-    finally:
-        world.close()
+    with one_blas_thread():
+        world = make_tcp_world(rank, config.p, config.tcp_address,
+                               timeout=config.comm_timeout)
+        try:
+            B = np.array(B0, order="F")
+            metrics = _distributed_worker(config, world, blocks[rank], B)
+        finally:
+            world.close()
     if rank == 0 and config.out_path:
         metrics.write_csv(config.out_path)
     return metrics
@@ -350,7 +376,7 @@ def _run_sequential(config: RunConfig, X, B0, C0) -> RunMetrics:
     state = FactorState.from_factors(X, B0, C0)
     aux = (AdmmAuxState.from_state(state, config.rho)
            if config.algorithm == "admm" else None)
-    e0 = frob_norm_sq(state.E)
+    e0 = residual_sq(X, state.B, state.C)
     rows: list[IterRow] = []
     start = time.perf_counter()
     converged = stopping_check(e0, e0, config.epsilon)
@@ -369,7 +395,7 @@ def _run_sequential(config: RunConfig, X, B0, C0) -> RunMetrics:
         else:
             admm_iterate(X, state, aux)
         compute_s = time.perf_counter() - tick
-        resid = frob_norm_sq(state.E)
+        resid = residual_sq(X, state.B, state.C)
         rows.append(IterRow(
             iteration=t, objective=0.5 * resid, residual_sq=resid,
             allreduce_calls=0, bytes=0, compute_s=compute_s, comm_s=0.0,
@@ -391,7 +417,7 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
     st = (DadmmWorkerState.fresh(block, B, config.rho)
           if alg == "dadmm" else None)
     stats = world.stats
-    local = frob_norm_sq(block.x_block - B @ block.c_block)
+    local = residual_sq(block.x_block, B, block.c_block)
     e0, _ = _reduce_progress(world, local, 0.0)
     rows: list[IterRow] = []
     start = time.perf_counter()
@@ -403,14 +429,12 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
         comm0 = stats.comm_wall_time
         calls0, bytes0 = stats.allreduce_calls, stats.bytes_sent
         if alg == "did":
-            E, _ = did_worker_iterate(world, block, B)
-            local = frob_norm_sq(E)
+            local, _ = did_worker_iterate(world, block, B)
         elif alg == "dbcd":
-            E, _ = dbcd_worker_iterate(world, block, B)
-            local = frob_norm_sq(E)
+            local, _ = dbcd_worker_iterate(world, block, B)
         else:
             dadmm_worker_iterate(world, block, B, st)
-            local = frob_norm_sq(block.x_block - B @ block.c_block)
+            local = residual_sq(block.x_block, B, block.c_block)
         over_time = 1.0 if time.perf_counter() - start > config.max_time else 0.0
         resid, time_flag = _reduce_progress(world, local, over_time)
         comm_s = stats.comm_wall_time - comm0
@@ -446,10 +470,11 @@ def _run_inprocess(config: RunConfig, X, B0, C0) -> RunMetrics:
 
     threads = [threading.Thread(target=work, args=(r,), name=f"nmf-rank{r}")
                for r in range(config.p)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    with one_blas_thread():
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
     for exc in errors:
         if exc is not None:
             raise exc

@@ -1,9 +1,11 @@
 """Sequential factorization kernels: HALS, coordinate descent, ANLS, ADMM.
 
 All four minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
-C (K x N). The coordinate-descent sweeps double as the ground truth for
-the distributed workers, which reuse the very same functions, so a
-one-worker distributed run reproduces the sequential iterates bit for bit.
+C (K x N). Coordinate descent runs in Gram form: the C pass streams X in
+column tiles sized for L2 and hands the basis step X C^T and C C^T, so
+nothing M x N is formed. The distributed workers reuse the very same
+functions, so a one-worker distributed run reproduces the sequential
+iterates bit for bit.
 """
 
 from __future__ import annotations
@@ -11,18 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .matrix import frob_norm_sq
 from .nnls import nnls_rows
 
 # squared-norm floor below which a closed-form update is skipped
 DEGENERATE_NORM_TOL = 1e-12
+# bytes of X per column tile: with the tile's C and B^T X rows the working
+# set stays inside a per-core L2 cache. At M=5, K=3 on a core with 2 MiB
+# of L2, 256 KiB swept fastest of 128 KiB to 1 MiB.
+TILE_BYTES = 256 * 1024
 
 
 @dataclass
 class FactorState:
-    """Factor pair plus the residual E = X - B C, maintained incrementally.
+    """Factor pair plus the residual E = X - B C.
+
+    HALS refreshes E from X at the top of each iteration and carries it
+    through its sweep; the other kernels recompute it at the end of theirs.
 
     `degenerate_events` counts skipped updates (a basis column or C row
     whose squared norm fell under ``DEGENERATE_NORM_TOL``).
@@ -54,85 +62,111 @@ class FactorState:
         return 0.5 * frob_norm_sq(self.E)
 
 
-def c_rowwise_sweep(E, C, B) -> int:
-    """One coordinate pass over C: rows i = 0..K-1 in order, all columns at once.
+def tile_width(m: int) -> int:
+    """Columns per tile for an m-row matrix: TILE_BYTES of X, at least one."""
+    return max(1, TILE_BYTES // (8 * m))
 
-    Distinct columns never interact inside the pass, so updating row i
-    across every column together is exactly the per-column loop of
-    c_ij := [b_i^T e_j / b_i^T b_i]_+ with e_j kept current through the
-    add/subtract bracket. Returns the number of skipped (degenerate) rows.
+
+def column_tiles(n: int, m: int) -> list[slice]:
+    """Consecutive column ranges of [0, n), each `tile_width(m)` wide but the last."""
+    step = tile_width(m)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, int]:
+    """One coordinate pass over C in Gram form, streamed over column tiles.
+
+    Rows i = 0..K-1 are updated in order, every column at once:
+
+        c_i := [(p_i - sum_{k != i} g_ik c_k) / g_ii]_+
+
+    with G = B^T B formed once and P = B^T X_t once per tile. This is the
+    HALS row update c_i + (p_i - g_i^T C) / g_ii with the c_i terms
+    cancelled exactly, i.e. c_ij := [b_i^T e_j / b_i^T b_i]_+ with e_j the
+    residual of column j minus b_i's share. Distinct columns never
+    interact, so each tile is swept on its own, and its part of X C^T and
+    C C^T is added while it is still in cache: the basis step never reads
+    X again. Rows with g_ii under the degeneracy floor are left untouched.
+
+    Returns (S, V, skipped): S = X C^T and V = C C^T for the updated C,
+    and the number of skipped rows.
     """
-    events = 0
-    for i in range(B.shape[1]):
-        b = B[:, i]
-        bb = float(b @ b)
-        if bb < DEGENERATE_NORM_TOL:
-            events += 1
+    m, k = B.shape
+    G = B.T @ B
+    rows = []
+    for i in range(k):
+        gii = float(G[i, i])
+        if gii < DEGENERATE_NORM_TOL:
             continue
-        E += np.outer(b, C[i])
-        C[i] = np.maximum((b @ E) / bb, 0.0)
-        E -= np.outer(b, C[i])
-    return events
+        g = G[i].copy()
+        g[i] = 0.0
+        rows.append((i, g, gii))
+    Bt = np.ascontiguousarray(B.T)
+    S = np.zeros((m, k))
+    V = np.zeros((k, k))
+    for cols in column_tiles(X.shape[1], m):
+        Xt, Ct = X[:, cols], C[:, cols]
+        P = Bt @ Xt
+        for i, g, gii in rows:
+            r = g @ Ct
+            np.subtract(P[i], r, out=r)
+            r /= gii
+            np.maximum(r, 0.0, out=Ct[i])
+        S += Xt @ Ct.T
+        # a copied right operand keeps numpy off its syrk path, which is
+        # slower than gemm at this K
+        V += Ct @ Ct.T.copy()
+    return S, V, k - len(rows)
 
 
-def b_column_partials(E, C, B, i: int) -> tuple[np.ndarray, float]:
-    """Open the bracket for basis column i and return its update sums.
+def b_column_partials(S, V, B, i: int) -> tuple[np.ndarray, float]:
+    """Update sums for basis column i against the current B.
 
-    Folds the old column's contribution back into E, then returns
-    y = sum_j e_j c_ij and z = ||c_i||^2. Must be paired with
-    `b_column_apply`, which closes the bracket.
+    From S = X C^T and V = C C^T: y = s_i - sum_{k != i} b_k v_ki, which
+    is sum_j e_j c_ij + b_i ||c_i||^2 with E = X - B C, and z = v_ii =
+    ||c_i||^2. Both are linear in (S, V), so column blocks' sums add.
     """
-    E += np.outer(B[:, i], C[i])
-    return E @ C[i], float(C[i] @ C[i])
+    v = V[:, i].copy()
+    z = float(v[i])
+    v[i] = 0.0
+    return S[:, i] - B @ v, z
 
 
-def b_column_apply(E, C, B, i: int, y, z: float) -> int:
-    """Install b_i := [y / z]_+ and remove its contribution from E.
+def b_column_apply(B, i: int, y, z: float) -> int:
+    """Install b_i := [y / z]_+ from reduced sums.
 
-    A z below the degeneracy floor leaves the column untouched (the
-    bracket opened by `b_column_partials` still gets closed). Returns the
-    number of skipped updates, 0 or 1.
+    A z below the degeneracy floor leaves the column untouched. Returns
+    the number of skipped updates, 0 or 1.
     """
     if z < DEGENERATE_NORM_TOL:
-        E -= np.outer(B[:, i], C[i])
         return 1
     B[:, i] = np.maximum(y / z, 0.0)
-    E -= np.outer(B[:, i], C[i])
     return 0
 
 
-def bcd_update_c_element(state: FactorState, i: int, j: int) -> float:
-    """Exact single-coordinate update of c_ij with residual maintenance."""
-    b = state.B[:, i]
-    bb = float(b @ b)
-    if bb < DEGENERATE_NORM_TOL:
-        state.degenerate_events += 1
-        return float(state.C[i, j])
-    e = state.E[:, j]
-    e += b * state.C[i, j]
-    cij = max(float(b @ e) / bb, 0.0)
-    state.C[i, j] = cij
-    e -= b * cij
-    return cij
-
-
-def bcd_update_b_column(state: FactorState, i: int) -> np.ndarray:
-    """Closed-form update of basis column i against the current residual."""
-    y, z = b_column_partials(state.E, state.C, state.B, i)
-    state.degenerate_events += b_column_apply(state.E, state.C, state.B, i, y, z)
-    return state.B[:, i]
+def residual_sq(X, B, C) -> float:
+    """Exact ||X - B C||_F^2, summed tile by tile with no M x N temporary."""
+    total = 0.0
+    for cols in column_tiles(X.shape[1], B.shape[0]):
+        # T x M row-major on both sides, which is X's own column-major layout
+        R = X[:, cols].T - C[:, cols].T @ B.T
+        total += float(np.vdot(R, R))
+    return total
 
 
 def bcd_iterate(X, state: FactorState) -> FactorState:
-    """One full sweep: every c_ij, then every basis column, in fixed order.
+    """One full sweep: every row of C, then every basis column, in fixed order.
 
-    The residual is refreshed from X at the top of each iteration so long
-    runs cannot accumulate incremental drift.
+    Runs the Gram-form kernel shared with the distributed workers, then
+    refreshes E from X, so the carried residual never drifts.
     """
+    B = state.B
+    S, V, skipped = c_rowwise_sweep(X, state.C, B)
+    for i in range(B.shape[1]):
+        y, z = b_column_partials(S, V, B, i)
+        skipped += b_column_apply(B, i, y, z)
+    state.degenerate_events += skipped
     state.resync(X)
-    state.degenerate_events += c_rowwise_sweep(state.E, state.C, state.B)
-    for i in range(state.B.shape[1]):
-        bcd_update_b_column(state, i)
     return state
 
 
@@ -140,9 +174,10 @@ def hals_iterate(X, state: FactorState) -> FactorState:
     """One sweep of paired rank-one updates: basis column k, then row k of C.
 
     Each pair works on the deflated residual A_k = E + b_k c_k, minimizing
-    over b_k first and then over c_k with the fresh b_k. X is unused; the
-    residual is carried incrementally across iterations.
+    over b_k first and then over c_k with the fresh b_k. E is refreshed
+    from X at the top of each iteration so long runs cannot drift.
     """
+    state.resync(X)
     B, C, E = state.B, state.C, state.E
     for k in range(B.shape[1]):
         E += np.outer(B[:, k], C[k])
@@ -203,6 +238,8 @@ def admm_iterate(X, state: FactorState, aux: AdmmAuxState) -> FactorState:
     Both least-squares subproblems are SPD (Gram + rho I), solved by
     Cholesky factorization.
     """
+    from scipy.linalg import cho_factor, cho_solve  # only this solver needs scipy
+
     rho = aux.rho
     k = state.B.shape[1]
     ridge = rho * np.eye(k)

@@ -16,6 +16,7 @@ from didnmf.comm import make_inprocess_worlds
 from didnmf.distributed import (
     DadmmWorkerState,
     dadmm_worker_iterate,
+    did_build_message,
     did_update_basis,
     did_worker_iterate,
 )
@@ -94,7 +95,8 @@ def test_acceptance_2_communication_counts():
 
 def test_acceptance_3_batched_basis_update_identity():
     # the one-message basis update must reproduce the sequential
-    # column-by-column loop on the same residual, to 1e-12 relative
+    # column-by-column loop on the same residual, to 1e-12 relative; both
+    # sides start from the Gram-form sums S = X C^T and V = C C^T
     t0 = time.perf_counter()
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -105,16 +107,16 @@ def test_acceptance_3_batched_basis_update_identity():
         B = rng.uniform(0.0, 2.0, size=(m, k))
         C = np.asfortranarray(rng.uniform(0.0, 2.0, size=(k, n)))
         E = rng.standard_normal((m, n))
+        S = (E + B @ C) @ C.T
+        V = C @ C.T
 
         B_seq = np.array(B, order="F")
-        E_seq = np.array(E, order="F")
         for i in range(k):
-            y, z = b_column_partials(E_seq, C, B_seq, i)
-            b_column_apply(E_seq, C, B_seq, i, y, z)
+            y, z = b_column_partials(S, V, B_seq, i)
+            b_column_apply(B_seq, i, y, z)
 
         B_msg = np.array(B, order="F")
-        did_update_basis(B_msg, np.asfortranarray(E @ C.T),
-                         np.asfortranarray(np.tril(C @ C.T)))
+        did_update_basis(B_msg, *did_build_message(B_msg, S, V))
         scale = max(1.0, float(np.abs(B_seq).max()))
         worst = max(worst, float(np.abs(B_msg - B_seq).max()) / scale)
     elapsed = time.perf_counter() - t0

@@ -1,0 +1,108 @@
+import os
+import socket
+import subprocess
+import sys
+import threading
+
+import pytest
+
+from didnmf import blas, harness
+from didnmf.harness import RunConfig, run, synth_lowrank
+
+needs_openblas = pytest.mark.skipif(
+    blas.blas_threads() is None, reason="no OpenBLAS pool loaded in this process")
+
+# one TCP rank in a world of one, entered like the console script; prints
+# the pool's thread count once the run has returned
+RANK_SCRIPT = """
+import sys
+from didnmf import blas, cli
+cli.main(sys.argv[1:])
+print("blas_threads", blas.blas_threads())
+"""
+
+
+def _free_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def tcp_rank_threads(**env_extra) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in blas.BLAS_ENV_VARS}
+    env.update(NMF_ADDR=f"127.0.0.1:{_free_port()}", NMF_RANK="0",
+               NMF_WORLD="1", **env_extra)
+    out = subprocess.run(
+        [sys.executable, "-c", RANK_SCRIPT, "run", "--alg", "did", "--p", "1",
+         "--m", "5", "--n", "60", "--k", "2", "--max-iters", "3",
+         "--transport", "tcp"],
+        env=env, capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+@pytest.fixture
+def pools_at_two(monkeypatch):
+    """No thread variable set, every pool at 2 threads; restored afterwards."""
+    for name in blas.BLAS_ENV_VARS:
+        monkeypatch.delenv(name, raising=False)
+    pools = blas._pools()
+    before = [(put, get()) for get, put in pools]
+    for _, put in pools:
+        put(2)
+    yield
+    for put, count in before:
+        put(count)
+
+
+@needs_openblas
+def test_tcp_rank_runs_one_blas_thread():
+    assert tcp_rank_threads() == "blas_threads 1"
+
+
+@needs_openblas
+def test_tcp_rank_honors_explicit_thread_count():
+    assert tcp_rank_threads(OPENBLAS_NUM_THREADS="2") == "blas_threads 2"
+
+
+@needs_openblas
+def test_in_process_run_restores_callers_thread_count(pools_at_two, monkeypatch):
+    seen = []
+    worker = harness.did_worker_iterate
+
+    def spy(*args):
+        seen.append(blas.blas_threads())
+        return worker(*args)
+
+    monkeypatch.setattr(harness, "did_worker_iterate", spy)
+    run(RunConfig(algorithm="did", m=5, n=40, k=2, p=2, max_iters=3,
+                  epsilon=1e-30), X=synth_lowrank(5, 40, 2, 0))
+    assert seen and set(seen) == {1}
+    assert blas.blas_threads() == 2
+
+
+@needs_openblas
+def test_overlapping_runs_restore_once_the_last_leaves(pools_at_two):
+    # more holders than cores, switching often: the pool stays at one
+    # thread while any holder is inside and returns to 2 after the last
+    inside = []
+    start = threading.Barrier(6)
+
+    def hold():
+        start.wait(timeout=10)
+        for _ in range(50):
+            with blas.one_blas_thread():
+                inside.append(blas.blas_threads())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold) for _ in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(inside) == 300 and set(inside) == {1}
+    assert blas.blas_threads() == 2

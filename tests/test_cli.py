@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,15 @@ def test_run_rejects_bad_flag_combinations(capsys):
 def test_parser_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_run_did_never_imports_scipy():
+    # only the admm solver needs scipy; the did path must not pay its import
+    script = ("import sys\n"
+              "from didnmf.cli import main\n"
+              "main(['run', '--alg', 'did', '--m', '5', '--n', '40', '--k', '2',"
+              " '--p', '2', '--max-iters', '3'])\n"
+              "print('scipy loaded:', 'scipy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.splitlines()[-1] == "scipy loaded: False"

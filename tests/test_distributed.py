@@ -19,6 +19,8 @@ from didnmf.kernels import (
     b_column_apply,
     b_column_partials,
     bcd_iterate,
+    residual_sq,
+    tile_width,
 )
 from didnmf.matrix import frob_norm_sq, make_column_blocks
 
@@ -58,37 +60,33 @@ def random_problem(m, n, k, seed):
 
 
 def test_did_message_worked_instance():
-    # C = [[1 2 2], [2 0 2]], E = [[1 1 0], [2 0 1]]
-    # W = E C^T: row 1 = (1+2+0, 2+0+0) = (3, 2); row 2 = (2+0+2, 4+0+2) = (4, 6)
+    # C = [[1 2 2], [2 0 2]], E = [[1 1 0], [2 0 1]], B = [[1 0], [1 1]]
+    # W = X C^T - B C C^T = E C^T: row 1 = (1+2+0, 2+0+0) = (3, 2);
+    # row 2 = (2+0+2, 4+0+2) = (4, 6)
     # C C^T = [[9 6], [6 8]], lower triangle keeps (9; 6 8)
-    block = make_column_blocks(
-        np.asfortranarray([[4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]),
-        np.asfortranarray([[1.0, 2.0, 2.0], [2.0, 0.0, 2.0]]),
-        1,
-    )[0]
+    B = np.asfortranarray([[1.0, 0.0], [1.0, 1.0]])
+    C = np.asfortranarray([[1.0, 2.0, 2.0], [2.0, 0.0, 2.0]])
     E = np.asfortranarray([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
-    msg = did_build_message(block, E)
-    assert np.array_equal(msg.Wsum, [[3.0, 2.0], [4.0, 6.0]])
-    assert np.array_equal(msg.Vsum, [[9.0, 0.0], [6.0, 8.0]])
+    X = E + B @ C
+    W, V = did_build_message(B, X @ C.T, C @ C.T)
+    assert np.array_equal(W, [[3.0, 2.0], [4.0, 6.0]])
+    assert np.array_equal(V, [[9.0, 0.0], [6.0, 8.0]])
 
 
 def test_did_messages_add_across_blocks():
     # the reduction target: block messages must sum to the full-data message
     X, B, C = random_problem(4, 23, 3, 2)
-    E = np.asfortranarray(X - B @ C)
-    whole = make_column_blocks(X, C, 1)[0]
-    full = did_build_message(whole, E)
+    full = did_build_message(B, X @ C.T, C @ C.T)
     for p in (2, 3, 5):
-        W = np.zeros_like(full.Wsum)
-        V = np.zeros_like(full.Vsum)
-        col = 0
+        W = np.zeros_like(full[0])
+        V = np.zeros_like(full[1])
         for block in make_column_blocks(X, C, p):
-            part = did_build_message(block, E[:, col:col + block.local_cols])
-            W += part.Wsum
-            V += part.Vsum
-            col += block.local_cols
-        assert np.allclose(W, full.Wsum, rtol=1e-12, atol=1e-14)
-        assert np.allclose(V, full.Vsum, rtol=1e-12, atol=1e-14)
+            Cb = block.c_block
+            part = did_build_message(B, block.x_block @ Cb.T, Cb @ Cb.T)
+            W += part[0]
+            V += part[1]
+        assert np.allclose(W, full[0], rtol=1e-12, atol=1e-14)
+        assert np.allclose(V, full[1], rtol=1e-12, atol=1e-14)
 
 
 # basis update from a reduced message
@@ -134,7 +132,7 @@ def test_did_update_basis_skips_dead_column():
 
 
 def test_did_update_basis_matches_sequential_column_loop():
-    # oracle: the per-column closed-form loop applied to the same residual
+    # oracle: the per-column closed-form loop applied to the same sums
     rng = np.random.default_rng(0)
     for trial in range(100):
         m = int(rng.integers(1, 7))
@@ -144,16 +142,17 @@ def test_did_update_basis_matches_sequential_column_loop():
         C = rng.uniform(0.0, 2.0, size=(k, n))
         E = rng.standard_normal((m, n))
 
+        S = (E + B @ C) @ C.T
+        V = C @ C.T
+
         B_seq = np.array(B, order="F")
-        E_seq = np.array(E, order="F")
-        C_seq = np.array(C, order="F")
         for i in range(k):
-            y, z = b_column_partials(E_seq, C_seq, B_seq, i)
-            b_column_apply(E_seq, C_seq, B_seq, i, y, z)
+            y, z = b_column_partials(S, V, B_seq, i)
+            b_column_apply(B_seq, i, y, z)
+        E_seq = E - (B_seq - B) @ C
 
         B_msg = np.array(B, order="F")
-        delta = did_update_basis(B_msg, np.asfortranarray(E @ C.T),
-                                 np.asfortranarray(np.tril(C @ C.T)))
+        delta = did_update_basis(B_msg, *did_build_message(B_msg, S, V))
         E_msg = E - delta @ C
 
         scale = max(1.0, float(np.abs(B_seq).max()))
@@ -165,7 +164,7 @@ def test_did_c_phase_counts_dead_rows():
     X = np.asfortranarray([[1.0, 2.0, 3.0]])
     block = make_column_blocks(X, np.ones((2, 3)), 1)[0]
     B = np.asfortranarray([[1.0, 0.0]])
-    _, skipped = did_c_phase(block, B)
+    _, _, skipped = did_c_phase(block, B)
     assert skipped == 1
 
 
@@ -197,11 +196,37 @@ def test_did_single_worker_tracks_sequential_closely():
     with world:
         for _ in range(30):
             bcd_iterate(X, st)
-            E, _ = did_worker_iterate(world, block, B)
+            resid, _ = did_worker_iterate(world, block, B)
             assert np.allclose(B, st.B, rtol=1e-10, atol=1e-12)
             assert np.allclose(block.c_block, st.C, rtol=1e-10, atol=1e-12)
-            obj = 0.5 * frob_norm_sq(E)
-            assert obj == pytest.approx(st.objective(), rel=1e-10)
+            assert 0.5 * resid == pytest.approx(st.objective(), rel=1e-10)
+
+
+def test_dead_rows_and_columns_skipped_alike_by_bcd_dbcd_did():
+    # b_0 = 0 makes row 0 of C dead (g_00 = 0); with c_0 = 0 that row's
+    # basis column is dead too (v_00 = 0). All three solvers leave both
+    # untouched, count two skips per iteration and agree on the rest.
+    X, B0, C0 = random_problem(5, 30, 3, 17)
+    B0[:, 0] = 0.0
+    C0[0] = 0.0
+    st = FactorState.from_factors(X, B0, C0)
+    blocks = {alg: make_column_blocks(X, C0, 1)[0] for alg in ("dbcd", "did")}
+    bases = {alg: np.array(B0, order="F") for alg in blocks}
+    [world] = make_inprocess_worlds(1)
+    with world:
+        for it in range(1, 6):
+            bcd_iterate(X, st)
+            for alg, worker in (("dbcd", dbcd_worker_iterate),
+                                ("did", did_worker_iterate)):
+                _, skipped = worker(world, blocks[alg], bases[alg])
+                assert skipped == 2
+            assert st.degenerate_events == 2 * it
+    for B, C in [(st.B, st.C)] + [(bases[a], blocks[a].c_block) for a in blocks]:
+        assert not B[:, 0].any() and not C[0].any()
+    assert np.array_equal(bases["dbcd"], st.B)
+    assert np.array_equal(blocks["dbcd"].c_block, st.C)
+    assert np.allclose(bases["did"], st.B, rtol=1e-12)
+    assert np.allclose(blocks["did"].c_block, st.C, rtol=1e-12)
 
 
 # multi-worker invariants
@@ -262,16 +287,35 @@ def test_partitioned_run_matches_sequential_objective(p):
         B = np.array(B0, order="F")
         blocks = make_column_blocks(X, C0, p)
         block = blocks[rank]
-        E = None
         for _ in range(20):
-            E, _ = dbcd_worker_iterate(world, block, B)
-        local = np.array([frob_norm_sq(E)])
+            resid, _ = dbcd_worker_iterate(world, block, B)
+        local = np.array([resid])
         from didnmf.comm import allreduce_sum
         total = allreduce_sum(world, local, service=True)
         return 0.5 * float(total[0])
 
     for obj in run_ranks(p, body):
         assert obj == pytest.approx(st.objective(), rel=1e-10)
+
+
+@pytest.mark.parametrize("alg", ["dbcd", "did"])
+def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
+    # n = 2T + 3 over two ranks: each block holds a tile edge of its own,
+    # and neither block boundary sits on a tile edge of the whole matrix
+    m, k = 64, 3
+    n = 2 * tile_width(m) + 3
+    X, B0, C0 = random_problem(m, n, k, 18)
+    st = FactorState.from_factors(X, B0, C0)
+    for _ in range(8):
+        bcd_iterate(X, st)
+    res = run_multiworker(alg, X, B0, C0, 2, iters=8)
+    for B, _, _ in res:
+        assert np.array_equal(B, res[0][0])
+        assert np.allclose(B, st.B, rtol=1e-10, atol=1e-12)
+    C = np.hstack([c for _, c, _ in res])
+    assert np.allclose(C, st.C, rtol=1e-10, atol=1e-12)
+    assert residual_sq(X, res[0][0], C) == pytest.approx(
+        2.0 * st.objective(), rel=1e-10)
 
 
 # distributed splitting worker

@@ -9,6 +9,7 @@ from didnmf.harness import (
     random_init_scale,
     read_metrics_csv,
     run,
+    run_tcp_rank,
     stopping_check,
     synth_data,
     synth_lowrank,
@@ -159,6 +160,61 @@ def test_tcp_world_size_env_must_match(monkeypatch):
     config = RunConfig(algorithm="did", m=4, n=8, k=2, p=2, transport="tcp")
     with pytest.raises(ValueError, match="NMF_WORLD"):
         run(config)
+
+
+# bad input fails before any worker starts or any rank rendezvous
+
+
+def _negative():
+    X = synth_lowrank(4, 8, 2, 0)
+    X[2, 5] = -1e-3
+    return X, {}
+
+
+def _non_finite():
+    X = synth_lowrank(4, 8, 2, 0)
+    X[1, 3] = np.nan
+    return X, {}
+
+
+def _empty():
+    return np.zeros((4, 0)), {}
+
+
+def _k_too_big():
+    return synth_lowrank(4, 8, 2, 0), {"k": 5}
+
+
+def _p_too_big():
+    return synth_lowrank(4, 8, 2, 0), {"p": 9}
+
+
+BAD_INPUTS = {
+    "negative": (_negative, "negative entries"),
+    "non-finite": (_non_finite, "NaN or infinite"),
+    "empty": (_empty, "empty"),
+    "k-over-min-m-n": (_k_too_big, r"k=5 exceeds min\(m, n\)=4"),
+    "p-over-n": (_p_too_big, "p=9 workers exceed the n=8 columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_fails_fast_with_one_message_on_every_rank(case):
+    make, pattern = BAD_INPUTS[case]
+    X, over = make()
+    kw = dict(algorithm="did", m=4, n=8, k=2, p=2, transport="tcp",
+              comm_timeout=60.0)
+    kw.update(over)
+    messages = []
+    for rank in (0, 1):
+        # a rank that reached the rendezvous would wait comm_timeout for
+        # its peer; failing first means raising at once
+        with pytest.raises(ValueError, match=pattern) as err:
+            run_tcp_rank(RunConfig(**kw), rank, X=X.copy())
+        messages.append(str(err.value))
+    assert len(set(messages)) == 1
+    with pytest.raises(ValueError, match=pattern):
+        run(RunConfig(**dict(kw, transport="in-process")), X=X.copy())
 
 
 # end-to-end sequential and in-process runs

@@ -3,15 +3,19 @@ import pytest
 
 from didnmf.harness import init_factors, synth_data, synth_lowrank
 from didnmf.kernels import (
+    DEGENERATE_NORM_TOL,
     AdmmAuxState,
     FactorState,
     admm_iterate,
     anls_iterate,
+    b_column_apply,
+    b_column_partials,
     bcd_iterate,
-    bcd_update_b_column,
-    bcd_update_c_element,
     c_rowwise_sweep,
+    column_tiles,
     hals_iterate,
+    residual_sq,
+    tile_width,
 )
 from didnmf.matrix import frob_norm_sq
 from didnmf.nnls import nnls_rows
@@ -53,66 +57,140 @@ def test_factor_state_does_not_alias_inputs():
     assert B[0, 0] == 1.0
 
 
-# single-coordinate updates (worked instances first)
+# Gram-form coordinate updates (worked instances first)
+
+
+def sweep(X, B, C):
+    """Run the C pass on copies; return (C, S, V, skipped)."""
+    C = np.array(C, dtype=float, order="F")
+    S, V, skipped = c_rowwise_sweep(np.asfortranarray(X, dtype=float),
+                                    C, np.asfortranarray(B, dtype=float))
+    return C, S, V, skipped
+
+
+def elementwise_c_pass(X, B, C):
+    """Reference C pass: c_ij := [b_i^T e_j / b_i^T b_i]_+, one coordinate
+    at a time, residual e_j kept current with the add/subtract bracket."""
+    C = np.array(C, dtype=float)
+    E = X - B @ C
+    skipped = 0
+    for i in range(B.shape[1]):
+        b = B[:, i]
+        bb = float(b @ b)
+        if bb < DEGENERATE_NORM_TOL:
+            skipped += 1
+            continue
+        for j in range(C.shape[1]):
+            e = E[:, j]
+            e += b * C[i, j]
+            C[i, j] = max(float(b @ e) / bb, 0.0)
+            e -= b * C[i, j]
+    return C, skipped
 
 
 def test_c_element_update_scalar_instance():
     # x = (2,2), b = (1,1), c = 1: optimum c = 2 and the residual vanishes
     X = np.asfortranarray([[2.0], [2.0]])
-    st = FactorState.from_factors(X, [[1.0], [1.0]], [[1.0]])
-    cij = bcd_update_c_element(st, 0, 0)
-    assert cij == 2.0
-    assert np.array_equal(st.E, [[0.0], [0.0]])
+    C, S, V, skipped = sweep(X, [[1.0], [1.0]], [[1.0]])
+    assert C[0, 0] == 2.0 and skipped == 0
+    assert np.array_equal(S, [[4.0], [4.0]]) and np.array_equal(V, [[4.0]])
+    assert residual_sq(X, np.ones((2, 1)), C) == 0.0
 
 
 def test_c_element_clamps_to_zero():
     X = np.asfortranarray([[-3.0], [-3.0]])
-    st = FactorState.from_factors(X, [[1.0], [1.0]], [[1.0]])
-    cij = bcd_update_c_element(st, 0, 0)
-    assert cij == 0.0
-    assert np.array_equal(st.E, [[-3.0], [-3.0]])
+    C, S, V, _ = sweep(X, [[1.0], [1.0]], [[1.0]])
+    assert C[0, 0] == 0.0
+    assert not S.any() and not V.any()
+    assert residual_sq(X, np.ones((2, 1)), C) == 18.0
 
 
 def test_c_element_degenerate_column_skipped():
     X = np.asfortranarray([[1.0], [1.0]])
-    st = FactorState.from_factors(X, [[0.0], [0.0]], [[5.0]])
-    before = st.C.copy()
-    bcd_update_c_element(st, 0, 0)
-    assert np.array_equal(st.C, before)
-    assert st.degenerate_events == 1
+    C, _, _, skipped = sweep(X, [[0.0], [0.0]], [[5.0]])
+    assert np.array_equal(C, [[5.0]])
+    assert skipped == 1
 
 
 def test_b_column_update_worked_instance():
-    # one basis column, c = (1, 1), columns of X sum to y = (4, 8):
-    # b = [(e + b c) c^T] / ||c||^2 with the bracket maintained
-    X = np.asfortranarray([[1.0, 3.0]])
-    st = FactorState.from_factors(X, [[1.0]], [[1.0, 1.0]])
-    bcd_update_b_column(st, 0)
-    assert np.allclose(st.B, [[2.0]])
-    assert np.allclose(st.E, [[-1.0, 1.0]])
+    # one basis column, c = (1, 1), X = [1 3]: S = X c^T = 4, V = 2, so
+    # b = [S - 0] / V = 2, and the residual is X - 2 c = [-1 1]
+    B = np.asfortranarray([[1.0]])
+    y, z = b_column_partials(np.array([[4.0]]), np.array([[2.0]]), B, 0)
+    assert b_column_apply(B, 0, y, z) == 0
+    assert np.array_equal(B, [[2.0]])
+    assert residual_sq(np.asfortranarray([[1.0, 3.0]]), B,
+                       np.asfortranarray([[1.0, 1.0]])) == 2.0
+
+
+def test_b_column_partials_take_out_the_other_columns():
+    # y = s_i - sum_{k != i} b_k v_ki: column 1 of B stays out of column 0
+    B = np.asfortranarray([[1.0, 2.0]])
+    S = np.array([[10.0, 7.0]])
+    V = np.array([[4.0, 3.0], [3.0, 5.0]])
+    y, z = b_column_partials(S, V, B, 0)
+    assert np.array_equal(y, [10.0 - 2.0 * 3.0]) and z == 4.0
+    y, z = b_column_partials(S, V, B, 1)
+    assert np.array_equal(y, [7.0 - 1.0 * 3.0]) and z == 5.0
 
 
 def test_b_column_degenerate_row_skipped():
-    X = np.asfortranarray([[1.0, 3.0]])
-    st = FactorState.from_factors(X, [[1.0]], [[0.0, 0.0]])
-    bcd_update_b_column(st, 0)
-    assert np.array_equal(st.B, [[1.0]])
-    assert st.degenerate_events == 1
-    assert residual_drift(X, st) == 0.0
+    B = np.asfortranarray([[1.0]])
+    y, z = b_column_partials(np.zeros((1, 1)), np.zeros((1, 1)), B, 0)
+    assert b_column_apply(B, 0, y, z) == 1
+    assert np.array_equal(B, [[1.0]])
 
 
 def test_c_rowwise_sweep_matches_elementwise():
-    # the vectorized row update is the per-element loop; only the BLAS
-    # accumulation order differs (gemv vs per-column dot), so agreement
-    # is to the last few ulp rather than bitwise
+    # the Gram-form tile pass is the per-element loop with the residual
+    # expanded through G = B^T B and P = B^T X, so agreement is to the
+    # last few ulp rather than bitwise
     X, st = make_state(4, 9, 3, 21)
-    st2 = FactorState.from_factors(X, st.B, st.C)
-    c_rowwise_sweep(st.E, st.C, st.B)
-    for i in range(3):
-        for j in range(9):
-            bcd_update_c_element(st2, i, j)
-    assert np.allclose(st.C, st2.C, rtol=1e-13, atol=1e-15)
-    assert np.allclose(st.E, st2.E, rtol=1e-13, atol=1e-15)
+    C, S, V, _ = sweep(X, st.B, st.C)
+    C_ref, _ = elementwise_c_pass(X, st.B, st.C)
+    assert np.allclose(C, C_ref, rtol=1e-13, atol=1e-15)
+    assert np.allclose(S, X @ C_ref.T, rtol=1e-13)
+    assert np.allclose(V, C_ref @ C_ref.T, rtol=1e-13)
+
+
+TILE_EDGE_WIDTHS = {"1": lambda T: 1, "T-1": lambda T: T - 1, "T": lambda T: T,
+                    "T+1": lambda T: T + 1, "2T+3": lambda T: 2 * T + 3}
+
+
+@pytest.mark.parametrize("width", sorted(TILE_EDGE_WIDTHS))
+def test_c_rowwise_sweep_tile_boundaries(width):
+    # the tiles cut the columns without changing any of them, and the
+    # sums and the residual cover every column exactly once
+    m, k = 4, 3
+    n = max(1, TILE_EDGE_WIDTHS[width](tile_width(m)))
+    rng = np.random.default_rng(n)
+    X = np.asfortranarray(rng.uniform(0.0, 1.0, size=(m, n)))
+    B = rng.uniform(0.1, 1.0, size=(m, k))
+    C0 = rng.uniform(0.0, 1.0, size=(k, n))
+    tiles = column_tiles(n, m)
+    assert tiles[0].start == 0 and tiles[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+    C, S, V, _ = sweep(X, B, C0)
+    C_ref, _ = elementwise_c_pass(X, B, C0)
+    assert np.allclose(C, C_ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(S, X @ C.T, rtol=1e-12)
+    assert np.allclose(V, C @ C.T, rtol=1e-12)
+    assert residual_sq(X, B, C) == pytest.approx(
+        frob_norm_sq(X - B @ C), rel=1e-12)
+
+
+def test_bcd_coordinate_optimality_after_element_update():
+    # the projected gradient of each one-variable problem vanishes right
+    # after its row is updated; the last row swept is checked, with every
+    # row brought to the end of the order in turn
+    X, st = make_state(4, 7, 3, 7)
+    for last in range(3):
+        order = [i for i in range(3) if i != last] + [last]
+        B = st.B[:, order]
+        C, _, _, _ = sweep(X, B, st.C[order])
+        g = -(B[:, -1] @ (X - B @ C))
+        pg = np.where(C[-1] > 0, g, np.minimum(g, 0.0))
+        assert np.abs(pg).max() <= 1e-10
 
 
 # HALS
@@ -148,6 +226,23 @@ def test_hals_monotone_and_residual_integrity():
         assert cur <= prev + 1e-10
         prev = cur
     assert residual_drift(X, st) <= 1e-8 * np.sqrt(frob_norm_sq(X))
+
+
+def test_hals_carried_residual_does_not_drift_over_long_runs():
+    # E is carried through each sweep's rank-one updates; refreshed from X
+    # every iteration, it stays within rounding of X - B C however long the
+    # run, both entrywise and in the squared norm the stopping rule reads
+    X, st = make_state(5, 200, 3, 2, lowrank=True)
+    scale = np.sqrt(frob_norm_sq(X))
+    worst_drift = worst_gap = 0.0
+    for _ in range(3000):
+        hals_iterate(X, st)
+        recomputed = frob_norm_sq(X - st.B @ st.C)
+        worst_drift = max(worst_drift, residual_drift(X, st) / scale)
+        worst_gap = max(worst_gap,
+                        abs(frob_norm_sq(st.E) - recomputed) / recomputed)
+    assert worst_drift <= 1e-15
+    assert worst_gap <= 1e-11
 
 
 # BCD
@@ -194,18 +289,6 @@ def test_bcd_monotone_and_residual_integrity():
         assert cur <= prev + 1e-10
         prev = cur
     assert residual_drift(X, st) <= 1e-8 * np.sqrt(frob_norm_sq(X))
-
-
-def test_bcd_coordinate_optimality_after_element_update():
-    # projected gradient of the one-variable problem vanishes after the update
-    X, st = make_state(4, 7, 2, 7)
-    for i in range(2):
-        for j in range(7):
-            bcd_update_c_element(st, i, j)
-            b = st.B[:, i]
-            g = -float(b @ st.E[:, j])
-            pg = g if st.C[i, j] > 0 else min(g, 0.0)
-            assert abs(pg) <= 1e-10
 
 
 def test_bcd_strict_decrease_regression_pin():
