@@ -13,11 +13,12 @@ from .harness import (
     INIT_METHODS,
     TRANSPORTS,
     RunConfig,
+    load_matrix,
     run,
     synth_data,
     synth_lowrank,
 )
-from .matrix import read_csv_matrix, read_dmat, write_csv_matrix, write_dmat
+from .matrix import write_csv_matrix, write_dmat
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,12 +94,6 @@ def _write_matrix(path: str, mat) -> None:
         write_dmat(path, mat)
 
 
-def _read_matrix(path: str):
-    if path.endswith(".csv"):
-        return read_csv_matrix(path)
-    return read_dmat(path)
-
-
 def _cmd_synth(args) -> int:
     if args.rank > 0:
         mat = synth_lowrank(args.m, args.n, args.rank, args.seed)
@@ -110,7 +105,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    _write_matrix(args.dst, _read_matrix(args.src))
+    _write_matrix(args.dst, load_matrix(args.src))
     print(f"converted {args.src} -> {args.dst}")
     return 0
 

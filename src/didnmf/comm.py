@@ -1,4 +1,4 @@
-"""Sum-allreduce over dense float64 payloads.
+"""Sum-allreduce over one flat float64 payload per collective.
 
 Two transports share one collective schedule: a binomial-tree reduce to
 rank 0 followed by the mirror binomial broadcast. The schedule is a pure
@@ -6,6 +6,9 @@ function of (world size, rank), so for fixed per-rank inputs the result
 is bit-identical on every rank, on every run, and on both transports.
 The distributed solvers lean on that to keep replicated state exactly
 synchronized without a master.
+
+A caller packs everything one collective carries into a single array;
+each tree edge then moves exactly one message.
 
 Transports:
 
@@ -16,8 +19,10 @@ Transports:
   collects one registration per peer (world size, rank, listener port)
   and answers with the address book; afterwards peers dial each other
   lazily, the higher rank always connecting to the lower rank's listener.
-  Matrix frames on the wire are [u32 tag][u64 byte length][DMAT1 body],
-  little-endian; the tag carries the collective sequence number.
+  A collective's payload crosses each edge as one frame,
+  [u32 tag][u64 byte length][DMAT1 body of an n x 1 matrix], little-endian
+  and written with one send; the tag carries the collective sequence
+  number.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ class CommStats:
     allreduce_calls: int = 0
     bytes_sent: int = 0
     comm_wall_time: float = 0.0
-    compute_wall_time: float = 0.0
     service_calls: int = 0
     service_bytes: int = 0
 
@@ -102,66 +106,49 @@ def _ceil_log2(p: int) -> int:
     return max(p - 1, 0).bit_length()
 
 
-def allreduce_sum(world: CommWorld, *payloads, service: bool = False):
-    """Entrywise sum of every rank's payloads, delivered to every rank.
+def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
+    """Entrywise sum of every rank's float64 array, delivered to every rank.
 
-    All ranks must call with the same number of arrays, with matching
-    shapes, in the same order; disagreements raise ``CommError`` naming
-    both ranks involved. Returns a single array for a single payload,
-    otherwise a tuple in call order. With ``service=True`` the call is
-    accounted under the service counters instead of the algorithmic ones.
+    All ranks must call with arrays of the same size; a disagreement
+    raises ``CommError`` naming both ranks involved. The input is never
+    modified, and the sum comes back in the input's shape. With
+    ``service=True`` the call is accounted under the service counters
+    instead of the algorithmic ones.
     """
-    if not payloads:
-        raise ValueError("allreduce_sum needs at least one payload")
-    mats = [np.array(p, dtype=np.float64) for p in payloads]
-    if any(m.ndim > 2 for m in mats):
-        raise ValueError("allreduce payloads must be scalars, vectors, or matrices")
-    # the tree carries 2-D frames only; vectors ride as single columns
-    orig_shapes = [m.shape for m in mats]
-    mats = [m.reshape((m.size if m.ndim != 2 else m.shape[0],
-                       1 if m.ndim != 2 else m.shape[1]), order="F")
-            for m in mats]
+    buf = np.array(buf, dtype=np.float64, order="F")
+    if buf.size == 0 or buf.ndim > 2:
+        raise ValueError("an allreduce payload is a nonempty scalar, vector "
+                         "or matrix")
     t0 = time.perf_counter()
-    out = _tree_allreduce(world, mats)
-    elapsed = time.perf_counter() - t0
+    # the wire carries 2-D DMAT1 frames: the payload rides as one column
+    out = _tree_allreduce(world, buf.reshape((-1, 1), order="F"))
     stats = world.stats
-    stats.comm_wall_time += elapsed
-    volume = sum(m.nbytes for m in out) * 2 * _ceil_log2(world.size)
+    stats.comm_wall_time += time.perf_counter() - t0
+    volume = out.nbytes * 2 * _ceil_log2(world.size)
     if service:
         stats.service_calls += 1
         stats.service_bytes += volume
     else:
         stats.allreduce_calls += 1
         stats.bytes_sent += volume
-    out = [m.reshape(shape, order="F") for m, shape in zip(out, orig_shapes)]
-    return out[0] if len(out) == 1 else tuple(out)
+    return out.reshape(buf.shape, order="F")
 
 
-def barrier(world: CommWorld) -> None:
-    """Block until every rank in the world has entered the barrier."""
-    t0 = time.perf_counter()
-    _tree_allreduce(world, [np.zeros((1, 1))])
-    world.stats.comm_wall_time += time.perf_counter() - t0
-
-
-def _tree_allreduce(world: CommWorld, mats):
+def _tree_allreduce(world: CommWorld, col: np.ndarray) -> np.ndarray:
     seq = world._seq
     if seq >= _TAG_LIMIT:
         raise CommError("collective sequence space exhausted")
     world._seq += 1
     rank, size, ep = world.rank, world.size, world._endpoint
-    shapes = [m.shape for m in mats]
     # fold partial sums toward rank 0
     mask = 1
     while mask < size:
         if rank & mask:
-            ep.send(rank ^ mask, seq, mats)
+            ep.send(rank ^ mask, seq, col)
             break
         peer = rank | mask
         if peer < size:
-            got = _checked_recv(world, peer, seq, shapes)
-            for m, g in zip(mats, got):
-                m += g
+            col += _checked_recv(world, peer, seq, col.shape)
         mask <<= 1
     # fan the total back out along the mirrored tree
     for t in reversed(range(_ceil_log2(size))):
@@ -170,23 +157,22 @@ def _tree_allreduce(world: CommWorld, mats):
         if rank % span == 0:
             peer = rank + step
             if peer < size:
-                ep.send(peer, seq, mats)
+                ep.send(peer, seq, col)
         elif rank % span == step:
-            mats = _checked_recv(world, rank - step, seq, shapes)
-    return mats
+            col = _checked_recv(world, rank - step, seq, col.shape)
+    return col
 
 
-def _checked_recv(world: CommWorld, src: int, seq: int, shapes):
-    got_seq, got = world._endpoint.recv(src, len(shapes), world.timeout)
+def _checked_recv(world: CommWorld, src: int, seq: int, shape) -> np.ndarray:
+    got_seq, got = world._endpoint.recv(src, world.timeout)
     if got_seq != seq:
         raise CommError(
             f"collective sequence mismatch: rank {world.rank} is at call "
             f"{seq} but rank {src} sent call {got_seq}")
-    got_shapes = [g.shape for g in got]
-    if got_shapes != list(shapes):
+    if got.shape != shape:
         raise CommError(
             f"payload shape mismatch in collective {seq}: rank {world.rank} "
-            f"expects {list(shapes)} but rank {src} sent {got_shapes}")
+            f"expects {shape} but rank {src} sent {got.shape}")
     return got
 
 
@@ -209,13 +195,11 @@ class _InProcessEndpoint:
         self._fabric = fabric
         self._rank = rank
 
-    def send(self, dst: int, seq: int, mats) -> None:
-        # copy on send: the receiver must never alias the sender's buffers
-        msg = (seq, [np.array(m) for m in mats])
-        self._fabric._boxes[(dst, self._rank)].put(msg)
+    def send(self, dst: int, seq: int, col: np.ndarray) -> None:
+        # copy on send: the receiver must never alias the sender's buffer
+        self._fabric._boxes[(dst, self._rank)].put((seq, np.array(col)))
 
-    def recv(self, src: int, count: int, timeout: float):
-        del count  # queue messages arrive whole; shapes are checked upstream
+    def recv(self, src: int, timeout: float):
         try:
             return self._fabric._boxes[(self._rank, src)].get(timeout=timeout)
         except queue.Empty:
@@ -390,29 +374,16 @@ class TcpEndpoint:
                         f"from rank {peer}")
             return self._conns[peer]
 
-    def send(self, dst: int, seq: int, mats) -> None:
-        conn = self._connection(dst)
-        for m in mats:
-            _write_frame(conn, seq, dmat_encode(m))
+    def send(self, dst: int, seq: int, col: np.ndarray) -> None:
+        _write_frame(self._connection(dst), seq, dmat_encode(col))
 
-    def recv(self, src: int, count: int, timeout: float):
-        conn = self._connection(src)
-        seq = None
-        mats = []
-        for _ in range(count):
-            tag, body = _read_frame(conn, timeout, self.rank, src)
-            if tag >= _TAG_LIMIT:
-                raise CommError(
-                    f"rank {self.rank} received a control frame {tag:#x} "
-                    f"from rank {src} inside a collective")
-            if seq is None:
-                seq = tag
-            elif tag != seq:
-                raise CommError(
-                    f"interleaved frames from rank {src} at rank "
-                    f"{self.rank}: tags {seq} and {tag}")
-            mats.append(dmat_decode(body))
-        return seq, mats
+    def recv(self, src: int, timeout: float):
+        tag, body = _read_frame(self._connection(src), timeout, self.rank, src)
+        if tag >= _TAG_LIMIT:
+            raise CommError(
+                f"rank {self.rank} received a control frame {tag:#x} "
+                f"from rank {src} inside a collective")
+        return tag, dmat_decode(body)
 
     def close(self) -> None:
         self._closed = True

@@ -16,10 +16,11 @@ Three workers:
 * dadmm: per-block splitting with scaled duals and one (Gram, right-hand
   side) reduction per iteration; both factor updates are solved exactly.
 
-dbcd and did share the Gram-form, tile-streamed C pass of `kernels`
-(sequential bcd runs it too), which hands the basis step X C^T and C C^T
-instead of a residual. Each worker returns its block's exact
-||X - B C||^2 from a second tile pass after the basis update.
+dbcd and did share the Gram-form, tile-streamed C pass of `kernels`,
+which hands the basis step X C^T and C C^T instead of a residual;
+sequential bcd is dbcd on a one-rank world. Every worker has the step
+signature of `kernels`, `(world, block, B, state) -> (local ||X - B C||^2,
+skipped)`, and packs each collective's payload into one flat buffer.
 """
 
 from __future__ import annotations
@@ -49,19 +50,22 @@ def did_c_phase(block: ColumnBlock, B: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return c_rowwise_sweep(block.x_block, block.c_block, B)
 
 
-def did_build_message(B: np.ndarray, S: np.ndarray,
-                      V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Assemble the (W, V) payload from the block's sums.
+def did_build_message(B: np.ndarray, S: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Pack the block's (W, V) message into one flat buffer.
 
     W = X C^T - B C C^T, whose column i is sum_j e_j c_ij with
-    E = X - B C; V is the lower triangle of C C^T (the zero upper
-    triangle travels too, which keeps the payload's meaning plain).
+    E = X - B C, goes first in column-major order; then the lower triangle
+    of V = C C^T, row by row: v_00; v_10 v_11; ... That is
+    MK + K(K+1)/2 doubles. Only this function and `did_update_basis`
+    know the layout.
     """
-    return S - B @ V, np.tril(V)
+    k = V.shape[0]
+    return np.concatenate([(S - B @ V).ravel(order="F")]
+                          + [V[i, :i + 1] for i in range(k)])
 
 
-def did_update_basis(B: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Apply every basis-column correction carried by a reduced (W, V).
+def did_update_basis(B: np.ndarray, buf: np.ndarray) -> int:
+    """Apply every basis-column correction carried by a reduced message.
 
     Column i moves by w_i / v_ii minus the interference of columns already
     moved this sweep, then projects to the nonnegative orthant:
@@ -69,48 +73,55 @@ def did_update_basis(B: np.ndarray, W: np.ndarray, V: np.ndarray) -> np.ndarray:
         b_i := [b_i + w_i / v_ii - sum_{k < i} (v_ik / v_ii) delta_k]_+
 
     Dead columns (v_ii below the degeneracy floor) keep a zero delta, so
-    every rank skips them identically. Returns the M x K delta matrix.
+    every rank skips them identically. Returns the number skipped.
     """
-    k = B.shape[1]
+    m, k = B.shape
+    W = buf[:m * k].reshape((m, k), order="F")
     delta = np.zeros_like(B)
+    skipped = 0
+    row = m * k  # start of v_i0 .. v_ii in the buffer
     for i in range(k):
-        vii = float(V[i, i])
+        v = buf[row:row + i + 1]
+        row += i + 1
+        vii = float(v[i])
         if vii < DEGENERATE_NORM_TOL:
+            skipped += 1
             continue
-        corr = W[:, i] / vii - delta[:, :i] @ (V[i, :i] / vii)
+        corr = W[:, i] / vii - delta[:, :i] @ (v[:i] / vii)
         b_new = np.maximum(B[:, i] + corr, 0.0)
         delta[:, i] = b_new - B[:, i]
         B[:, i] = b_new
-    return delta
+    return skipped
 
 
-def did_worker_iterate(world: CommWorld, block: ColumnBlock,
-                       B: np.ndarray) -> tuple[float, int]:
+def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
+                       state=None) -> tuple[float, int]:
     """One incremental-update iteration; exactly one allreduce.
 
-    Returns the block's ||X - B C||^2 for the new B and C, and the
-    degenerate-update count for this iteration.
+    Updates the block's C and the replicated B in place. Returns the
+    block's ||X - B C||^2 for the new B and C, and the degenerate-update
+    count for this iteration. did keeps no state between iterations.
     """
     S, V, skipped = did_c_phase(block, B)
-    W, V = allreduce_sum(world, *did_build_message(B, S, V))
-    did_update_basis(B, W, V)
-    skipped += int(np.count_nonzero(np.diag(V) < DEGENERATE_NORM_TOL))
+    buf = allreduce_sum(world, did_build_message(B, S, V))
+    skipped += did_update_basis(B, buf)
     return residual_sq(block.x_block, B, block.c_block), skipped
 
 
-def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock,
-                        B: np.ndarray) -> tuple[float, int]:
+def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
+                        state=None) -> tuple[float, int]:
     """One distributed coordinate-descent iteration; K allreduces.
 
-    The C pass is local; each basis column then reduces its (y, z) pair
-    and every rank applies the identical closed-form update. Returns the
+    The C pass is local; each basis column then reduces its flat [y, z]
+    pair and every rank applies the identical closed-form update. On one
+    rank this is sequential coordinate descent (`bcd`). Returns the
     block's ||X - B C||^2 and the degenerate-update count.
     """
     S, V, skipped = c_rowwise_sweep(block.x_block, block.c_block, B)
     for i in range(B.shape[1]):
-        y_local, z_local = b_column_partials(S, V, B, i)
-        y, z = allreduce_sum(world, y_local, np.array([z_local]))
-        skipped += b_column_apply(B, i, y, float(z[0]))
+        y, z = b_column_partials(S, V, B, i)
+        yz = allreduce_sum(world, np.append(y, z))
+        skipped += b_column_apply(B, i, yz[:-1], float(yz[-1]))
     return residual_sq(block.x_block, B, block.c_block), skipped
 
 
@@ -133,19 +144,24 @@ class DadmmWorkerState:
 
 
 def dadmm_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
-                         st: DadmmWorkerState) -> DadmmWorkerState:
+                         st: DadmmWorkerState) -> tuple[float, int]:
     """One distributed splitting iteration; exactly one allreduce.
 
     Updates, in order: the scaled dual U, the auxiliary target Y, the
     local C block (exact nonnegative least squares), then the replicated
-    B from the reduced Gram C C^T and right-hand side (U + Y) C^T.
+    B from the reduced Gram C C^T and right-hand side (U + Y) C^T, which
+    travel as one flat [gram, rhs] buffer. Returns the block's
+    ||X - B C||^2 and 0 skipped updates.
     """
     C = block.c_block
+    m, k = B.shape
     BC = B @ C
     st.U += st.Y - BC
     st.Y = (block.x_block - st.rho * st.U + st.rho * BC) / (1.0 + st.rho)
     target = st.U + st.Y
     C[:] = nnls_rows(B.T @ B, target.T @ B).T
-    gram, rhs = allreduce_sum(world, C @ C.T, target @ C.T)
-    B[:] = nnls_rows(gram, rhs)
-    return st
+    buf = allreduce_sum(world, np.concatenate([(C @ C.T).ravel(order="F"),
+                                               (target @ C.T).ravel(order="F")]))
+    gram = buf[:k * k].reshape((k, k), order="F")
+    B[:] = nnls_rows(gram, buf[k * k:].reshape((m, k), order="F"))
+    return residual_sq(block.x_block, B, C), 0

@@ -2,9 +2,12 @@
 
 `run(config)` executes one algorithm until the stopping criterion
 ||E_t||_F^2 <= eps * ||E_0||_F^2 or an iteration/time cap, and returns
-per-iteration metrics. Distributed algorithms place P ranks over the
-in-process fabric (threads) or over TCP (one rank per process, driven by
-`run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). Every
+per-iteration metrics. Every algorithm is a step
+`(world, block, B, state) -> (local ||X - B C||^2, skipped)` driven by the
+one loop in `_distributed_worker`. Sequential algorithms run on a
+one-rank world (bcd is dbcd there); distributed ones place P ranks over
+the in-process fabric (threads) or over TCP (one rank per process, driven
+by `run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). Every
 stop decision is made from allreduced quantities so all ranks always
 take the same branch.
 """
@@ -30,10 +33,8 @@ from .distributed import (
 )
 from .kernels import (
     AdmmAuxState,
-    FactorState,
     admm_iterate,
     anls_iterate,
-    bcd_iterate,
     hals_iterate,
     residual_sq,
 )
@@ -307,9 +308,10 @@ def check_data(X, k: int, p: int) -> None:
 def run(config: RunConfig, X=None) -> RunMetrics:
     """Execute one configured run and return its metrics.
 
-    `X` overrides data loading (used by tests and scripts). For the tcp
-    transport this delegates to `run_tcp_rank` with the rank taken from
-    the NMF_RANK environment variable; rank 0 writes the CSV.
+    `X` overrides data loading (used by tests and scripts). A sequential
+    algorithm runs as one in-process rank. For the tcp transport a
+    distributed algorithm delegates to `run_tcp_rank` with the rank taken
+    from the NMF_RANK environment variable; rank 0 writes the CSV.
     """
     config.validate()
     if config.algorithm in DISTRIBUTED_ALGS and config.transport == "tcp":
@@ -320,10 +322,7 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     X = as_matrix(X)
     check_data(X, config.k, config.p)
     B0, C0 = init_factors(X, config.k, config.seed, config.init)
-    if config.algorithm in SEQUENTIAL_ALGS:
-        metrics = _run_sequential(config, X, B0, C0)
-    else:
-        metrics = _run_inprocess(config, X, B0, C0)
+    metrics = _run_inprocess(config, X, B0, C0)
     if config.out_path:
         metrics.write_csv(config.out_path)
     return metrics
@@ -372,40 +371,6 @@ def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
     return metrics
 
 
-def _run_sequential(config: RunConfig, X, B0, C0) -> RunMetrics:
-    state = FactorState.from_factors(X, B0, C0)
-    aux = (AdmmAuxState.from_state(state, config.rho)
-           if config.algorithm == "admm" else None)
-    e0 = residual_sq(X, state.B, state.C)
-    rows: list[IterRow] = []
-    start = time.perf_counter()
-    converged = stopping_check(e0, e0, config.epsilon)
-    t = 0
-    while not converged and t < config.max_iters:
-        if time.perf_counter() - start > config.max_time:
-            break
-        t += 1
-        tick = time.perf_counter()
-        if config.algorithm == "hals":
-            hals_iterate(X, state)
-        elif config.algorithm == "bcd":
-            bcd_iterate(X, state)
-        elif config.algorithm == "anls":
-            anls_iterate(X, state)
-        else:
-            admm_iterate(X, state, aux)
-        compute_s = time.perf_counter() - tick
-        resid = residual_sq(X, state.B, state.C)
-        rows.append(IterRow(
-            iteration=t, objective=0.5 * resid, residual_sq=resid,
-            allreduce_calls=0, bytes=0, compute_s=compute_s, comm_s=0.0,
-            b_norm=math.sqrt(frob_norm_sq(state.B))))
-        converged = stopping_check(resid, e0, config.epsilon)
-    return RunMetrics(rows=rows, iterations=t,
-                      total_time=time.perf_counter() - start,
-                      converged=converged)
-
-
 def _reduce_progress(world, local_resid: float, flag: float) -> tuple[float, float]:
     """Service reduction of (residual, time-cap flag); identical on all ranks."""
     out = allreduce_sum(world, np.array([local_resid, flag]), service=True)
@@ -413,9 +378,21 @@ def _reduce_progress(world, local_resid: float, flag: float) -> tuple[float, flo
 
 
 def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
-    alg = config.algorithm
-    st = (DadmmWorkerState.fresh(block, B, config.rho)
-          if alg == "dadmm" else None)
+    """The run loop of every algorithm: one rank's iterations to the stop.
+
+    Each algorithm is a step and, for the splitting methods, a factory of
+    its carried state. The table is built per call, so a step replaced on
+    this module after import is the one that runs.
+    """
+    steps = {"hals": (hals_iterate, None),
+             "bcd": (dbcd_worker_iterate, None),
+             "anls": (anls_iterate, None),
+             "admm": (admm_iterate, AdmmAuxState.fresh),
+             "dadmm": (dadmm_worker_iterate, DadmmWorkerState.fresh),
+             "dbcd": (dbcd_worker_iterate, None),
+             "did": (did_worker_iterate, None)}
+    step, fresh = steps[config.algorithm]
+    state = fresh(block, B, config.rho) if fresh else None
     stats = world.stats
     local = residual_sq(block.x_block, B, block.c_block)
     e0, _ = _reduce_progress(world, local, 0.0)
@@ -428,18 +405,11 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
         tick = time.perf_counter()
         comm0 = stats.comm_wall_time
         calls0, bytes0 = stats.allreduce_calls, stats.bytes_sent
-        if alg == "did":
-            local, _ = did_worker_iterate(world, block, B)
-        elif alg == "dbcd":
-            local, _ = dbcd_worker_iterate(world, block, B)
-        else:
-            dadmm_worker_iterate(world, block, B, st)
-            local = residual_sq(block.x_block, B, block.c_block)
+        local, _ = step(world, block, B, state)
         over_time = 1.0 if time.perf_counter() - start > config.max_time else 0.0
         resid, time_flag = _reduce_progress(world, local, over_time)
         comm_s = stats.comm_wall_time - comm0
         compute_s = time.perf_counter() - tick - comm_s
-        stats.compute_wall_time += compute_s
         rows.append(IterRow(
             iteration=t, objective=0.5 * resid, residual_sq=resid,
             allreduce_calls=stats.allreduce_calls - calls0,
@@ -455,6 +425,7 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
 
 
 def _run_inprocess(config: RunConfig, X, B0, C0) -> RunMetrics:
+    """Run P ranks as threads over the in-process fabric (P=1 included)."""
     worlds = make_inprocess_worlds(config.p, timeout=config.comm_timeout)
     blocks = make_column_blocks(X, C0, config.p)
     results: list[RunMetrics | None] = [None] * config.p

@@ -1,11 +1,16 @@
-"""Sequential factorization kernels: HALS, coordinate descent, ANLS, ADMM.
+"""Factorization kernels: the Gram-form coordinate kernel, HALS, ANLS, ADMM.
 
-All four minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
+All minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
 C (K x N). Coordinate descent runs in Gram form: the C pass streams X in
 column tiles sized for L2 and hands the basis step X C^T and C C^T, so
-nothing M x N is formed. The distributed workers reuse the very same
-functions, so a one-worker distributed run reproduces the sequential
-iterates bit for bit.
+nothing M x N is formed. The distributed workers (`distributed`) are
+built from that kernel, and sequential coordinate descent is the dbcd
+worker on a one-rank world.
+
+HALS, ANLS and ADMM are sequential steps with the workers' signature,
+`step(world, block, B, state) -> (||X - B C||^2, skipped)`: they update B
+and the block's C in place and run on a one-rank world, which they never
+call.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import frob_norm_sq
+from .matrix import ColumnBlock
 from .nnls import nnls_rows
 
 # squared-norm floor below which a closed-form update is skipped
@@ -23,43 +28,6 @@ DEGENERATE_NORM_TOL = 1e-12
 # set stays inside a per-core L2 cache. At M=5, K=3 on a core with 2 MiB
 # of L2, 256 KiB swept fastest of 128 KiB to 1 MiB.
 TILE_BYTES = 256 * 1024
-
-
-@dataclass
-class FactorState:
-    """Factor pair plus the residual E = X - B C.
-
-    HALS refreshes E from X at the top of each iteration and carries it
-    through its sweep; the other kernels recompute it at the end of theirs.
-
-    `degenerate_events` counts skipped updates (a basis column or C row
-    whose squared norm fell under ``DEGENERATE_NORM_TOL``).
-    """
-
-    B: np.ndarray
-    C: np.ndarray
-    E: np.ndarray
-    degenerate_events: int = 0
-
-    @classmethod
-    def from_factors(cls, X, B, C) -> "FactorState":
-        B = np.array(B, dtype=np.float64, order="F")
-        C = np.array(C, dtype=np.float64, order="F")
-        if B.ndim != 2 or C.ndim != 2 or B.shape[1] != C.shape[0]:
-            raise ValueError(
-                f"factor shapes do not chain: {B.shape} times {C.shape}")
-        if X.shape != (B.shape[0], C.shape[1]):
-            raise ValueError(
-                f"data shape {X.shape} does not match factors "
-                f"{(B.shape[0], C.shape[1])}")
-        return cls(B=B, C=C, E=X - B @ C)
-
-    def resync(self, X) -> None:
-        """Recompute E from scratch, discarding incremental drift."""
-        self.E = X - self.B @ self.C
-
-    def objective(self) -> float:
-        return 0.5 * frob_norm_sq(self.E)
 
 
 def tile_width(m: int) -> int:
@@ -154,55 +122,40 @@ def residual_sq(X, B, C) -> float:
     return total
 
 
-def bcd_iterate(X, state: FactorState) -> FactorState:
-    """One full sweep: every row of C, then every basis column, in fixed order.
-
-    Runs the Gram-form kernel shared with the distributed workers, then
-    refreshes E from X, so the carried residual never drifts.
-    """
-    B = state.B
-    S, V, skipped = c_rowwise_sweep(X, state.C, B)
-    for i in range(B.shape[1]):
-        y, z = b_column_partials(S, V, B, i)
-        skipped += b_column_apply(B, i, y, z)
-    state.degenerate_events += skipped
-    state.resync(X)
-    return state
-
-
-def hals_iterate(X, state: FactorState) -> FactorState:
+def hals_iterate(world, block: ColumnBlock, B: np.ndarray,
+                 state=None) -> tuple[float, int]:
     """One sweep of paired rank-one updates: basis column k, then row k of C.
 
     Each pair works on the deflated residual A_k = E + b_k c_k, minimizing
-    over b_k first and then over c_k with the fresh b_k. E is refreshed
-    from X at the top of each iteration so long runs cannot drift.
+    over b_k first and then over c_k with the fresh b_k. E = X - B C is
+    formed from X at the top of the step and lives only inside it.
     """
-    state.resync(X)
-    B, C, E = state.B, state.C, state.E
+    X, C = block.x_block, block.c_block
+    E = X - B @ C
+    skipped = 0
     for k in range(B.shape[1]):
         E += np.outer(B[:, k], C[k])
         cc = float(C[k] @ C[k])
         if cc >= DEGENERATE_NORM_TOL:
             B[:, k] = np.maximum((E @ C[k]) / cc, 0.0)
         else:
-            state.degenerate_events += 1
+            skipped += 1
         bb = float(B[:, k] @ B[:, k])
         if bb >= DEGENERATE_NORM_TOL:
             C[k] = np.maximum((B[:, k] @ E) / bb, 0.0)
         else:
-            state.degenerate_events += 1
+            skipped += 1
         E -= np.outer(B[:, k], C[k])
-    return state
+    return residual_sq(X, B, C), skipped
 
 
-def anls_iterate(X, state: FactorState) -> FactorState:
+def anls_iterate(world, block: ColumnBlock, B: np.ndarray,
+                 state=None) -> tuple[float, int]:
     """Alternating exact nonnegative least squares: all of C, then all of B."""
-    B = state.B
-    state.C = np.asfortranarray(nnls_rows(B.T @ B, X.T @ B).T)
-    C = state.C
-    state.B = np.asfortranarray(nnls_rows(C @ C.T, X @ C.T))
-    state.resync(X)
-    return state
+    X, C = block.x_block, block.c_block
+    C[:] = nnls_rows(B.T @ B, X.T @ B).T
+    B[:] = nnls_rows(C @ C.T, X @ C.T)
+    return residual_sq(X, B, C), 0
 
 
 @dataclass
@@ -220,19 +173,17 @@ class AdmmAuxState:
     rho: float
 
     @classmethod
-    def from_state(cls, state: FactorState, rho: float = 1.0) -> "AdmmAuxState":
+    def fresh(cls, block: ColumnBlock, B: np.ndarray,
+              rho: float = 1.0) -> "AdmmAuxState":
         if rho <= 0.0:
             raise ValueError("rho must be positive")
-        return cls(
-            Waux=state.B.copy(),
-            Haux=state.C.copy(),
-            Phi=np.zeros_like(state.B),
-            Psi=np.zeros_like(state.C),
-            rho=float(rho),
-        )
+        C = block.c_block
+        return cls(Waux=B.copy(), Haux=C.copy(), Phi=np.zeros_like(B),
+                   Psi=np.zeros_like(C), rho=float(rho))
 
 
-def admm_iterate(X, state: FactorState, aux: AdmmAuxState) -> FactorState:
+def admm_iterate(world, block: ColumnBlock, B: np.ndarray,
+                 aux: AdmmAuxState) -> tuple[float, int]:
     """One pass of the six splitting updates: W, H, B, C, then multipliers.
 
     Both least-squares subproblems are SPD (Gram + rho I), solved by
@@ -240,20 +191,19 @@ def admm_iterate(X, state: FactorState, aux: AdmmAuxState) -> FactorState:
     """
     from scipy.linalg import cho_factor, cho_solve  # only this solver needs scipy
 
+    X, C = block.x_block, block.c_block
     rho = aux.rho
-    k = state.B.shape[1]
-    ridge = rho * np.eye(k)
+    ridge = rho * np.eye(B.shape[1])
     H = aux.Haux
     # W-step is a right-hand solve; transpose since the system is symmetric
     factor = cho_factor(H @ H.T + ridge, lower=True)
-    aux.Waux = cho_solve(factor, (X @ H.T + aux.Phi + rho * state.B).T).T
+    aux.Waux = cho_solve(factor, (X @ H.T + aux.Phi + rho * B).T).T
     W = aux.Waux
     factor = cho_factor(W.T @ W + ridge, lower=True)
-    aux.Haux = cho_solve(factor, W.T @ X + aux.Psi + rho * state.C)
+    aux.Haux = cho_solve(factor, W.T @ X + aux.Psi + rho * C)
     H = aux.Haux
-    state.B = np.maximum(W - aux.Phi / rho, 0.0)
-    state.C = np.maximum(H - aux.Psi / rho, 0.0)
-    aux.Phi = aux.Phi + rho * (state.B - W)
-    aux.Psi = aux.Psi + rho * (state.C - H)
-    state.resync(X)
-    return state
+    B[:] = np.maximum(W - aux.Phi / rho, 0.0)
+    C[:] = np.maximum(H - aux.Psi / rho, 0.0)
+    aux.Phi = aux.Phi + rho * (B - W)
+    aux.Psi = aux.Psi + rho * (C - H)
+    return residual_sq(X, B, C), 0

@@ -36,22 +36,6 @@ def frob_norm_sq(a) -> float:
     return float(np.vdot(a, a))
 
 
-def matmul(a, b) -> np.ndarray:
-    """Dense product a @ b with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def project_nonneg(a) -> np.ndarray:
-    """Entrywise max(0, a); negative zero comes out as +0.0."""
-    return np.maximum(np.asarray(a, dtype=np.float64), 0.0)
-
-
 def partition_columns(n: int, p: int) -> list[tuple[int, int]]:
     """Split columns [0, n) into p contiguous (start, size) ranges.
 

@@ -7,7 +7,6 @@ from didnmf.comm import (
     CommError,
     CommTimeoutError,
     allreduce_sum,
-    barrier,
     make_inprocess_worlds,
 )
 
@@ -136,9 +135,8 @@ def test_repeat_runs_are_bit_identical():
 
 def test_vector_and_scalar_payload_shapes_survive():
     def body(world):
-        v = np.arange(5, dtype=np.float64)
-        s = np.array(2.0)
-        vo, so = allreduce_sum(world, v, s)
+        vo = allreduce_sum(world, np.arange(5, dtype=np.float64))
+        so = allreduce_sum(world, np.array(2.0))
         return vo, so
 
     res = run_world(3, body)
@@ -149,21 +147,10 @@ def test_vector_and_scalar_payload_shapes_survive():
         assert float(so) == 6.0
 
 
-def test_multiple_payloads_come_back_in_call_order():
-    def body(world):
-        a = np.full((2, 2), 1.0)
-        b = np.full((1, 3), 2.0)
-        return allreduce_sum(world, a, b)
-
-    for a, b in run_world(2, body):
-        assert a.shape == (2, 2) and np.array_equal(a, np.full((2, 2), 2.0))
-        assert b.shape == (1, 3) and np.array_equal(b, np.full((1, 3), 4.0))
-
-
 def test_rejects_empty_and_high_rank_payloads():
     def body(world):
         with pytest.raises(ValueError):
-            allreduce_sum(world)
+            allreduce_sum(world, np.zeros(0))
         with pytest.raises(ValueError):
             allreduce_sum(world, np.zeros((2, 2, 2)))
         return True
@@ -182,19 +169,6 @@ def test_input_arrays_are_not_mutated():
     res = run_world(4, body)
     for r, a in enumerate(res):
         assert np.array_equal(a, np.full((2, 2), float(r)))
-
-
-# barrier
-
-
-def test_barrier_releases_all_ranks_and_preserves_collectives():
-    def body(world):
-        barrier(world)
-        out = allreduce_sum(world, np.array([[1.0]]))
-        barrier(world)
-        return float(out[0, 0])
-
-    assert run_world(4, body) == [4.0] * 4
 
 
 # failure detection
@@ -252,7 +226,7 @@ def test_byte_and_call_accounting_matches_model():
     # every rank (the model charges the collective, not the wire)
     def body(world):
         allreduce_sum(world, np.zeros((3, 2)))
-        allreduce_sum(world, np.zeros((3, 2)), np.zeros((1, 1)))
+        allreduce_sum(world, np.zeros(7))
         return world.stats
 
     for size, ceil_log2 in [(2, 1), (3, 2), (4, 2), (5, 3)]:

@@ -1,9 +1,11 @@
+import socket
 import threading
 
 import numpy as np
 import pytest
 
-from didnmf.comm import make_inprocess_worlds
+from didnmf import comm
+from didnmf.comm import make_inprocess_worlds, make_tcp_world
 from didnmf.distributed import (
     DadmmWorkerState,
     dadmm_worker_iterate,
@@ -15,10 +17,9 @@ from didnmf.distributed import (
 )
 from didnmf.harness import init_factors, synth_data
 from didnmf.kernels import (
-    FactorState,
     b_column_apply,
     b_column_partials,
-    bcd_iterate,
+    c_rowwise_sweep,
     residual_sq,
     tile_width,
 )
@@ -56,6 +57,35 @@ def random_problem(m, n, k, seed):
     return X, B0, C0
 
 
+def sequential_cd(X, B, C):
+    """Reference coordinate-descent sweep built from the kernel's parts with
+    no collective at all: the C pass, then each basis column in order.
+    Updates B and C in place and returns the skipped-update count."""
+    S, V, skipped = c_rowwise_sweep(X, C, B)
+    for i in range(B.shape[1]):
+        y, z = b_column_partials(S, V, B, i)
+        skipped += b_column_apply(B, i, y, z)
+    return skipped
+
+
+def one_rank_dbcd(X, B0, C0, iters):
+    """Sequential coordinate descent as the run loop drives it (bcd): the
+    dbcd worker on a one-rank world. Returns (B, C, last residual)."""
+    block = make_column_blocks(X, C0, 1)[0]
+    B = np.array(B0, order="F")
+    [world] = make_inprocess_worlds(1)
+    with world:
+        for _ in range(iters):
+            resid, _ = dbcd_worker_iterate(world, block, B)
+    return B, block.c_block, resid
+
+
+def did_payload(W, V):
+    """The did wire layout: W column-major, then V's lower triangle by rows."""
+    W, V = np.asarray(W, dtype=float), np.asarray(V, dtype=float)
+    return np.concatenate([W.ravel(order="F"), V[np.tril_indices(V.shape[0])]])
+
+
 # message assembly (worked numbers first)
 
 
@@ -64,49 +94,53 @@ def test_did_message_worked_instance():
     # W = X C^T - B C C^T = E C^T: row 1 = (1+2+0, 2+0+0) = (3, 2);
     # row 2 = (2+0+2, 4+0+2) = (4, 6)
     # C C^T = [[9 6], [6 8]], lower triangle keeps (9; 6 8)
+    # on the wire: W by columns (3, 4, 2, 6), then (9, 6, 8): 7 doubles
     B = np.asfortranarray([[1.0, 0.0], [1.0, 1.0]])
     C = np.asfortranarray([[1.0, 2.0, 2.0], [2.0, 0.0, 2.0]])
     E = np.asfortranarray([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
     X = E + B @ C
-    W, V = did_build_message(B, X @ C.T, C @ C.T)
-    assert np.array_equal(W, [[3.0, 2.0], [4.0, 6.0]])
-    assert np.array_equal(V, [[9.0, 0.0], [6.0, 8.0]])
+    buf = did_build_message(B, X @ C.T, C @ C.T)
+    assert np.array_equal(buf, [3.0, 4.0, 2.0, 6.0, 9.0, 6.0, 8.0])
+    assert np.array_equal(buf, did_payload([[3.0, 2.0], [4.0, 6.0]],
+                                           [[9.0, 0.0], [6.0, 8.0]]))
 
 
 def test_did_messages_add_across_blocks():
     # the reduction target: block messages must sum to the full-data message
     X, B, C = random_problem(4, 23, 3, 2)
     full = did_build_message(B, X @ C.T, C @ C.T)
+    assert full.shape == (4 * 3 + 3 * 4 // 2,)
     for p in (2, 3, 5):
-        W = np.zeros_like(full[0])
-        V = np.zeros_like(full[1])
+        total = np.zeros_like(full)
         for block in make_column_blocks(X, C, p):
             Cb = block.c_block
-            part = did_build_message(B, block.x_block @ Cb.T, Cb @ Cb.T)
-            W += part[0]
-            V += part[1]
-        assert np.allclose(W, full[0], rtol=1e-12, atol=1e-14)
-        assert np.allclose(V, full[1], rtol=1e-12, atol=1e-14)
+            total += did_build_message(B, block.x_block @ Cb.T, Cb @ Cb.T)
+        assert np.allclose(total, full, rtol=1e-12, atol=1e-14)
 
 
 # basis update from a reduced message
 
 
+def update_basis(B, W, V):
+    """Apply did_update_basis to (W, V); return (skipped, delta)."""
+    before = B.copy()
+    skipped = did_update_basis(B, did_payload(W, V))
+    return skipped, B - before
+
+
 def test_did_update_basis_single_column():
     B = np.asfortranarray([[1.0], [2.0]])
-    delta = did_update_basis(B, np.asfortranarray([[2.0], [4.0]]),
-                             np.asfortranarray([[2.0]]))
+    skipped, delta = update_basis(B, [[2.0], [4.0]], [[2.0]])
     # b := b + w / v = (1, 2) + (1, 2)
     assert np.array_equal(B, [[2.0], [4.0]])
     assert np.array_equal(delta, [[1.0], [2.0]])
+    assert skipped == 0
 
 
 def test_did_update_basis_interference_correction():
     # column 0 moves by +1; column 1 must subtract delta_0 v_10 / v_11
     B = np.asfortranarray([[1.0, 1.0]])
-    W = np.asfortranarray([[1.0, 0.0]])
-    V = np.asfortranarray([[1.0, 0.0], [1.0, 2.0]])
-    delta = did_update_basis(B, W, V)
+    _, delta = update_basis(B, [[1.0, 0.0]], [[1.0, 0.0], [1.0, 2.0]])
     assert np.array_equal(B, [[2.0, 0.5]])
     assert np.array_equal(delta, [[1.0, -0.5]])
 
@@ -115,20 +149,17 @@ def test_did_update_basis_projection_feeds_recurrence():
     # column 0 clamps at zero, so its realized delta is -1, not -5, and
     # column 1 must see the realized value
     B = np.asfortranarray([[1.0, 1.0]])
-    W = np.asfortranarray([[-5.0, 0.0]])
-    V = np.asfortranarray([[1.0, 0.0], [1.0, 1.0]])
-    delta = did_update_basis(B, W, V)
+    _, delta = update_basis(B, [[-5.0, 0.0]], [[1.0, 0.0], [1.0, 1.0]])
     assert np.array_equal(B, [[0.0, 2.0]])
     assert np.array_equal(delta, [[-1.0, 1.0]])
 
 
 def test_did_update_basis_skips_dead_column():
     B = np.asfortranarray([[1.0, 1.0]])
-    W = np.asfortranarray([[7.0, 1.0]])
-    V = np.asfortranarray([[0.0, 0.0], [0.0, 1.0]])
-    delta = did_update_basis(B, W, V)
+    skipped, delta = update_basis(B, [[7.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(B, [[1.0, 2.0]])
     assert np.array_equal(delta, [[0.0, 1.0]])
+    assert skipped == 1
 
 
 def test_did_update_basis_matches_sequential_column_loop():
@@ -152,8 +183,8 @@ def test_did_update_basis_matches_sequential_column_loop():
         E_seq = E - (B_seq - B) @ C
 
         B_msg = np.array(B, order="F")
-        delta = did_update_basis(B_msg, *did_build_message(B_msg, S, V))
-        E_msg = E - delta @ C
+        did_update_basis(B_msg, did_build_message(B_msg, S, V))
+        E_msg = E - (B_msg - B) @ C
 
         scale = max(1.0, float(np.abs(B_seq).max()))
         assert np.allclose(B_msg, B_seq, rtol=0.0, atol=1e-12 * scale), trial
@@ -172,61 +203,63 @@ def test_did_c_phase_counts_dead_rows():
 
 
 def test_dbcd_single_worker_is_bitwise_sequential():
+    # on one rank the packed [y, z] collective hands back its input, so
+    # dbcd is the plain sequential sweep bit for bit
     X, B0, C0 = random_problem(5, 17, 3, 4)
-    st = FactorState.from_factors(X, B0, C0)
+    B_ref, C_ref = np.array(B0, order="F"), np.array(C0, order="F")
     block = make_column_blocks(X, C0, 1)[0]
     B = np.array(B0, order="F")
     [world] = make_inprocess_worlds(1)
     with world:
         for _ in range(15):
-            bcd_iterate(X, st)
+            sequential_cd(X, B_ref, C_ref)
             dbcd_worker_iterate(world, block, B)
-            assert np.array_equal(B, st.B)
-            assert np.array_equal(block.c_block, st.C)
+            assert np.array_equal(B, B_ref)
+            assert np.array_equal(block.c_block, C_ref)
 
 
 def test_did_single_worker_tracks_sequential_closely():
     # same mathematical iterate as coordinate descent; only the rounding
     # path differs, so the trajectories agree to near machine precision
     X, B0, C0 = random_problem(5, 40, 3, 6)
-    st = FactorState.from_factors(X, B0, C0)
+    B_ref, C_ref = np.array(B0, order="F"), np.array(C0, order="F")
     block = make_column_blocks(X, C0, 1)[0]
     B = np.array(B0, order="F")
     [world] = make_inprocess_worlds(1)
     with world:
         for _ in range(30):
-            bcd_iterate(X, st)
+            sequential_cd(X, B_ref, C_ref)
             resid, _ = did_worker_iterate(world, block, B)
-            assert np.allclose(B, st.B, rtol=1e-10, atol=1e-12)
-            assert np.allclose(block.c_block, st.C, rtol=1e-10, atol=1e-12)
-            assert 0.5 * resid == pytest.approx(st.objective(), rel=1e-10)
+            assert np.allclose(B, B_ref, rtol=1e-10, atol=1e-12)
+            assert np.allclose(block.c_block, C_ref, rtol=1e-10, atol=1e-12)
+            assert resid == pytest.approx(residual_sq(X, B_ref, C_ref), rel=1e-10)
 
 
 def test_dead_rows_and_columns_skipped_alike_by_bcd_dbcd_did():
     # b_0 = 0 makes row 0 of C dead (g_00 = 0); with c_0 = 0 that row's
-    # basis column is dead too (v_00 = 0). All three solvers leave both
-    # untouched, count two skips per iteration and agree on the rest.
+    # basis column is dead too (v_00 = 0). The sequential sweep, dbcd and
+    # did leave both untouched, count two skips per iteration and agree
+    # on the rest.
     X, B0, C0 = random_problem(5, 30, 3, 17)
     B0[:, 0] = 0.0
     C0[0] = 0.0
-    st = FactorState.from_factors(X, B0, C0)
+    B_ref, C_ref = np.array(B0, order="F"), np.array(C0, order="F")
     blocks = {alg: make_column_blocks(X, C0, 1)[0] for alg in ("dbcd", "did")}
     bases = {alg: np.array(B0, order="F") for alg in blocks}
     [world] = make_inprocess_worlds(1)
     with world:
-        for it in range(1, 6):
-            bcd_iterate(X, st)
+        for _ in range(5):
+            assert sequential_cd(X, B_ref, C_ref) == 2
             for alg, worker in (("dbcd", dbcd_worker_iterate),
                                 ("did", did_worker_iterate)):
                 _, skipped = worker(world, blocks[alg], bases[alg])
                 assert skipped == 2
-            assert st.degenerate_events == 2 * it
-    for B, C in [(st.B, st.C)] + [(bases[a], blocks[a].c_block) for a in blocks]:
+    for B, C in [(B_ref, C_ref)] + [(bases[a], blocks[a].c_block) for a in blocks]:
         assert not B[:, 0].any() and not C[0].any()
-    assert np.array_equal(bases["dbcd"], st.B)
-    assert np.array_equal(blocks["dbcd"].c_block, st.C)
-    assert np.allclose(bases["did"], st.B, rtol=1e-12)
-    assert np.allclose(blocks["did"].c_block, st.C, rtol=1e-12)
+    assert np.array_equal(bases["dbcd"], B_ref)
+    assert np.array_equal(blocks["dbcd"].c_block, C_ref)
+    assert np.allclose(bases["did"], B_ref, rtol=1e-12)
+    assert np.allclose(blocks["did"].c_block, C_ref, rtol=1e-12)
 
 
 # multi-worker invariants
@@ -279,9 +312,7 @@ def test_partitioned_run_matches_sequential_objective(p):
     # block boundaries change nothing: the C pass is columnwise and the B
     # phase sums the identical message, so only rounding order moves
     X, B0, C0 = random_problem(5, 33, 3, 10)
-    st = FactorState.from_factors(X, B0, C0)
-    for _ in range(20):
-        bcd_iterate(X, st)
+    _, _, ref_resid = one_rank_dbcd(X, B0, C0, 20)
 
     def body(world, rank):
         B = np.array(B0, order="F")
@@ -295,7 +326,7 @@ def test_partitioned_run_matches_sequential_objective(p):
         return 0.5 * float(total[0])
 
     for obj in run_ranks(p, body):
-        assert obj == pytest.approx(st.objective(), rel=1e-10)
+        assert obj == pytest.approx(0.5 * ref_resid, rel=1e-10)
 
 
 @pytest.mark.parametrize("alg", ["dbcd", "did"])
@@ -305,17 +336,60 @@ def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
     m, k = 64, 3
     n = 2 * tile_width(m) + 3
     X, B0, C0 = random_problem(m, n, k, 18)
-    st = FactorState.from_factors(X, B0, C0)
-    for _ in range(8):
-        bcd_iterate(X, st)
+    B_ref, C_ref, ref_resid = one_rank_dbcd(X, B0, C0, 8)
     res = run_multiworker(alg, X, B0, C0, 2, iters=8)
     for B, _, _ in res:
         assert np.array_equal(B, res[0][0])
-        assert np.allclose(B, st.B, rtol=1e-10, atol=1e-12)
+        assert np.allclose(B, B_ref, rtol=1e-10, atol=1e-12)
     C = np.hstack([c for _, c, _ in res])
-    assert np.allclose(C, st.C, rtol=1e-10, atol=1e-12)
-    assert residual_sq(X, res[0][0], C) == pytest.approx(
-        2.0 * st.objective(), rel=1e-10)
+    assert np.allclose(C, C_ref, rtol=1e-10, atol=1e-12)
+    assert residual_sq(X, res[0][0], C) == pytest.approx(ref_resid, rel=1e-10)
+
+
+@pytest.mark.parametrize("alg,calls,doubles", [
+    ("did", 1, 5 * 3 + 3 * 4 // 2),  # W, then V's lower triangle
+    ("dbcd", 3, 5 + 1),              # [y, z] per basis column
+    ("dadmm", 1, 3 * 3 + 5 * 3),     # [gram, rhs]
+])
+def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
+                                                     doubles):
+    # two ranks over real sockets, one iteration: every collective goes up
+    # the one tree edge as one frame and comes back down as one frame, a
+    # DMAT1 body (24-byte header) holding the whole flat payload
+    frames = []
+    write_frame = comm._write_frame
+
+    def spy(conn, tag, body):
+        if tag < comm._TAG_LIMIT:
+            frames.append(len(body))
+        write_frame(conn, tag, body)
+
+    monkeypatch.setattr(comm, "_write_frame", spy)
+    X, B0, C0 = random_problem(5, 30, 3, 19)
+    blocks = make_column_blocks(X, C0, 2)
+    steps = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
+             "dadmm": dadmm_worker_iterate}
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    errors = []
+
+    def rank(r):
+        try:
+            B = np.array(B0, order="F")
+            state = DadmmWorkerState.fresh(blocks[r], B) if alg == "dadmm" else None
+            with make_tcp_world(r, 2, ("127.0.0.1", port), timeout=10.0) as world:
+                steps[alg](world, blocks[r], B, state)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=rank, args=(r,)) for r in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert frames == [24 + 8 * doubles] * (2 * calls)
 
 
 # distributed splitting worker

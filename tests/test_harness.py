@@ -228,15 +228,18 @@ def lowrank_config(alg, **kw):
 
 
 def test_run_metrics_row_accounting():
-    config = lowrank_config("bcd", max_iters=25, epsilon=1e-30)
-    metrics = run(config, X=synth_lowrank(5, 100, 3, 3))
-    assert metrics.iterations == 25
-    assert not metrics.converged
-    assert [r.iteration for r in metrics.rows] == list(range(1, 26))
-    for r in metrics.rows:
-        assert r.objective == 0.5 * r.residual_sq
-        assert r.allreduce_calls == 0 and r.bytes == 0
-        assert r.b_norm > 0.0
+    # bcd is dbcd on one rank: K one-rank collectives, no bytes on a wire;
+    # hals never calls a collective
+    for alg, calls in (("bcd", 3), ("hals", 0)):
+        config = lowrank_config(alg, max_iters=25, epsilon=1e-30)
+        metrics = run(config, X=synth_lowrank(5, 100, 3, 3))
+        assert metrics.iterations == 25
+        assert not metrics.converged
+        assert [r.iteration for r in metrics.rows] == list(range(1, 26))
+        for r in metrics.rows:
+            assert r.objective == 0.5 * r.residual_sq
+            assert r.allreduce_calls == calls and r.bytes == 0
+            assert r.b_norm > 0.0
 
 
 def test_run_epsilon_one_converges_before_first_iteration():
@@ -247,9 +250,11 @@ def test_run_epsilon_one_converges_before_first_iteration():
 
 
 def test_run_max_time_stops_sequential_early():
+    # one loop for every algorithm: the cap is checked after each
+    # iteration, so the flagged iteration completes and the run stops
     config = lowrank_config("bcd", max_time=1e-9, epsilon=1e-30)
     metrics = run(config, X=synth_lowrank(5, 100, 3, 3))
-    assert metrics.iterations == 0
+    assert metrics.iterations == 1
     assert not metrics.converged
 
 
@@ -344,12 +349,19 @@ def test_partitioned_traces_match_sequential(alg, p):
 
 
 def test_comm_cost_columns_match_algorithm_structure():
-    X = synth_lowrank(5, 100, 3, 3)
-    for alg, per_iter in [("did", 1), ("dbcd", 3), ("dadmm", 1)]:
+    # modelled bytes at P=2: payload doubles x 8 bytes x 2 tree steps.
+    # did packs W (MK) and V's lower triangle (K(K+1)/2) into one payload,
+    # dbcd sends K [y, z] payloads of M + 1, dadmm one [gram, rhs] of K^2 + MK
+    M, K = 5, 3
+    X = synth_lowrank(M, 100, K, 3)
+    expected = {"did": (1, 2 * 8 * (M * K + K * (K + 1) // 2)),
+                "dbcd": (K, K * 2 * 8 * (M + 1)),
+                "dadmm": (1, 2 * 8 * (K * K + M * K))}
+    for alg, (per_iter, nbytes) in expected.items():
         metrics = run(lowrank_config(alg, p=2, max_iters=8, epsilon=1e-30), X=X)
         for r in metrics.rows:
             assert r.allreduce_calls == per_iter
-            assert r.bytes > 0
+            assert r.bytes == nbytes
 
 
 def test_soft_convergence_rates_across_seeds():

@@ -1,60 +1,77 @@
 import numpy as np
 import pytest
 
+from didnmf.comm import make_inprocess_worlds
+from didnmf.distributed import dbcd_worker_iterate
 from didnmf.harness import init_factors, synth_data, synth_lowrank
 from didnmf.kernels import (
     DEGENERATE_NORM_TOL,
     AdmmAuxState,
-    FactorState,
     admm_iterate,
     anls_iterate,
     b_column_apply,
     b_column_partials,
-    bcd_iterate,
     c_rowwise_sweep,
     column_tiles,
     hals_iterate,
     residual_sq,
     tile_width,
 )
-from didnmf.matrix import frob_norm_sq
+from didnmf.matrix import frob_norm_sq, make_column_blocks
 from didnmf.nnls import nnls_rows
 
 
-def make_state(m, n, k, seed, lowrank=False):
+def make_factors(m, n, k, seed, lowrank=False):
     X = synth_lowrank(m, n, k, seed) if lowrank else synth_data(m, n, seed)
     B0, C0 = init_factors(X, k, seed)
-    return X, FactorState.from_factors(X, B0, C0)
+    return X, B0, C0
 
 
-def residual_drift(X, state):
-    return np.sqrt(frob_norm_sq((X - state.B @ state.C) - state.E))
+class Solo:
+    """One solver on a one-rank world, as the run loop drives it.
+
+    Holds copies of the starting factors; `step()` runs one iteration and
+    returns the reported ||X - B C||^2. Sequential coordinate descent
+    (bcd) is the dbcd worker on one rank.
+    """
+
+    def __init__(self, step, X, B, C, state=None):
+        self.X = np.asfortranarray(X, dtype=float)
+        self.block = make_column_blocks(self.X, np.asarray(C, dtype=float), 1)[0]
+        self.B = np.array(B, dtype=float, order="F")
+        self.state = state(self.block, self.B) if state else None
+        self._step = step
+        [self.world] = make_inprocess_worlds(1)
+        self.skipped = 0
+
+    @property
+    def C(self):
+        return self.block.c_block
+
+    def step(self) -> float:
+        resid, skipped = self._step(self.world, self.block, self.B, self.state)
+        self.skipped += skipped
+        return resid
+
+    def recomputed(self) -> float:
+        return frob_norm_sq(self.X - self.B @ self.C)
 
 
-# FactorState basics
+def bcd(X, B, C):
+    return Solo(dbcd_worker_iterate, X, B, C)
 
 
-def test_factor_state_residual_and_objective():
-    X = np.asfortranarray([[2.0, 0.0], [0.0, 2.0]])
-    st = FactorState.from_factors(X, [[1.0], [1.0]], [[1.0, 1.0]])
-    assert np.array_equal(st.E, [[1.0, -1.0], [-1.0, 1.0]])
-    assert st.objective() == 2.0
+def hals(X, B, C):
+    return Solo(hals_iterate, X, B, C)
 
 
-def test_factor_state_shape_validation():
-    X = np.ones((2, 3))
-    with pytest.raises(ValueError):
-        FactorState.from_factors(X, np.ones((2, 2)), np.ones((1, 3)))
-    with pytest.raises(ValueError):
-        FactorState.from_factors(X, np.ones((3, 1)), np.ones((1, 3)))
+def anls(X, B, C):
+    return Solo(anls_iterate, X, B, C)
 
 
-def test_factor_state_does_not_alias_inputs():
-    X = np.ones((2, 2))
-    B = np.ones((2, 1))
-    st = FactorState.from_factors(X, B, np.ones((1, 2)))
-    st.B[0, 0] = 7.0
-    assert B[0, 0] == 1.0
+def admm(X, B, C, rho=1.0):
+    return Solo(admm_iterate, X, B, C,
+                state=lambda block, B: AdmmAuxState.fresh(block, B, rho))
 
 
 # Gram-form coordinate updates (worked instances first)
@@ -145,9 +162,9 @@ def test_c_rowwise_sweep_matches_elementwise():
     # the Gram-form tile pass is the per-element loop with the residual
     # expanded through G = B^T B and P = B^T X, so agreement is to the
     # last few ulp rather than bitwise
-    X, st = make_state(4, 9, 3, 21)
-    C, S, V, _ = sweep(X, st.B, st.C)
-    C_ref, _ = elementwise_c_pass(X, st.B, st.C)
+    X, B0, C0 = make_factors(4, 9, 3, 21)
+    C, S, V, _ = sweep(X, B0, C0)
+    C_ref, _ = elementwise_c_pass(X, B0, C0)
     assert np.allclose(C, C_ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(S, X @ C_ref.T, rtol=1e-13)
     assert np.allclose(V, C_ref @ C_ref.T, rtol=1e-13)
@@ -183,11 +200,11 @@ def test_bcd_coordinate_optimality_after_element_update():
     # the projected gradient of each one-variable problem vanishes right
     # after its row is updated; the last row swept is checked, with every
     # row brought to the end of the order in turn
-    X, st = make_state(4, 7, 3, 7)
+    X, B0, C0 = make_factors(4, 7, 3, 7)
     for last in range(3):
         order = [i for i in range(3) if i != last] + [last]
-        B = st.B[:, order]
-        C, _, _, _ = sweep(X, B, st.C[order])
+        B = B0[:, order]
+        C, _, _, _ = sweep(X, B, C0[order])
         g = -(B[:, -1] @ (X - B @ C))
         pg = np.where(C[-1] > 0, g, np.minimum(g, 0.0))
         assert np.abs(pg).max() <= 1e-10
@@ -199,108 +216,95 @@ def test_bcd_coordinate_optimality_after_element_update():
 def test_hals_scalar_worked_instance():
     # X = [2 4], b = 1, c = (1, 1): basis first (b = 3), then c = (2/3, 4/3)
     X = np.asfortranarray([[2.0, 4.0]])
-    st = FactorState.from_factors(X, [[1.0]], [[1.0, 1.0]])
-    hals_iterate(X, st)
-    assert np.allclose(st.B, [[3.0]])
-    assert np.allclose(st.C, [[2.0 / 3.0, 4.0 / 3.0]])
-    assert np.allclose(st.E, 0.0, atol=1e-15)
+    h = hals(X, [[1.0]], [[1.0, 1.0]])
+    resid = h.step()
+    assert np.allclose(h.B, [[3.0]])
+    assert np.allclose(h.C, [[2.0 / 3.0, 4.0 / 3.0]])
+    assert resid <= 1e-30
 
 
 def test_hals_fixed_point():
     rng = np.random.default_rng(3)
     B = rng.uniform(0.5, 1.5, size=(4, 2))
     C = rng.uniform(0.5, 1.5, size=(2, 6))
-    X = np.asfortranarray(B @ C)
-    st = FactorState.from_factors(X, B, C)
-    hals_iterate(X, st)
-    assert np.allclose(st.B, B, rtol=1e-12)
-    assert np.allclose(st.C, C, rtol=1e-12)
+    h = hals(B @ C, B, C)
+    h.step()
+    assert np.allclose(h.B, B, rtol=1e-12)
+    assert np.allclose(h.C, C, rtol=1e-12)
 
 
 def test_hals_monotone_and_residual_integrity():
-    X, st = make_state(5, 60, 3, 4)
-    prev = st.objective()
+    h = hals(*make_factors(5, 60, 3, 4))
+    prev = h.recomputed()
     for _ in range(60):
-        hals_iterate(X, st)
-        cur = st.objective()
+        cur = h.step()
         assert cur <= prev + 1e-10
         prev = cur
-    assert residual_drift(X, st) <= 1e-8 * np.sqrt(frob_norm_sq(X))
+    assert cur == pytest.approx(h.recomputed(), rel=1e-12)
 
 
 def test_hals_carried_residual_does_not_drift_over_long_runs():
-    # E is carried through each sweep's rank-one updates; refreshed from X
-    # every iteration, it stays within rounding of X - B C however long the
-    # run, both entrywise and in the squared norm the stopping rule reads
-    X, st = make_state(5, 200, 3, 2, lowrank=True)
-    scale = np.sqrt(frob_norm_sq(X))
-    worst_drift = worst_gap = 0.0
+    # E is formed from X at the top of each step and carried only through
+    # that step's rank-one updates, so however long the run, the squared
+    # norm the stopping rule reads stays within rounding of X - B C
+    h = hals(*make_factors(5, 200, 3, 2, lowrank=True))
+    worst_gap = 0.0
     for _ in range(3000):
-        hals_iterate(X, st)
-        recomputed = frob_norm_sq(X - st.B @ st.C)
-        worst_drift = max(worst_drift, residual_drift(X, st) / scale)
-        worst_gap = max(worst_gap,
-                        abs(frob_norm_sq(st.E) - recomputed) / recomputed)
-    assert worst_drift <= 1e-15
+        resid = h.step()
+        recomputed = h.recomputed()
+        worst_gap = max(worst_gap, abs(resid - recomputed) / recomputed)
     assert worst_gap <= 1e-11
 
 
-# BCD
+# BCD: the dbcd worker on a one-rank world
 
 
 def test_bcd_scalar_instance_reaches_exact_fit():
     X = np.asfortranarray([[2.0, 4.0]])
-    st = FactorState.from_factors(X, [[1.0]], [[1.0, 1.0]])
-    bcd_iterate(X, st)
+    b = bcd(X, [[1.0]], [[1.0, 1.0]])
+    resid = b.step()
     # C-first: c = (2, 4) against b = 1, then b = 1 stays optimal
-    assert np.allclose(st.C, [[2.0, 4.0]])
-    assert np.allclose(st.B, [[1.0]])
-    assert st.objective() <= 1e-28
+    assert np.allclose(b.C, [[2.0, 4.0]])
+    assert np.allclose(b.B, [[1.0]])
+    assert 0.5 * resid <= 1e-28
 
 
 def test_hals_and_bcd_agree_on_scalar_instance():
     # both sweep orders reach the exact rank-1 fit here, through different factors
     X = np.asfortranarray([[2.0, 4.0]])
-    sth = FactorState.from_factors(X, [[1.0]], [[1.0, 1.0]])
-    stb = FactorState.from_factors(X, [[1.0]], [[1.0, 1.0]])
-    hals_iterate(X, sth)
-    bcd_iterate(X, stb)
-    assert np.allclose(sth.B @ sth.C, X, atol=1e-14)
-    assert np.allclose(stb.B @ stb.C, X, atol=1e-14)
+    h = hals(X, [[1.0]], [[1.0, 1.0]])
+    b = bcd(X, [[1.0]], [[1.0, 1.0]])
+    h.step()
+    b.step()
+    assert np.allclose(h.B @ h.C, X, atol=1e-14)
+    assert np.allclose(b.B @ b.C, X, atol=1e-14)
 
 
 def test_bcd_fixed_point():
     rng = np.random.default_rng(5)
     B = rng.uniform(0.5, 1.5, size=(5, 3))
     C = rng.uniform(0.5, 1.5, size=(3, 11))
-    X = np.asfortranarray(B @ C)
-    st = FactorState.from_factors(X, B, C)
-    bcd_iterate(X, st)
-    assert np.allclose(st.B, B, rtol=1e-12)
-    assert np.allclose(st.C, C, rtol=1e-12)
+    b = bcd(B @ C, B, C)
+    b.step()
+    assert np.allclose(b.B, B, rtol=1e-12)
+    assert np.allclose(b.C, C, rtol=1e-12)
 
 
 def test_bcd_monotone_and_residual_integrity():
-    X, st = make_state(5, 80, 3, 6)
-    prev = st.objective()
+    b = bcd(*make_factors(5, 80, 3, 6))
+    prev = b.recomputed()
     for _ in range(60):
-        bcd_iterate(X, st)
-        cur = st.objective()
+        cur = b.step()
         assert cur <= prev + 1e-10
         prev = cur
-    assert residual_drift(X, st) <= 1e-8 * np.sqrt(frob_norm_sq(X))
+    assert cur == pytest.approx(b.recomputed(), rel=1e-12)
 
 
 def test_bcd_strict_decrease_regression_pin():
     # frozen at first run; guards against silent kernel changes
-    X = synth_data(5, 100, 11)
-    B0, C0 = init_factors(X, 3, 11)
-    st = FactorState.from_factors(X, B0, C0)
-    objs = []
-    for _ in range(10):
-        bcd_iterate(X, st)
-        objs.append(st.objective())
-    assert all(b < a for a, b in zip(objs, objs[1:]))
+    b = bcd(*make_factors(5, 100, 3, 11))
+    objs = [0.5 * b.step() for _ in range(10)]
+    assert all(y < x for x, y in zip(objs, objs[1:]))
     assert objs[-1] == pytest.approx(8.02582254169409, rel=1e-12)
 
 
@@ -308,14 +312,12 @@ def test_bcd_strict_decrease_regression_pin():
 
 
 def test_anls_k1_matches_closed_form():
-    X = synth_data(3, 12, 8)
-    B0, C0 = init_factors(X, 1, 8)
-    st = FactorState.from_factors(X, B0, C0)
-    b = st.B.copy()
-    anls_iterate(X, st)
-    c_expected = np.maximum((b[:, 0] @ X) / float(b[:, 0] @ b[:, 0]), 0.0)
+    X, B0, C0 = make_factors(3, 12, 1, 8)
+    a = anls(X, B0, C0)
+    a.step()
+    c_expected = np.maximum((B0[:, 0] @ X) / float(B0[:, 0] @ B0[:, 0]), 0.0)
     # the B step then reacts to the new C, so check C against the closed form
-    assert np.allclose(st.C[0], c_expected, rtol=1e-10)
+    assert np.allclose(a.C[0], c_expected, rtol=1e-10)
 
 
 def test_anls_fixed_point():
@@ -323,48 +325,49 @@ def test_anls_fixed_point():
     B = rng.uniform(0.5, 1.5, size=(4, 2))
     C = rng.uniform(0.5, 1.5, size=(2, 9))
     X = np.asfortranarray(B @ C)
-    st = FactorState.from_factors(X, B, C)
-    anls_iterate(X, st)
-    assert np.allclose(st.B @ st.C, X, atol=1e-10)
+    a = anls(X, B, C)
+    a.step()
+    assert np.allclose(a.B @ a.C, X, atol=1e-10)
 
 
 def test_anls_monotone_and_each_block_optimal():
-    X, st = make_state(5, 40, 3, 10)
-    prev = st.objective()
+    X, B0, C0 = make_factors(5, 40, 3, 10)
+    a = anls(X, B0, C0)
+    prev = a.recomputed()
     for _ in range(25):
-        anls_iterate(X, st)
-        cur = st.objective()
+        cur = a.step()
         assert cur <= prev + 1e-10
         prev = cur
     # B was solved last, so it is exactly optimal for the final C
     # (re-solving that block changes nothing)
-    B_again = nnls_rows(st.C @ st.C.T, X @ st.C.T)
-    assert np.allclose(B_again, st.B, atol=1e-8)
+    B_again = nnls_rows(a.C @ a.C.T, X @ a.C.T)
+    assert np.allclose(B_again, a.B, atol=1e-8)
 
 
 # ADMM
 
 
 def test_admm_aux_state_init_and_validation():
-    X, st = make_state(3, 5, 2, 12)
-    aux = AdmmAuxState.from_state(st, rho=2.0)
-    assert np.array_equal(aux.Waux, st.B)
-    assert np.array_equal(aux.Haux, st.C)
+    X, B0, C0 = make_factors(3, 5, 2, 12)
+    block = make_column_blocks(X, C0, 1)[0]
+    aux = AdmmAuxState.fresh(block, B0, rho=2.0)
+    assert np.array_equal(aux.Waux, B0)
+    assert np.array_equal(aux.Haux, C0)
     assert not aux.Phi.any() and not aux.Psi.any()
+    assert aux.rho == 2.0
     with pytest.raises(ValueError):
-        AdmmAuxState.from_state(st, rho=0.0)
+        AdmmAuxState.fresh(block, B0, rho=0.0)
 
 
 def test_admm_fixed_point_and_multiplier_stasis():
     rng = np.random.default_rng(13)
     B = rng.uniform(0.5, 1.5, size=(4, 2))
     C = rng.uniform(0.5, 1.5, size=(2, 7))
-    X = np.asfortranarray(B @ C)
-    st = FactorState.from_factors(X, B, C)
-    aux = AdmmAuxState.from_state(st, rho=1.0)
-    admm_iterate(X, st, aux)
-    assert np.allclose(st.B, B, rtol=1e-10)
-    assert np.allclose(st.C, C, rtol=1e-10)
+    a = admm(B @ C, B, C)
+    a.step()
+    aux = a.state
+    assert np.allclose(a.B, B, rtol=1e-10)
+    assert np.allclose(a.C, C, rtol=1e-10)
     assert np.allclose(aux.Waux, B, rtol=1e-10)
     assert np.allclose(aux.Haux, C, rtol=1e-10)
     # with B = W exactly, the multiplier update is a no-op
@@ -375,24 +378,22 @@ def test_admm_fixed_point_and_multiplier_stasis():
 def test_admm_b_step_projection():
     # B := [W - Phi/rho]_+ is a plain shifted projection
     X = np.asfortranarray([[1.0, 1.0], [1.0, 1.0]])
-    st = FactorState.from_factors(X, np.full((2, 1), 0.5), np.full((1, 2), 0.5))
-    aux = AdmmAuxState.from_state(st, rho=1.0)
-    aux.Phi = np.full((2, 1), 2.0)  # forces W - Phi/rho below zero
-    admm_iterate(X, st, aux)
-    assert (st.B >= 0.0).all()
+    a = admm(X, np.full((2, 1), 0.5), np.full((1, 2), 0.5))
+    a.state.Phi = np.full((2, 1), 2.0)  # forces W - Phi/rho below zero
+    a.step()
+    assert (a.B >= 0.0).all()
 
 
 def test_admm_converges_on_lowrank_instance():
-    X = synth_lowrank(5, 200, 3, 1)
-    B0, C0 = init_factors(X, 3, 1)
-    st = FactorState.from_factors(X, B0, C0)
-    aux = AdmmAuxState.from_state(st, rho=1.0)
-    e0 = frob_norm_sq(st.E)
+    X, B0, C0 = make_factors(5, 200, 3, 1, lowrank=True)
+    a = admm(X, B0, C0)
+    e0 = a.recomputed()
     for _ in range(600):
-        admm_iterate(X, st, aux)
-        if frob_norm_sq(st.E) / e0 <= 1e-6:
+        resid = a.step()
+        if resid / e0 <= 1e-6:
             break
-    assert frob_norm_sq(st.E) / e0 <= 1e-6
+    assert resid / e0 <= 1e-6
+    assert resid == pytest.approx(a.recomputed(), rel=1e-12)
 
 
 # degenerate bookkeeping
@@ -400,9 +401,9 @@ def test_admm_converges_on_lowrank_instance():
 
 def test_degenerate_events_counted_once_per_skip():
     X = np.asfortranarray([[1.0, 2.0]])
-    st = FactorState.from_factors(X, [[0.0]], [[0.0, 0.0]])
-    bcd_iterate(X, st)
+    b = bcd(X, [[0.0]], [[0.0, 0.0]])
+    b.step()
     # dead b kills the C row update; dead c then kills the B column update
-    assert st.degenerate_events == 2
-    assert np.array_equal(st.B, [[0.0]])
-    assert np.array_equal(st.C, [[0.0, 0.0]])
+    assert b.skipped == 2
+    assert np.array_equal(b.B, [[0.0]])
+    assert np.array_equal(b.C, [[0.0, 0.0]])

@@ -9,9 +9,7 @@ from didnmf.matrix import (
     dmat_encode,
     frob_norm_sq,
     make_column_blocks,
-    matmul,
     partition_columns,
-    project_nonneg,
     read_csv_matrix,
     read_dmat,
     write_csv_matrix,
@@ -33,48 +31,6 @@ def test_frob_norm_sq_transpose_invariant():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(5, 9))
     assert frob_norm_sq(a) == pytest.approx(frob_norm_sq(a.T), rel=1e-13)
-
-
-def test_matmul_matches_numpy_and_checks_shapes():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(4, 6))
-    b = rng.normal(size=(6, 3))
-    assert np.array_equal(matmul(a, b), a @ b)
-    with pytest.raises(ValueError):
-        matmul(a, rng.normal(size=(5, 3)))
-    with pytest.raises(ValueError):
-        matmul(a, np.ones(6))
-
-
-def test_matmul_deterministic_repeat():
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(7, 11))
-    b = rng.normal(size=(11, 5))
-    first = matmul(a, b)
-    for _ in range(5):
-        assert np.array_equal(matmul(a, b), first)
-
-
-def test_matmul_column_blocks_bitwise_equal_full():
-    # column j of A @ B equals A @ (block containing column j), bit for bit
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(5, 8))
-    b = np.asfortranarray(rng.normal(size=(8, 20)))
-    full = matmul(a, b)
-    for start, size in partition_columns(20, 3):
-        block = matmul(a, b[:, start:start + size])
-        assert np.array_equal(full[:, start:start + size], block)
-
-
-def test_project_nonneg_examples():
-    out = project_nonneg([[-1.0, 2.0], [0.5, -3.0]])
-    assert np.array_equal(out, [[0.0, 2.0], [0.5, 0.0]])
-
-
-def test_project_nonneg_negative_zero():
-    out = project_nonneg(np.array([[-0.0]]))
-    assert out[0, 0] == 0.0
-    assert np.signbit(out[0, 0]) == False  # noqa: E712  (sign check, not truthiness)
 
 
 def test_partition_columns_examples():
