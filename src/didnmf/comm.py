@@ -120,8 +120,12 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
         raise ValueError("an allreduce payload is a nonempty scalar, vector "
                          "or matrix")
     t0 = time.perf_counter()
-    # the wire carries 2-D DMAT1 frames: the payload rides as one column
-    out = _tree_allreduce(world, buf.reshape((-1, 1), order="F"))
+    if world.size == 1:
+        # the sum over one rank is its own (already copied) payload
+        out = buf
+    else:
+        # the wire carries 2-D DMAT1 frames: the payload rides as one column
+        out = _tree_allreduce(world, buf.reshape((-1, 1), order="F"))
     stats = world.stats
     stats.comm_wall_time += time.perf_counter() - t0
     volume = out.nbytes * 2 * _ceil_log2(world.size)
@@ -260,8 +264,19 @@ def _nodelay(conn: socket.socket) -> socket.socket:
     return conn
 
 
+_DIAL_PAUSE_MIN = 0.001
+_DIAL_PAUSE_MAX = 0.05
+
+
 def _dial(addr, timeout: float):
+    """Connect to `addr`, retrying refused attempts until `timeout`.
+
+    A peer that is still starting up refuses the connection; the pause
+    between attempts starts at 1 ms and doubles up to 50 ms, so a peer
+    that listens a moment later is reached a moment later.
+    """
     deadline = time.monotonic() + timeout
+    pause = _DIAL_PAUSE_MIN
     while True:
         try:
             return _nodelay(socket.create_connection(addr, timeout=min(1.0, timeout)))
@@ -270,7 +285,8 @@ def _dial(addr, timeout: float):
                 raise CommTimeoutError(
                     f"could not reach {addr[0]}:{addr[1]} within "
                     f"{timeout:.1f}s") from None
-            time.sleep(0.05)
+            time.sleep(pause)
+            pause = min(2.0 * pause, _DIAL_PAUSE_MAX)
 
 
 class TcpEndpoint:

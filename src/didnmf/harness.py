@@ -7,9 +7,10 @@ per-iteration metrics. Every algorithm is a step
 one loop in `_distributed_worker`. Sequential algorithms run on a
 one-rank world (bcd is dbcd there); distributed ones place P ranks over
 the in-process fabric (threads) or over TCP (one rank per process, driven
-by `run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). Every
-stop decision is made from allreduced quantities so all ranks always
-take the same branch.
+by `run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). On
+both transports a rank starts in `_rank_setup`, which gives it only its
+own columns of X and C. Every stop decision is made from allreduced
+quantities so all ranks always take the same branch.
 """
 
 from __future__ import annotations
@@ -39,11 +40,13 @@ from .kernels import (
     residual_sq,
 )
 from .matrix import (
+    ColumnBlock,
     as_matrix,
     frob_norm_sq,
-    make_column_blocks,
+    partition_columns,
     read_csv_matrix,
     read_dmat,
+    read_dmat_shape,
 )
 
 SEQUENTIAL_ALGS = ("hals", "bcd", "anls", "admm")
@@ -172,19 +175,46 @@ def read_metrics_csv(path) -> list[dict]:
     return out
 
 
-def synth_data(m: int, n: int, seed: int) -> np.ndarray:
+def _philox_rows(key, rows: int, width: int, start: int, size: int,
+                 base: int = 0) -> np.ndarray:
+    """Columns [start, start + size) of a rows x width matrix drawn row-major.
+
+    The matrix is the Philox 4x64-10 stream keyed with SeedSequence(key),
+    from draw `base` on, one float64 per draw. Philox is counter-based, so
+    each row starts a fresh generator at its own offset: `advance` skips
+    whole 4-draw counter blocks and the remainder is drawn and dropped.
+    The result equals the same slice of the full draw bit for bit, and no
+    other column of the stream is generated.
+    """
+    if start < 0 or size < 0 or start + size > width:
+        raise ValueError(f"columns [{start}, {start + size}) are outside "
+                         f"the {width} columns")
+    seq = np.random.SeedSequence(key)
+    out = np.empty((rows, size), order="F")
+    for i in range(rows):
+        offset = base + i * width + start
+        bits = np.random.Philox(seq)
+        bits.advance(offset // 4)
+        rng = np.random.Generator(bits)
+        rng.random(offset % 4)
+        out[i] = rng.random(size)
+    return out
+
+
+def synth_data(m: int, n: int, seed: int, start: int = 0,
+               size: int | None = None) -> np.ndarray:
     """Uniform [0, 1) data matrix, reproducible bit for bit from the seed.
 
     The stream is NumPy's Philox 4x64-10 counter generator keyed with
     SeedSequence([seed, 0]) and drawn row-major as float64. Philox is
     counter-based and platform independent, so any faithful
     implementation of the same generator reproduces the dataset from the
-    seed alone.
+    seed alone. With `start`/`size` only columns [start, start + size)
+    are drawn, equal to that slice of the whole matrix.
     """
     if m < 1 or n < 1:
         raise ValueError("data dimensions must be positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 0])))
-    return np.asfortranarray(rng.random((m, n)))
+    return _philox_rows([seed, 0], m, n, start, n - start if size is None else size)
 
 
 def synth_lowrank(m: int, n: int, k: int, seed: int) -> np.ndarray:
@@ -202,12 +232,20 @@ def synth_lowrank(m: int, n: int, k: int, seed: int) -> np.ndarray:
     return np.asfortranarray(left @ right)
 
 
-def random_init_scale(X, k: int) -> float:
-    """Scale for the uniform starting factors: sqrt(mean(X) / k)."""
-    return math.sqrt(float(np.mean(X)) / k)
+def random_init_scale(X, k: int, mean: float | None = None) -> float:
+    """Scale for the uniform starting factors: sqrt(mean(X) / k).
+
+    A rank that holds one column block of X passes the whole matrix's
+    `mean`, which it gets from the setup collective.
+    """
+    if mean is None:
+        mean = float(np.mean(X))
+    return math.sqrt(mean / k)
 
 
-def init_factors(X, k: int, seed: int, method: str = "scaled-random"):
+def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
+                 start: int = 0, n: int | None = None,
+                 mean: float | None = None):
     """Deterministic starting factors, shared by every algorithm.
 
     scaled-random draws both factors uniform on [0, s) with
@@ -215,18 +253,29 @@ def init_factors(X, k: int, seed: int, method: str = "scaled-random"):
     the data scale so early residuals stay sign-mixed; kmeans runs
     Lloyd's method on the columns of X, takes centroids as B, and seeds C
     with smoothed one-hot assignment columns. The stream is Philox keyed
-    with SeedSequence([seed, 1]); B is drawn before C.
+    with SeedSequence([seed, 1]); B is drawn before C, both row-major.
+
+    For scaled-random, X may be the column block [start, start + size) of
+    an n-column matrix whose mean is `mean`: B and that block of C then
+    equal the whole draw's B and C slice bit for bit. kmeans reads every
+    column, so it takes the whole X and no block.
     """
     X = np.asarray(X)
-    m, n = X.shape
+    m, size = X.shape
+    n = size if n is None else n
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 1])))
     if method == "scaled-random":
-        s = random_init_scale(X, k)
-        B = np.asfortranarray(s * rng.random((m, k)))
-        C = np.asfortranarray(s * rng.random((k, n)))
+        s = random_init_scale(X, k, mean)
+        B = _philox_rows([seed, 1], m, k, 0, k)
+        C = _philox_rows([seed, 1], k, n, start, size, base=m * k)
+        B *= s
+        C *= s
     elif method == "kmeans":
+        if (start, n) != (0, size):
+            raise ValueError("kmeans init needs the whole data matrix")
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence([seed, 1])))
         B, C = _kmeans_init(X, k, rng)
     else:
         raise ValueError(f"unknown init method {method!r}")
@@ -272,11 +321,16 @@ def stopping_check(e_t_sq: float, e_0_sq: float, epsilon: float) -> bool:
     return e_t_sq / e_0_sq <= epsilon
 
 
-def load_matrix(path) -> np.ndarray:
-    """Load a data matrix by extension: .csv is text, anything else DMAT1."""
+def load_matrix(path, start: int = 0, size: int | None = None) -> np.ndarray:
+    """Columns [start, start + size) of a data matrix file (all by default).
+
+    .csv is text, read whole and sliced; anything else is DMAT1, of which
+    only the requested columns are read.
+    """
     if str(path).endswith(".csv"):
-        return read_csv_matrix(path)
-    return read_dmat(path)
+        stop = None if size is None else start + size
+        return read_csv_matrix(path)[:, start:stop]
+    return read_dmat(path, start, size)
 
 
 def _get_data(config: RunConfig) -> np.ndarray:
@@ -285,31 +339,103 @@ def _get_data(config: RunConfig) -> np.ndarray:
     return synth_data(config.m, config.n, config.seed)
 
 
-def check_data(X, k: int, p: int) -> None:
-    """Reject data no solver can factor, before any worker starts.
-
-    Every rank sees the same X and config, so every rank raises the same
-    message. min and max are reductions, with no M x N temporary.
-    """
-    m, n = X.shape
-    if X.size == 0:
+def check_shape(m: int, n: int, k: int, p: int) -> None:
+    """Reject a data shape no solver can factor, before any rank connects."""
+    if m * n == 0:
         raise ValueError(f"data matrix is empty ({m} x {n})")
-    lo, hi = float(X.min()), float(X.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("data matrix has NaN or infinite entries")
-    if lo < 0.0:
-        raise ValueError(f"data matrix has negative entries (min {lo!r})")
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
     if p > n:
         raise ValueError(f"p={p} workers exceed the n={n} columns")
 
 
+def _check_values(world, x_block) -> float:
+    """The setup collective: check every rank's block and return sum(X).
+
+    One service reduction carries this rank's block sum, a non-finite
+    flag and a length-P vector with the block minimum in this rank's slot,
+    so every rank raises the same message for bad data and learns the
+    same global sum. min and max are reductions, with no temporary.
+    """
+    lo, hi = float(x_block.min()), float(x_block.max())
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    buf = np.zeros(2 + world.size)
+    buf[0] = float(np.sum(x_block))
+    buf[1] = 0.0 if finite else 1.0
+    buf[2 + world.rank] = lo if finite else 0.0
+    out = allreduce_sum(world, buf, service=True)
+    if out[1] > 0.0:
+        raise ValueError("data matrix has NaN or infinite entries")
+    lo = float(out[2:].min())
+    if lo < 0.0:
+        raise ValueError(f"data matrix has negative entries (min {lo!r})")
+    return float(out[0])
+
+
+def _rank_setup(config: RunConfig, rank: int, X, connect):
+    """One rank's prologue, on either transport: (world, block, B).
+
+    The rank takes only its column block [a, a + size): a view of `X` when
+    the caller holds the matrix, else a byte-range read of the DMAT1 input
+    or a draw of those synth_data columns. The shape is checked before
+    `connect()` makes the world; the values and the init scale ride one
+    setup collective after it; then the rank draws B and its block of C.
+    CSV input and kmeans init need the whole matrix: the rank loads it,
+    and keeps a copy of its block only.
+    """
+    whole = X is None and (config.init == "kmeans" or (
+        config.input_path is not None and config.input_path.endswith(".csv")))
+    if whole:
+        X = _get_data(config)
+    if X is not None:
+        X = as_matrix(X)
+        m, n = X.shape
+    elif config.input_path is not None:
+        m, n = read_dmat_shape(config.input_path)
+    else:
+        m, n = config.m, config.n
+    check_shape(m, n, config.k, config.p)
+    start, size = partition_columns(n, config.p)[rank]
+    if X is not None:
+        x_block = X[:, start:start + size]
+        if whole:
+            x_block = x_block.copy(order="F")
+    elif config.input_path is not None:
+        x_block = load_matrix(config.input_path, start, size)
+    else:
+        x_block = synth_data(m, n, config.seed, start, size)
+    world = connect()
+    try:
+        total = _check_values(world, x_block)
+        if config.init == "kmeans":
+            B, C = init_factors(X, config.k, config.seed, "kmeans")
+            c_block = C[:, start:start + size].copy(order="F")
+        else:
+            B, c_block = init_factors(x_block, config.k, config.seed,
+                                      start=start, n=n, mean=total / (m * n))
+    except BaseException:
+        world.close()
+        raise
+    block = ColumnBlock(owner_rank=rank, global_start=start,
+                        local_cols=size, x_block=x_block, c_block=c_block)
+    return world, block, B
+
+
+def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
+    """One rank from its data to its last iteration (see `_rank_setup`)."""
+    world, block, B = _rank_setup(config, rank, X, connect)
+    try:
+        return _distributed_worker(config, world, block, B)
+    finally:
+        world.close()
+
+
 def run(config: RunConfig, X=None) -> RunMetrics:
     """Execute one configured run and return its metrics.
 
-    `X` overrides data loading (used by tests and scripts). A sequential
-    algorithm runs as one in-process rank. For the tcp transport a
+    `X` overrides data loading (used by tests and scripts). In-process
+    runs (a sequential algorithm is one rank) load the matrix once and
+    hand each rank a view of its block. For the tcp transport a
     distributed algorithm delegates to `run_tcp_rank` with the rank taken
     from the NMF_RANK environment variable; rank 0 writes the CSV.
     """
@@ -317,12 +443,8 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     if config.algorithm in DISTRIBUTED_ALGS and config.transport == "tcp":
         rank = _env_rank(config)
         return run_tcp_rank(config, rank, X=X)
-    if X is None:
-        X = _get_data(config)
-    X = as_matrix(X)
-    check_data(X, config.k, config.p)
-    B0, C0 = init_factors(X, config.k, config.seed, config.init)
-    metrics = _run_inprocess(config, X, B0, C0)
+    X = as_matrix(_get_data(config) if X is None else X)
+    metrics = _run_inprocess(config, X)
     if config.out_path:
         metrics.write_csv(config.out_path)
     return metrics
@@ -347,25 +469,14 @@ def _env_rank(config: RunConfig) -> int:
 def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
     """Run one TCP rank to completion; rank 0 writes the CSV if requested.
 
-    Every rank loads (or synthesizes) the same data and initial factors
-    deterministically, then works only on its own column block. The BLAS
-    pool runs one thread for the length of the run (see `blas`).
+    The rank reads (or synthesizes) only its own column block and draws
+    only its block of the starting C (see `_rank_setup`). The BLAS pool
+    runs one thread for the length of the run (see `blas`).
     """
     config.validate()
-    if X is None:
-        X = _get_data(config)
-    X = as_matrix(X)
-    check_data(X, config.k, config.p)
-    B0, C0 = init_factors(X, config.k, config.seed, config.init)
-    blocks = make_column_blocks(X, C0, config.p)
     with one_blas_thread():
-        world = make_tcp_world(rank, config.p, config.tcp_address,
-                               timeout=config.comm_timeout)
-        try:
-            B = np.array(B0, order="F")
-            metrics = _distributed_worker(config, world, blocks[rank], B)
-        finally:
-            world.close()
+        metrics = _rank_run(config, rank, X, lambda: make_tcp_world(
+            rank, config.p, config.tcp_address, timeout=config.comm_timeout))
     if rank == 0 and config.out_path:
         metrics.write_csv(config.out_path)
     return metrics
@@ -424,18 +535,15 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
                       converged=converged)
 
 
-def _run_inprocess(config: RunConfig, X, B0, C0) -> RunMetrics:
+def _run_inprocess(config: RunConfig, X) -> RunMetrics:
     """Run P ranks as threads over the in-process fabric (P=1 included)."""
     worlds = make_inprocess_worlds(config.p, timeout=config.comm_timeout)
-    blocks = make_column_blocks(X, C0, config.p)
     results: list[RunMetrics | None] = [None] * config.p
     errors: list[BaseException | None] = [None] * config.p
 
     def work(rank: int) -> None:
         try:
-            B = np.array(B0, order="F")  # replicated basis, one copy per rank
-            results[rank] = _distributed_worker(
-                config, worlds[rank], blocks[rank], B)
+            results[rank] = _rank_run(config, rank, X, lambda: worlds[rank])
         except BaseException as exc:
             errors[rank] = exc
 

@@ -182,6 +182,13 @@ class AdmmAuxState:
                    Psi=np.zeros_like(C), rho=float(rho))
 
 
+def _spd_solve(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Solve A Z = Y for symmetric positive definite A: A = L L^T, then
+    two triangular systems."""
+    L = np.linalg.cholesky(A)
+    return np.linalg.solve(L.T, np.linalg.solve(L, Y))
+
+
 def admm_iterate(world, block: ColumnBlock, B: np.ndarray,
                  aux: AdmmAuxState) -> tuple[float, int]:
     """One pass of the six splitting updates: W, H, B, C, then multipliers.
@@ -189,18 +196,14 @@ def admm_iterate(world, block: ColumnBlock, B: np.ndarray,
     Both least-squares subproblems are SPD (Gram + rho I), solved by
     Cholesky factorization.
     """
-    from scipy.linalg import cho_factor, cho_solve  # only this solver needs scipy
-
     X, C = block.x_block, block.c_block
     rho = aux.rho
     ridge = rho * np.eye(B.shape[1])
     H = aux.Haux
     # W-step is a right-hand solve; transpose since the system is symmetric
-    factor = cho_factor(H @ H.T + ridge, lower=True)
-    aux.Waux = cho_solve(factor, (X @ H.T + aux.Phi + rho * B).T).T
+    aux.Waux = _spd_solve(H @ H.T + ridge, (X @ H.T + aux.Phi + rho * B).T).T
     W = aux.Waux
-    factor = cho_factor(W.T @ W + ridge, lower=True)
-    aux.Haux = cho_solve(factor, W.T @ X + aux.Psi + rho * C)
+    aux.Haux = _spd_solve(W.T @ W + ridge, W.T @ X + aux.Psi + rho * C)
     H = aux.Haux
     B[:] = np.maximum(W - aux.Phi / rho, 0.0)
     C[:] = np.maximum(H - aux.Psi / rho, 0.0)

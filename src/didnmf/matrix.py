@@ -11,6 +11,7 @@ both on disk and on the wire) and plain CSV for small matrices.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -60,8 +61,9 @@ def partition_columns(n: int, p: int) -> list[tuple[int, int]]:
 class ColumnBlock:
     """One worker's contiguous slab of columns of X and C.
 
-    `x_block` is a read-only view into the shared data matrix; `c_block`
-    is owned (written) by exactly one worker.
+    `x_block` is read only: a view of the shared data matrix in-process,
+    the rank's own columns in a TCP rank. `c_block` is owned (written) by
+    exactly one worker.
     """
 
     owner_rank: int
@@ -97,20 +99,26 @@ def dmat_encode(a) -> bytes:
     return head + a.astype("<f8", copy=False).tobytes(order="F")
 
 
-def dmat_decode(buf: bytes) -> np.ndarray:
-    """Inverse of dmat_encode; validates magic, version, and payload length."""
-    if len(buf) < _DMAT_HEADER.size:
+def _dmat_shape(head: bytes, total: int) -> tuple[int, int]:
+    """Validate a DMAT1 header against the total byte count; (rows, cols)."""
+    if len(head) < _DMAT_HEADER.size:
         raise ValueError("truncated DMAT1 header")
-    magic, version, rows, cols = _DMAT_HEADER.unpack_from(buf)
+    magic, version, rows, cols = _DMAT_HEADER.unpack_from(head)
     if magic != DMAT_MAGIC:
         raise ValueError("bad DMAT1 magic")
     if version != DMAT_VERSION:
         raise ValueError(f"unsupported DMAT1 version {version}")
     expected = _DMAT_HEADER.size + 8 * rows * cols
-    if len(buf) != expected:
+    if total != expected:
         raise ValueError(
-            f"DMAT1 payload length mismatch: have {len(buf)} bytes, "
+            f"DMAT1 payload length mismatch: have {total} bytes, "
             f"header implies {expected}")
+    return rows, cols
+
+
+def dmat_decode(buf: bytes) -> np.ndarray:
+    """Inverse of dmat_encode; validates magic, version, and payload length."""
+    rows, cols = _dmat_shape(buf, len(buf))
     body = np.frombuffer(buf, dtype="<f8", offset=_DMAT_HEADER.size)
     return np.array(body.reshape((rows, cols), order="F"),
                     dtype=np.float64, order="F")
@@ -121,9 +129,37 @@ def write_dmat(path, a) -> None:
         f.write(dmat_encode(a))
 
 
-def read_dmat(path) -> np.ndarray:
+def _read_dmat_header(f) -> tuple[int, int]:
+    return _dmat_shape(f.read(_DMAT_HEADER.size), os.fstat(f.fileno()).st_size)
+
+
+def read_dmat_shape(path) -> tuple[int, int]:
+    """(rows, cols) of a DMAT1 file, read from its header alone.
+
+    The header is checked against the file's length, so a truncated or
+    padded file fails here, before any of its body is read.
+    """
     with open(path, "rb") as f:
-        return dmat_decode(f.read())
+        return _read_dmat_header(f)
+
+
+def read_dmat(path, start: int = 0, size: int | None = None) -> np.ndarray:
+    """Columns [start, start + size) of a DMAT1 file (all by default).
+
+    The body is column-major, so a column range is one byte range: it is
+    read straight into the returned array, with no bytes object beside it.
+    """
+    with open(path, "rb") as f:
+        rows, cols = _read_dmat_header(f)
+        if size is None:
+            size = cols - start
+        if start < 0 or size < 0 or start + size > cols:
+            raise ValueError(f"columns [{start}, {start + size}) are outside "
+                             f"the {cols} columns of {path}")
+        # the offset counts from the end of the header, where f now stands
+        body = np.fromfile(f, dtype="<f8", count=rows * size,
+                           offset=8 * rows * start)
+    return np.asarray(body, dtype=np.float64).reshape((rows, size), order="F")
 
 
 def write_csv_matrix(path, a) -> None:

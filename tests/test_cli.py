@@ -1,9 +1,10 @@
-import subprocess
-import sys
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
+import didnmf
 from didnmf.cli import main
 from didnmf.harness import read_metrics_csv, synth_data, synth_lowrank
 from didnmf.matrix import read_csv_matrix, read_dmat
@@ -72,13 +73,18 @@ def test_parser_requires_a_subcommand():
         main([])
 
 
-def test_run_did_never_imports_scipy():
-    # only the admm solver needs scipy; the did path must not pay its import
-    script = ("import sys\n"
-              "from didnmf.cli import main\n"
-              "main(['run', '--alg', 'did', '--m', '5', '--n', '40', '--k', '2',"
-              " '--p', '2', '--max-iters', '3'])\n"
-              "print('scipy loaded:', 'scipy' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, timeout=60, check=True)
-    assert out.stdout.splitlines()[-1] == "scipy loaded: False"
+def test_no_module_under_src_imports_scipy():
+    # the package depends on numpy alone; scipy is not a dependency
+    src = pathlib.Path(didnmf.__file__).parent
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.append(path.name)
+    assert importers == []

@@ -3,6 +3,7 @@ import threading
 import numpy as np
 import pytest
 
+from didnmf import comm
 from didnmf.comm import (
     CommError,
     CommTimeoutError,
@@ -56,6 +57,19 @@ def test_single_rank_is_identity_and_free():
     assert np.array_equal(out, [[1.25, -0.5], [3.0, 7.0]])
     assert stats.allreduce_calls == 1
     assert stats.bytes_sent == 0  # no wire traffic with one rank
+
+
+def test_single_rank_result_does_not_alias_the_input():
+    def body(world):
+        a = np.asfortranarray([[1.0, 2.0], [3.0, 4.0]])
+        out = allreduce_sum(world, a)
+        shared = np.shares_memory(out, a)
+        out[0, 0] = 99.0
+        return a, shared
+
+    [(a, shared)] = run_world(1, body)
+    assert not shared
+    assert a[0, 0] == 1.0
 
 
 def test_two_ranks_sum_exactly():
@@ -258,3 +272,32 @@ def test_comm_time_accumulates():
         return world.stats.comm_wall_time
 
     assert all(t >= 0.0 for t in run_world(3, body))
+
+
+# rendezvous
+
+
+def test_dial_pause_doubles_to_its_cap_and_gives_up_at_the_deadline(monkeypatch):
+    # a refused connect pauses 1, 2, 4 ... ms up to 50 ms; the clock is
+    # virtual, advanced only by the pauses, so the sequence is exact
+    clock = [0.0]
+    pauses = []
+
+    def refuse(addr, timeout):
+        raise ConnectionRefusedError(addr)
+
+    def sleep(dt):
+        pauses.append(dt)
+        clock[0] += dt
+
+    monkeypatch.setattr(comm.socket, "create_connection", refuse)
+    monkeypatch.setattr(comm.time, "sleep", sleep)
+    monkeypatch.setattr(comm.time, "monotonic", lambda: clock[0])
+    with pytest.raises(CommTimeoutError,
+                       match=r"could not reach 127\.0\.0\.1:9 within 0\.5s"):
+        comm._dial(("127.0.0.1", 9), 0.5)
+    ramp = [0.001, 0.002, 0.004, 0.008, 0.016, 0.032]
+    assert pauses[:6] == pytest.approx(ramp)
+    assert pauses[6:] == [0.05] * (len(pauses) - 6)
+    # it stops at the first attempt at or past the deadline
+    assert 0.5 <= clock[0] < 0.5 + 0.05

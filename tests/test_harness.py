@@ -1,6 +1,15 @@
+import os
+import re
+import socket
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from didnmf import harness
 from didnmf.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -14,7 +23,7 @@ from didnmf.harness import (
     synth_data,
     synth_lowrank,
 )
-from didnmf.matrix import write_csv_matrix, write_dmat
+from didnmf.matrix import partition_columns, write_csv_matrix, write_dmat
 
 
 # synthetic data
@@ -50,6 +59,55 @@ def test_synth_lowrank_has_exact_rank():
     assert s[3] < 1e-12 * s[0]
     assert np.array_equal(X, synth_lowrank(8, 30, 3, 5))
     assert float(X.min()) >= 0.0
+
+
+# a rank draws only its own columns: blocks equal slices of the whole, for
+# every partition up to P=4, at every start offset mod 4 (Philox makes 4
+# draws per counter step) and across the coordinate kernel's column tiles
+# (6553 columns at M=5)
+BLOCK_N = 2 * 6553 + 7
+
+
+def _blocks(n):
+    for p in (1, 2, 3, 4):
+        yield from partition_columns(n, p)
+    for start in range(8):
+        yield start, 1 + start % 5
+
+
+def test_synth_data_blocks_equal_slices_of_the_whole():
+    whole = synth_data(5, BLOCK_N, 13)
+    # the whole matrix is the documented stream, drawn row-major at once
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([13, 0])))
+    assert np.array_equal(whole, rng.random((5, BLOCK_N)))
+    for start, size in _blocks(BLOCK_N):
+        block = synth_data(5, BLOCK_N, 13, start, size)
+        assert np.array_equal(block, whole[:, start:start + size])
+        assert block.flags.f_contiguous
+    with pytest.raises(ValueError):
+        synth_data(5, 10, 0, start=8, size=3)
+
+
+def test_init_factors_blocks_equal_slices_of_the_whole_draw():
+    X = synth_data(5, BLOCK_N, 4)
+    B, C = init_factors(X, 3, 21)
+    mean = float(np.mean(X))
+    for start, size in _blocks(BLOCK_N):
+        Bb, Cb = init_factors(X[:, start:start + size], 3, 21, start=start,
+                              n=BLOCK_N, mean=mean)
+        assert np.array_equal(Bb, B)
+        assert np.array_equal(Cb, C[:, start:start + size])
+    with pytest.raises(ValueError, match="whole data matrix"):
+        init_factors(X[:, :100], 3, 21, "kmeans", start=0, n=BLOCK_N)
+
+
+def test_init_factors_draws_b_then_c_row_major_from_one_stream():
+    X = synth_data(4, 9, 0)
+    B, C = init_factors(X, 2, 5)
+    s = random_init_scale(X, 2)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([5, 1])))
+    assert np.array_equal(B, s * rng.random((4, 2)))
+    assert np.array_equal(C, s * rng.random((2, 9)))
 
 
 def test_synth_streams_are_independent():
@@ -162,7 +220,8 @@ def test_tcp_world_size_env_must_match(monkeypatch):
         run(config)
 
 
-# bad input fails before any worker starts or any rank rendezvous
+# bad input fails fast, with one message on every rank: a bad shape
+# before any rank rendezvous, bad values at the one setup collective
 
 
 def _negative():
@@ -196,23 +255,64 @@ BAD_INPUTS = {
     "k-over-min-m-n": (_k_too_big, r"k=5 exceeds min\(m, n\)=4"),
     "p-over-n": (_p_too_big, "p=9 workers exceed the n=8 columns"),
 }
+BAD_SHAPES = ("empty", "k-over-min-m-n", "p-over-n")
+
+
+def _free_port():
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return s.getsockname()[1]
+
+
+def _tcp_ranks(kw, X=None):
+    """Run both TCP ranks at once, as threads; (results, errors) by rank."""
+    config = dict(kw, tcp_address=("127.0.0.1", _free_port()))
+    results, errors = [None, None], [None, None]
+
+    def rank(r):
+        try:
+            results[r] = run_tcp_rank(RunConfig(**config), r,
+                                      X=None if X is None else X.copy())
+        except Exception as exc:
+            errors[r] = exc
+
+    threads = [threading.Thread(target=rank, args=(r,)) for r in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=2 * kw["comm_timeout"])
+    assert not any(t.is_alive() for t in threads)
+    return results, errors
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
-def test_bad_input_fails_fast_with_one_message_on_every_rank(case):
+def test_bad_input_fails_fast_with_one_message_on_every_rank(case, tmp_path):
     make, pattern = BAD_INPUTS[case]
     X, over = make()
+    path = tmp_path / "bad.dmat"
+    write_dmat(path, X)
     kw = dict(algorithm="did", m=4, n=8, k=2, p=2, transport="tcp",
               comm_timeout=60.0)
     kw.update(over)
-    messages = []
-    for rank in (0, 1):
-        # a rank that reached the rendezvous would wait comm_timeout for
-        # its peer; failing first means raising at once
-        with pytest.raises(ValueError, match=pattern) as err:
-            run_tcp_rank(RunConfig(**kw), rank, X=X.copy())
-        messages.append(str(err.value))
-    assert len(set(messages)) == 1
+    # the same checks hold for an array in hand and for a DMAT1 file, of
+    # which a rank reads the header and then only its own columns
+    for data, extra in ((X, {}), (None, {"input_path": str(path)})):
+        t0 = time.monotonic()
+        if case in BAD_SHAPES:
+            # a rank that reached the rendezvous would wait comm_timeout
+            # for its peer; failing first means raising at once, alone
+            errors = []
+            for rank in (0, 1):
+                with pytest.raises(ValueError, match=pattern) as err:
+                    run_tcp_rank(RunConfig(**kw, **extra), rank,
+                                 X=None if data is None else data.copy())
+                errors.append(err.value)
+        else:
+            _, errors = _tcp_ranks(dict(kw, **extra), data)
+        assert time.monotonic() - t0 < 0.25 * kw["comm_timeout"]
+        assert all(isinstance(e, ValueError) for e in errors), errors
+        assert len({str(e) for e in errors}) == 1
+        assert re.search(pattern, str(errors[0]))
     with pytest.raises(ValueError, match=pattern):
         run(RunConfig(**dict(kw, transport="in-process")), X=X.copy())
 
@@ -298,6 +398,87 @@ def test_run_from_dmat_input_file(tmp_path):
     config = RunConfig(algorithm="hals", k=2, seed=6, max_iters=10,
                        input_path=str(path))
     assert run(config).iterations == 10
+
+
+@pytest.mark.parametrize("suffix,init", [(".dmat", "scaled-random"),
+                                         (".csv", "scaled-random"),
+                                         (".dmat", "kmeans")])
+def test_tcp_ranks_on_a_file_match_the_in_process_run(monkeypatch, tmp_path,
+                                                      suffix, init):
+    # each TCP rank reads its own columns of a DMAT1 file (CSV and kmeans
+    # load it all) and reaches the in-process trajectory bit for bit
+    X = synth_lowrank(5, 101, 3, 8)
+    path = tmp_path / f"data{suffix}"
+    (write_csv_matrix if suffix == ".csv" else write_dmat)(path, X)
+    reads = []
+    load = harness.load_matrix
+
+    def spy(*args):
+        reads.append(args[1:])
+        return load(*args)
+
+    monkeypatch.setattr(harness, "load_matrix", spy)
+    kw = dict(algorithm="did", k=3, p=2, seed=8, max_iters=40,
+              epsilon=1e-30, init=init, input_path=str(path),
+              transport="tcp", comm_timeout=30.0)
+    results, errors = _tcp_ranks(kw)
+    assert errors == [None, None], errors
+    if suffix == ".dmat" and init == "scaled-random":
+        assert sorted(reads) == [(0, 51), (51, 50)]
+    else:
+        assert reads == [(), ()]
+    ref = run(RunConfig(**dict(kw, transport="in-process")))
+    for got in results:
+        assert got.iterations == ref.iterations == 40
+        assert np.array_equal(got.residuals(), ref.residuals())
+
+
+_RANK_HWM = """
+import sys
+
+import didnmf.cli
+import numpy.random  # imported on first use; a fixed cost, not data
+
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        for line in f:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1])
+
+
+after_imports = peak_kib()
+didnmf.cli.main(sys.argv[1:])
+print("VmHWM", after_imports, peak_kib())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs Linux /proc for a process's peak memory")
+def test_tcp_rank_memory_grows_by_less_than_the_input_file(tmp_path):
+    # each rank holds half the columns of a tall-and-wide X (M >> K) and
+    # its block of C: its peak grows by about half the file, never by the
+    # whole of it. The child's own VmHWM is read, because ru_maxrss of a
+    # child inherits the parent's high-water mark.
+    path = tmp_path / "wide.dmat"
+    write_dmat(path, synth_lowrank(20, 100_000, 2, 0))
+    file_kib = os.path.getsize(path) / 1024
+    port = _free_port()
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    args = ["run", "--alg", "did", "--p", "2", "--k", "2", "--input",
+            str(path), "--max-iters", "2", "--transport", "tcp"]
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _RANK_HWM, *args],
+        env=dict(os.environ, PYTHONPATH=src, NMF_RANK=str(r), NMF_WORLD="2",
+                 NMF_ADDR=f"127.0.0.1:{port}"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        for r in range(2)]
+    outs = [p.communicate(timeout=120) for p in procs]
+    assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+    for out, _ in outs:
+        _, after_imports, after_run = out.splitlines()[-1].split()
+        growth = int(after_run) - int(after_imports)
+        assert growth < file_kib, (growth, file_kib)
 
 
 def test_metrics_csv_header_and_roundtrip(tmp_path):

@@ -12,6 +12,7 @@ from didnmf.matrix import (
     partition_columns,
     read_csv_matrix,
     read_dmat,
+    read_dmat_shape,
     write_csv_matrix,
     write_dmat,
 )
@@ -112,6 +113,36 @@ def test_dmat_file_roundtrip(tmp_path):
     path = tmp_path / "m.dmat"
     write_dmat(path, a)
     assert np.array_equal(read_dmat(path), a)
+
+
+def test_dmat_column_ranges_equal_slices_of_the_whole(tmp_path):
+    # a rank reads only its columns: one byte range at every start offset,
+    # for every partition up to P=4
+    rng = np.random.default_rng(7)
+    a = np.asfortranarray(rng.normal(size=(3, 203)))
+    path = tmp_path / "m.dmat"
+    write_dmat(path, a)
+    assert read_dmat_shape(path) == (3, 203)
+    ranges = [r for p in (1, 2, 3, 4) for r in partition_columns(203, p)]
+    ranges += [(start, 1 + start % 5) for start in range(8)] + [(203, 0)]
+    for start, size in ranges:
+        block = read_dmat(path, start, size)
+        assert np.array_equal(block, a[:, start:start + size])
+        assert block.flags.f_contiguous and block.dtype == np.float64
+    for start, size in ((200, 4), (-1, 2), (0, 204)):
+        with pytest.raises(ValueError, match="outside"):
+            read_dmat(path, start, size)
+
+
+def test_dmat_file_length_is_checked_against_its_header(tmp_path):
+    path = tmp_path / "m.dmat"
+    buf = dmat_encode(np.ones((2, 5)))
+    for bad in (buf[:-8], buf + b"\0" * 8):
+        path.write_bytes(bad)
+        with pytest.raises(ValueError, match="length mismatch"):
+            read_dmat_shape(path)
+        with pytest.raises(ValueError, match="length mismatch"):
+            read_dmat(path, 0, 1)
 
 
 def test_csv_file_roundtrip(tmp_path):
