@@ -9,7 +9,6 @@ import sys
 from .blas import limit_blas_threads
 from .harness import (
     ALGORITHMS,
-    DISTRIBUTED_ALGS,
     INIT_METHODS,
     TRANSPORTS,
     RunConfig,
@@ -69,7 +68,7 @@ def _cmd_run(args) -> int:
         epsilon=args.eps, max_iters=args.max_iters, max_time=args.max_time,
         rho=args.rho, seed=args.seed, transport=args.transport,
         init=args.init, input_path=args.input, out_path=args.out)
-    if args.transport == "tcp" and args.alg in DISTRIBUTED_ALGS:
+    if args.transport == "tcp":
         # this process is one rank for the rest of its life: its BLAS pool
         # keeps one thread after the run, not just during it
         limit_blas_threads()

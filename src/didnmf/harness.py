@@ -5,12 +5,13 @@
 per-iteration metrics. Every algorithm is a step
 `(world, block, B, state) -> (local ||X - B C||^2, skipped)` driven by the
 one loop in `_distributed_worker`. Sequential algorithms run on a
-one-rank world (bcd is dbcd there); distributed ones place P ranks over
-the in-process fabric (threads) or over TCP (one rank per process, driven
-by `run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). On
-both transports a rank starts in `_rank_setup`, which gives it only its
-own columns of X and C. Every stop decision is made from allreduced
-quantities so all ranks always take the same branch.
+one-rank world (bcd is dbcd there), distributed ones on P ranks. Ranks
+share the in-process fabric (threads) or, for every algorithm alike, run
+one per process over TCP (driven by `run_tcp_rank` or the
+NMF_RANK/NMF_WORLD/NMF_ADDR environment). On both transports a rank
+starts in `_rank_setup`, which gives it only its own columns of X and C.
+Every stop decision is made from allreduced quantities so all ranks
+always take the same branch.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .kernels import (
     AdmmAuxState,
     admm_iterate,
     anls_iterate,
-    hals_iterate,
     residual_sq,
 )
 from .matrix import (
@@ -49,7 +49,7 @@ from .matrix import (
     read_dmat_shape,
 )
 
-SEQUENTIAL_ALGS = ("hals", "bcd", "anls", "admm")
+SEQUENTIAL_ALGS = ("bcd", "anls", "admm")
 DISTRIBUTED_ALGS = ("dadmm", "dbcd", "did")
 ALGORITHMS = SEQUENTIAL_ALGS + DISTRIBUTED_ALGS
 TRANSPORTS = ("in-process", "tcp")
@@ -416,9 +416,7 @@ def _rank_setup(config: RunConfig, rank: int, X, connect):
     except BaseException:
         world.close()
         raise
-    block = ColumnBlock(owner_rank=rank, global_start=start,
-                        local_cols=size, x_block=x_block, c_block=c_block)
-    return world, block, B
+    return world, ColumnBlock(x_block, c_block), B
 
 
 def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
@@ -435,14 +433,14 @@ def run(config: RunConfig, X=None) -> RunMetrics:
 
     `X` overrides data loading (used by tests and scripts). In-process
     runs (a sequential algorithm is one rank) load the matrix once and
-    hand each rank a view of its block. For the tcp transport a
-    distributed algorithm delegates to `run_tcp_rank` with the rank taken
-    from the NMF_RANK environment variable; rank 0 writes the CSV.
+    hand each rank a view of its block. With the tcp transport this
+    process is the one rank named by the NMF_RANK environment variable
+    (see `run_tcp_rank`), whatever the algorithm: a sequential one is a
+    one-rank TCP world. Rank 0 writes the CSV.
     """
     config.validate()
-    if config.algorithm in DISTRIBUTED_ALGS and config.transport == "tcp":
-        rank = _env_rank(config)
-        return run_tcp_rank(config, rank, X=X)
+    if config.transport == "tcp":
+        return run_tcp_rank(config, _env_rank(config), X=X)
     X = as_matrix(_get_data(config) if X is None else X)
     metrics = _run_inprocess(config, X)
     if config.out_path:
@@ -450,18 +448,28 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     return metrics
 
 
+def _env_int(name: str, default: str | None = None) -> int:
+    text = os.environ.get(name, default)
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name}={text!r} is not an integer") from None
+
+
 def _env_rank(config: RunConfig) -> int:
     if "NMF_RANK" not in os.environ:
         raise ValueError(
             "tcp transport needs NMF_RANK (and NMF_WORLD, NMF_ADDR) in the "
             "environment, or a direct call to run_tcp_rank")
-    rank = int(os.environ["NMF_RANK"])
-    world = int(os.environ.get("NMF_WORLD", config.p))
+    rank = _env_int("NMF_RANK")
+    world = _env_int("NMF_WORLD", str(config.p))
     if world != config.p:
         raise ValueError(f"NMF_WORLD={world} disagrees with p={config.p}")
     addr = os.environ.get("NMF_ADDR")
     if addr:
         host, _, port = addr.rpartition(":")
+        if not port.isdigit():
+            raise ValueError(f"NMF_ADDR={addr!r} is not host:port")
         config.tcp_address = (host or "127.0.0.1", int(port))
     return rank
 
@@ -474,6 +482,9 @@ def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
     runs one thread for the length of the run (see `blas`).
     """
     config.validate()
+    if not 0 <= rank < config.p:
+        raise ValueError(f"rank {rank} is outside a world of p={config.p} "
+                         f"ranks (0..{config.p - 1})")
     with one_blas_thread():
         metrics = _rank_run(config, rank, X, lambda: make_tcp_world(
             rank, config.p, config.tcp_address, timeout=config.comm_timeout))
@@ -495,8 +506,7 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
     its carried state. The table is built per call, so a step replaced on
     this module after import is the one that runs.
     """
-    steps = {"hals": (hals_iterate, None),
-             "bcd": (dbcd_worker_iterate, None),
+    steps = {"bcd": (dbcd_worker_iterate, None),
              "anls": (anls_iterate, None),
              "admm": (admm_iterate, AdmmAuxState.fresh),
              "dadmm": (dadmm_worker_iterate, DadmmWorkerState.fresh),

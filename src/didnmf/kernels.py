@@ -1,13 +1,14 @@
-"""Factorization kernels: the Gram-form coordinate kernel, HALS, ANLS, ADMM.
+"""Factorization kernels: the Gram-form coordinate kernel, ANLS, ADMM.
 
 All minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
 C (K x N). Coordinate descent runs in Gram form: the C pass streams X in
 column tiles sized for L2 and hands the basis step X C^T and C C^T, so
 nothing M x N is formed. The distributed workers (`distributed`) are
 built from that kernel, and sequential coordinate descent is the dbcd
-worker on a one-rank world.
+worker on a one-rank world. That kernel is Gram-form HALS (all rows of
+C, then all columns of B), so HALS needs no step of its own.
 
-HALS, ANLS and ADMM are sequential steps with the workers' signature,
+ANLS and ADMM are sequential steps with the workers' signature,
 `step(world, block, B, state) -> (||X - B C||^2, skipped)`: they update B
 and the block's C in place and run on a one-rank world, which they never
 call.
@@ -120,33 +121,6 @@ def residual_sq(X, B, C) -> float:
         R = X[:, cols].T - C[:, cols].T @ B.T
         total += float(np.vdot(R, R))
     return total
-
-
-def hals_iterate(world, block: ColumnBlock, B: np.ndarray,
-                 state=None) -> tuple[float, int]:
-    """One sweep of paired rank-one updates: basis column k, then row k of C.
-
-    Each pair works on the deflated residual A_k = E + b_k c_k, minimizing
-    over b_k first and then over c_k with the fresh b_k. E = X - B C is
-    formed from X at the top of the step and lives only inside it.
-    """
-    X, C = block.x_block, block.c_block
-    E = X - B @ C
-    skipped = 0
-    for k in range(B.shape[1]):
-        E += np.outer(B[:, k], C[k])
-        cc = float(C[k] @ C[k])
-        if cc >= DEGENERATE_NORM_TOL:
-            B[:, k] = np.maximum((E @ C[k]) / cc, 0.0)
-        else:
-            skipped += 1
-        bb = float(B[:, k] @ B[:, k])
-        if bb >= DEGENERATE_NORM_TOL:
-            C[k] = np.maximum((B[:, k] @ E) / bb, 0.0)
-        else:
-            skipped += 1
-        E -= np.outer(B[:, k], C[k])
-    return residual_sq(X, B, C), skipped
 
 
 def anls_iterate(world, block: ColumnBlock, B: np.ndarray,

@@ -63,12 +63,10 @@ class ColumnBlock:
 
     `x_block` is read only: a view of the shared data matrix in-process,
     the rank's own columns in a TCP rank. `c_block` is owned (written) by
-    exactly one worker.
+    exactly one worker. A block's rank is its world's, and its width is
+    `x_block.shape[1]`.
     """
 
-    owner_rank: int
-    global_start: int
-    local_cols: int
     x_block: np.ndarray
     c_block: np.ndarray
 
@@ -80,16 +78,9 @@ def make_column_blocks(X, C, p: int) -> list[ColumnBlock]:
     if X.shape[1] != C.shape[1]:
         raise ValueError(
             f"X and C disagree on column count: {X.shape[1]} vs {C.shape[1]}")
-    blocks = []
-    for rank, (start, size) in enumerate(partition_columns(X.shape[1], p)):
-        blocks.append(ColumnBlock(
-            owner_rank=rank,
-            global_start=start,
-            local_cols=size,
-            x_block=X[:, start:start + size],
-            c_block=np.array(C[:, start:start + size], order="F"),
-        ))
-    return blocks
+    return [ColumnBlock(x_block=X[:, start:start + size],
+                        c_block=np.array(C[:, start:start + size], order="F"))
+            for start, size in partition_columns(X.shape[1], p)]
 
 
 def dmat_encode(a) -> bytes:

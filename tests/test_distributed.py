@@ -268,19 +268,15 @@ def test_dead_rows_and_columns_skipped_alike_by_bcd_dbcd_did():
 def run_multiworker(alg, X, B0, C0, p, iters):
     """Drive one worker per rank; return per-rank (B, c_block, stats)."""
     blocks = make_column_blocks(X, C0, p)
+    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
+            "dadmm": dadmm_worker_iterate}[alg]
 
     def body(world, rank):
         B = np.array(B0, order="F")
         block = blocks[rank]
-        if alg == "dadmm":
-            st = DadmmWorkerState.fresh(block, B)
+        st = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
         for _ in range(iters):
-            if alg == "did":
-                did_worker_iterate(world, block, B)
-            elif alg == "dbcd":
-                dbcd_worker_iterate(world, block, B)
-            else:
-                dadmm_worker_iterate(world, block, B, st)
+            step(world, block, B, st)
         return B, block.c_block.copy(), world.stats
 
     return run_ranks(p, body)

@@ -220,6 +220,57 @@ def test_tcp_world_size_env_must_match(monkeypatch):
         run(config)
 
 
+@pytest.mark.parametrize("name,value", [("NMF_RANK", "one"), ("NMF_WORLD", "2.0"),
+                                        ("NMF_ADDR", "127.0.0.1")])
+def test_tcp_env_names_the_bad_variable(monkeypatch, name, value):
+    for key, text in {"NMF_RANK": "0", "NMF_WORLD": "2", name: value}.items():
+        monkeypatch.setenv(key, text)
+    with pytest.raises(ValueError, match=f"{name}={value!r}"):
+        run(RunConfig(algorithm="did", m=4, n=8, k=2, p=2, transport="tcp"))
+
+
+def _spy(monkeypatch, name, keep):
+    """Wrap harness.<name>; the returned list gets keep(args) of each call."""
+    calls, fn = [], getattr(harness, name)
+    monkeypatch.setattr(harness, name,
+                        lambda *a, **kw: calls.append(keep(a)) or fn(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("rank", [-1, 2])
+def test_tcp_rank_outside_the_world_fails_fast(monkeypatch, rank):
+    # before any data or socket: rank 2 of two would index past the column
+    # partition, rank -1 would take rank 1's columns and wait comm_timeout
+    calls = _spy(monkeypatch, "make_tcp_world", lambda a: a[:2])
+    config = RunConfig(algorithm="did", m=4, n=8, k=2, p=2, transport="tcp",
+                       comm_timeout=30.0)
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=rf"rank {rank} .*p=2"):
+        run_tcp_rank(config, rank)
+    assert time.monotonic() - t0 < 0.5 and calls == []
+
+
+@pytest.mark.parametrize("alg", harness.SEQUENTIAL_ALGS)
+def test_tcp_transport_runs_a_sequential_solver_as_one_rank(monkeypatch, alg):
+    # every solver takes the one TCP path, here a one-rank TCP world that
+    # follows the in-process trajectory bit for bit
+    X = synth_lowrank(5, 100, 3, 3)
+    ref = run(lowrank_config(alg, max_iters=10, epsilon=1e-30), X=X)
+    calls = _spy(monkeypatch, "make_tcp_world", lambda a: a[:2])
+    monkeypatch.setenv("NMF_RANK", "0")
+    monkeypatch.setenv("NMF_WORLD", "1")
+    tcp = lowrank_config(alg, max_iters=10, epsilon=1e-30, transport="tcp")
+    got = run(tcp, X=X)
+    assert calls == [(0, 1)] and got.iterations == 10
+    assert np.array_equal(got.residuals(), ref.residuals())
+    # a second rank of a one-rank world is refused at once
+    monkeypatch.setenv("NMF_RANK", "1")
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match=r"rank 1 .*p=1"):
+        run(tcp, X=X)
+    assert time.monotonic() - t0 < 0.5 and calls == [(0, 1)]
+
+
 # bad input fails fast, with one message on every rank: a bad shape
 # before any rank rendezvous, bad values at the one setup collective
 
@@ -329,8 +380,8 @@ def lowrank_config(alg, **kw):
 
 def test_run_metrics_row_accounting():
     # bcd is dbcd on one rank: K one-rank collectives, no bytes on a wire;
-    # hals never calls a collective
-    for alg, calls in (("bcd", 3), ("hals", 0)):
+    # anls never calls a collective
+    for alg, calls in (("bcd", 3), ("anls", 0)):
         config = lowrank_config(alg, max_iters=25, epsilon=1e-30)
         metrics = run(config, X=synth_lowrank(5, 100, 3, 3))
         assert metrics.iterations == 25
@@ -395,7 +446,7 @@ def test_run_from_dmat_input_file(tmp_path):
     X = synth_lowrank(4, 40, 2, 6)
     path = tmp_path / "data.dmat"
     write_dmat(path, X)
-    config = RunConfig(algorithm="hals", k=2, seed=6, max_iters=10,
+    config = RunConfig(algorithm="anls", k=2, seed=6, max_iters=10,
                        input_path=str(path))
     assert run(config).iterations == 10
 
@@ -410,14 +461,7 @@ def test_tcp_ranks_on_a_file_match_the_in_process_run(monkeypatch, tmp_path,
     X = synth_lowrank(5, 101, 3, 8)
     path = tmp_path / f"data{suffix}"
     (write_csv_matrix if suffix == ".csv" else write_dmat)(path, X)
-    reads = []
-    load = harness.load_matrix
-
-    def spy(*args):
-        reads.append(args[1:])
-        return load(*args)
-
-    monkeypatch.setattr(harness, "load_matrix", spy)
+    reads = _spy(monkeypatch, "load_matrix", lambda a: a[1:])
     kw = dict(algorithm="did", k=3, p=2, seed=8, max_iters=40,
               epsilon=1e-30, init=init, input_path=str(path),
               transport="tcp", comm_timeout=30.0)

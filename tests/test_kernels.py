@@ -13,7 +13,6 @@ from didnmf.kernels import (
     b_column_partials,
     c_rowwise_sweep,
     column_tiles,
-    hals_iterate,
     residual_sq,
     tile_width,
 )
@@ -59,10 +58,6 @@ class Solo:
 
 def bcd(X, B, C):
     return Solo(dbcd_worker_iterate, X, B, C)
-
-
-def hals(X, B, C):
-    return Solo(hals_iterate, X, B, C)
 
 
 def anls(X, B, C):
@@ -210,52 +205,6 @@ def test_bcd_coordinate_optimality_after_element_update():
         assert np.abs(pg).max() <= 1e-10
 
 
-# HALS
-
-
-def test_hals_scalar_worked_instance():
-    # X = [2 4], b = 1, c = (1, 1): basis first (b = 3), then c = (2/3, 4/3)
-    X = np.asfortranarray([[2.0, 4.0]])
-    h = hals(X, [[1.0]], [[1.0, 1.0]])
-    resid = h.step()
-    assert np.allclose(h.B, [[3.0]])
-    assert np.allclose(h.C, [[2.0 / 3.0, 4.0 / 3.0]])
-    assert resid <= 1e-30
-
-
-def test_hals_fixed_point():
-    rng = np.random.default_rng(3)
-    B = rng.uniform(0.5, 1.5, size=(4, 2))
-    C = rng.uniform(0.5, 1.5, size=(2, 6))
-    h = hals(B @ C, B, C)
-    h.step()
-    assert np.allclose(h.B, B, rtol=1e-12)
-    assert np.allclose(h.C, C, rtol=1e-12)
-
-
-def test_hals_monotone_and_residual_integrity():
-    h = hals(*make_factors(5, 60, 3, 4))
-    prev = h.recomputed()
-    for _ in range(60):
-        cur = h.step()
-        assert cur <= prev + 1e-10
-        prev = cur
-    assert cur == pytest.approx(h.recomputed(), rel=1e-12)
-
-
-def test_hals_carried_residual_does_not_drift_over_long_runs():
-    # E is formed from X at the top of each step and carried only through
-    # that step's rank-one updates, so however long the run, the squared
-    # norm the stopping rule reads stays within rounding of X - B C
-    h = hals(*make_factors(5, 200, 3, 2, lowrank=True))
-    worst_gap = 0.0
-    for _ in range(3000):
-        resid = h.step()
-        recomputed = h.recomputed()
-        worst_gap = max(worst_gap, abs(resid - recomputed) / recomputed)
-    assert worst_gap <= 1e-11
-
-
 # BCD: the dbcd worker on a one-rank world
 
 
@@ -269,15 +218,23 @@ def test_bcd_scalar_instance_reaches_exact_fit():
     assert 0.5 * resid <= 1e-28
 
 
-def test_hals_and_bcd_agree_on_scalar_instance():
-    # both sweep orders reach the exact rank-1 fit here, through different factors
-    X = np.asfortranarray([[2.0, 4.0]])
-    h = hals(X, [[1.0]], [[1.0, 1.0]])
-    b = bcd(X, [[1.0]], [[1.0, 1.0]])
-    h.step()
-    b.step()
-    assert np.allclose(h.B @ h.C, X, atol=1e-14)
-    assert np.allclose(b.B @ b.C, X, atol=1e-14)
+def test_bcd_is_gram_form_hals():
+    # textbook Gram-form HALS, all rows of C then all columns of B, each a
+    # projected Newton step; bcd drops the +c_i/-c_i pair, so the factors
+    # agree to rounding
+    for lowrank in (False, True):
+        X, B, C = make_factors(20, 3000, 5, 4, lowrank=lowrank)
+        b = bcd(X, B, C)
+        for _ in range(100):
+            b.step()
+            G, P = B.T @ B, B.T @ X
+            for i in range(5):
+                C[i] = np.maximum(C[i] + (P[i] - G[i] @ C) / G[i, i], 0.0)
+            H, Q = C @ C.T, X @ C.T
+            for i in range(5):
+                B[:, i] = np.maximum(B[:, i] + (Q[:, i] - B @ H[:, i]) / H[i, i], 0.0)
+        assert np.abs(b.B - B).max() <= 1e-12 * np.abs(B).max()
+        assert np.abs(b.C - C).max() <= 1e-12 * np.abs(C).max()
 
 
 def test_bcd_fixed_point():

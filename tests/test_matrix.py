@@ -76,8 +76,7 @@ def test_make_column_blocks_views_and_copies():
     X = np.asfortranarray(np.arange(12.0).reshape(2, 6))
     C = np.asfortranarray(np.ones((2, 6)))
     blocks = make_column_blocks(X, C, 3)
-    assert [b.local_cols for b in blocks] == [2, 2, 2]
-    assert blocks[1].global_start == 2
+    assert [b.x_block.shape[1] for b in blocks] == [2, 2, 2]
     # x blocks are views into X, c blocks are private copies
     assert blocks[0].x_block.base is not None
     blocks[0].c_block[0, 0] = 99.0
