@@ -1,28 +1,28 @@
 """Sum-allreduce over one flat float64 payload per collective.
 
-Two transports share one collective schedule: a binomial-tree reduce to
-rank 0 followed by the mirror binomial broadcast. The schedule is a pure
-function of (world size, rank), so for fixed per-rank inputs the result
-is bit-identical on every rank, on every run, and on both transports.
-The distributed solvers lean on that to keep replicated state exactly
-synchronized without a master.
+Two transports share one collective schedule, a star: every rank other
+than 0 sends its payload to rank 0 and receives the total back, one
+message each way. Rank 0 adds the P parts in binomial-tree order
+(((x0 + x1) + (x2 + x3)) + ...), a pure function of the world size, so
+for fixed per-rank inputs the result is bit-identical on every rank, on
+every run, and on both transports. The distributed solvers lean on that
+to keep replicated state exactly synchronized.
 
 A caller packs everything one collective carries into a single array;
-each tree edge then moves exactly one message.
+each star edge then moves exactly one message each way.
 
 Transports:
 
 * in-process: every rank is a thread in one process; messages travel
-  through per-edge queues and are copied on send so no rank ever aliases
-  another rank's buffers.
-* tcp: one rank per process. Rank 0 doubles as the rendezvous point: it
-  collects one registration per peer (world size, rank, listener port)
-  and answers with the address book; afterwards peers dial each other
-  lazily, the higher rank always connecting to the lower rank's listener.
-  A collective's payload crosses each edge as one frame,
-  [u32 tag][u64 byte length][DMAT1 body of an n x 1 matrix], little-endian
-  and written with one send; the tag carries the collective sequence
-  number.
+  through one queue per direction of each star edge and are copied on
+  send so no rank ever aliases another rank's buffers.
+* tcp: one rank per process. The rendezvous is the whole topology: rank
+  0 listens, accepts one registration (world size, rank) per peer and
+  keeps that socket as the peer's edge; every other rank dials rank 0
+  only and opens no listener. A collective's payload crosses an edge as
+  one frame, [u32 tag][u64 byte length][DMAT1 body of an n x 1 matrix],
+  little-endian and written with one send; the tag carries the
+  collective sequence number.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import json
 import queue
 import socket
 import struct
-import threading
 import time
 from dataclasses import dataclass
 
@@ -43,8 +42,6 @@ DEFAULT_TIMEOUT = 30.0
 
 _FRAME_HEADER = struct.Struct("<IQ")
 _TAG_REGISTER = 0xFFFF0001
-_TAG_BOOK = 0xFFFF0002
-_TAG_HELLO = 0xFFFF0003
 _TAG_LIMIT = 0xFFFF0000  # collective sequence numbers stay below this
 
 
@@ -63,9 +60,9 @@ class CommStats:
     `allreduce_calls` and `bytes_sent` count the algorithmic collectives;
     the `service_*` pair counts bookkeeping reductions (stopping residual,
     time-cap flag), kept apart so communication-count assertions on the
-    algorithms stay exact. `bytes_sent` is the modeled tree volume,
-    payload bytes times the 2 * ceil(log2 P) tree steps, so it is
-    identical on every rank and across transports.
+    algorithms stay exact. `bytes_sent` is a cost model, not a wire
+    count: payload bytes times the 2 * ceil(log2 P) steps of a log-depth
+    reduce and broadcast, identical on every rank and across transports.
     """
 
     allreduce_calls: int = 0
@@ -125,7 +122,7 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
         out = buf
     else:
         # the wire carries 2-D DMAT1 frames: the payload rides as one column
-        out = _tree_allreduce(world, buf.reshape((-1, 1), order="F"))
+        out = _star_allreduce(world, buf.reshape((-1, 1), order="F"))
     stats = world.stats
     stats.comm_wall_time += time.perf_counter() - t0
     volume = out.nbytes * 2 * _ceil_log2(world.size)
@@ -138,32 +135,26 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
     return out.reshape(buf.shape, order="F")
 
 
-def _tree_allreduce(world: CommWorld, col: np.ndarray) -> np.ndarray:
+def _star_allreduce(world: CommWorld, col: np.ndarray) -> np.ndarray:
     seq = world._seq
     if seq >= _TAG_LIMIT:
         raise CommError("collective sequence space exhausted")
     world._seq += 1
     rank, size, ep = world.rank, world.size, world._endpoint
-    # fold partial sums toward rank 0
-    mask = 1
-    while mask < size:
-        if rank & mask:
-            ep.send(rank ^ mask, seq, col)
-            break
-        peer = rank | mask
-        if peer < size:
-            col += _checked_recv(world, peer, seq, col.shape)
-        mask <<= 1
-    # fan the total back out along the mirrored tree
-    for t in reversed(range(_ceil_log2(size))):
-        step = 1 << t
-        span = step << 1
-        if rank % span == 0:
-            peer = rank + step
-            if peer < size:
-                ep.send(peer, seq, col)
-        elif rank % span == step:
-            col = _checked_recv(world, rank - step, seq, col.shape)
+    if rank:
+        ep.send(0, seq, col)
+        return _checked_recv(world, 0, seq, col.shape)
+    parts = [col] + [_checked_recv(world, peer, seq, col.shape)
+                     for peer in range(1, size)]
+    # binomial-tree order: at step 1, 2, 4, ... part r takes in part
+    # r + step, so the total is ((x0 + x1) + (x2 + x3)) + ... on every run
+    step = 1
+    while step < size:
+        for r in range(0, size - step, 2 * step):
+            parts[r] += parts[r + step]
+        step <<= 1
+    for peer in range(1, size):
+        ep.send(peer, seq, col)
     return col
 
 
@@ -185,10 +176,9 @@ class InProcessFabric:
 
     def __init__(self, size: int):
         self.size = size
-        self._boxes = {
-            (dst, src): queue.Queue()
-            for dst in range(size) for src in range(size) if dst != src
-        }
+        # the star's only edges: rank 0 to and from every other rank
+        self._boxes = {box: queue.Queue()
+                       for r in range(1, size) for box in ((0, r), (r, 0))}
 
     def endpoint(self, rank: int) -> "_InProcessEndpoint":
         return _InProcessEndpoint(self, rank)
@@ -290,28 +280,44 @@ def _dial(addr, timeout: float):
 
 
 class TcpEndpoint:
-    """Socket mesh endpoint for one rank (see module docstring for flow)."""
+    """One rank's sockets: rank 0 holds one per peer, a peer one to rank 0."""
 
     def __init__(self, rank: int, size: int, address, timeout: float = DEFAULT_TIMEOUT):
         self.rank = rank
-        self.size = size
-        self.timeout = timeout
         self._conns: dict[int, socket.socket] = {}
-        self._cond = threading.Condition()
-        self._listener = None
-        self._accept_thread = None
-        self._closed = False
-        self._book: dict[int, tuple[str, int]] = {}
-        host, port = address
         if size == 1:
             return
-        if rank == 0:
-            self._listener = socket.create_server((host, port), backlog=size)
-            book: dict[int, list] = {}
-            for _ in range(size - 1):
-                conn, peer_addr = self._listener.accept()
-                _nodelay(conn)
-                tag, body = _read_frame(conn, timeout, rank, -1)
+        try:
+            if rank == 0:
+                self._rendezvous(size, address, timeout)
+            else:
+                self._conns[0] = _dial(address, timeout)
+                _write_frame(self._conns[0], _TAG_REGISTER, json.dumps(
+                    {"world": size, "rank": rank}).encode())
+        except BaseException:
+            self.close()
+            raise
+
+    def _rendezvous(self, size: int, address, timeout: float) -> None:
+        """Accept the P-1 registrations, all within one `timeout`."""
+        deadline = time.monotonic() + timeout
+        with socket.create_server(address, backlog=size) as listener:
+            while len(self._conns) < size - 1:
+                try:
+                    left = deadline - time.monotonic()
+                    if left <= 0:
+                        raise socket.timeout
+                    listener.settimeout(left)
+                    # held under -1 until it names its rank, so close() has it
+                    conn = self._conns[-1] = _nodelay(listener.accept()[0])
+                    tag, body = _read_frame(conn, deadline - time.monotonic(),
+                                            0, -1)
+                except (socket.timeout, CommTimeoutError):
+                    missing = sorted(set(range(1, size)) - set(self._conns))
+                    raise CommTimeoutError(
+                        f"rank 0 timed out after {timeout:.1f}s at the "
+                        f"rendezvous: rank(s) {missing} never registered"
+                    ) from None
                 if tag != _TAG_REGISTER:
                     raise CommError(
                         f"rank 0 expected a registration frame, got tag {tag:#x}")
@@ -324,77 +330,13 @@ class TcpEndpoint:
                 if not 1 <= peer_rank < size or peer_rank in self._conns:
                     raise CommError(f"invalid or duplicate rank {peer_rank} "
                                     f"at the rendezvous")
-                self._conns[peer_rank] = conn
-                book[str(peer_rank)] = [peer_addr[0], int(reg["port"])]
-            payload = json.dumps(book).encode()
-            for conn in self._conns.values():
-                _write_frame(conn, _TAG_BOOK, payload)
-        else:
-            self._listener = socket.create_server(("", 0), backlog=size)
-            my_port = self._listener.getsockname()[1]
-            sock0 = _dial((host, port), timeout)
-            _write_frame(sock0, _TAG_REGISTER, json.dumps(
-                {"world": size, "rank": rank, "port": my_port}).encode())
-            tag, body = _read_frame(sock0, timeout, rank, 0)
-            if tag != _TAG_BOOK:
-                raise CommError(
-                    f"rank {rank} expected the address book, got tag {tag:#x}")
-            self._book = {int(k): (v[0], int(v[1]))
-                          for k, v in json.loads(body.decode()).items()}
-            self._conns[0] = sock0
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name=f"nmf-accept-{rank}", daemon=True)
-            self._accept_thread.start()
-
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            _nodelay(conn)
-            try:
-                tag, body = _read_frame(conn, self.timeout, self.rank, -1)
-                if tag != _TAG_HELLO:
-                    conn.close()
-                    continue
-                peer = int(json.loads(body.decode())["rank"])
-            except CommError:
-                conn.close()
-                continue
-            with self._cond:
-                self._conns[peer] = conn
-                self._cond.notify_all()
-
-    def _connection(self, peer: int) -> socket.socket:
-        with self._cond:
-            conn = self._conns.get(peer)
-        if conn is not None:
-            return conn
-        if peer < self.rank:
-            # the higher rank always dials the lower rank's listener
-            conn = _dial(self._book[peer], self.timeout)
-            _write_frame(conn, _TAG_HELLO,
-                         json.dumps({"rank": self.rank}).encode())
-            with self._cond:
-                self._conns[peer] = conn
-            return conn
-        deadline = time.monotonic() + self.timeout
-        with self._cond:
-            while peer not in self._conns:
-                left = deadline - time.monotonic()
-                if left <= 0 or not self._cond.wait(timeout=left):
-                    raise CommTimeoutError(
-                        f"rank {self.rank} timed out after "
-                        f"{self.timeout:.1f}s waiting for a connection "
-                        f"from rank {peer}")
-            return self._conns[peer]
+                self._conns[peer_rank] = self._conns.pop(-1)
 
     def send(self, dst: int, seq: int, col: np.ndarray) -> None:
-        _write_frame(self._connection(dst), seq, dmat_encode(col))
+        _write_frame(self._conns[dst], seq, dmat_encode(col))
 
     def recv(self, src: int, timeout: float):
-        tag, body = _read_frame(self._connection(src), timeout, self.rank, src)
+        tag, body = _read_frame(self._conns[src], timeout, self.rank, src)
         if tag >= _TAG_LIMIT:
             raise CommError(
                 f"rank {self.rank} received a control frame {tag:#x} "
@@ -402,20 +344,12 @@ class TcpEndpoint:
         return tag, dmat_decode(body)
 
     def close(self) -> None:
-        self._closed = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._cond:
-            conns = list(self._conns.values())
-            self._conns.clear()
-        for conn in conns:
+        for conn in self._conns.values():
             try:
                 conn.close()
             except OSError:
                 pass
+        self._conns.clear()
 
 
 def make_tcp_world(rank: int, size: int, address,

@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blas import one_blas_thread
-from .comm import allreduce_sum, make_inprocess_worlds, make_tcp_world
+from .comm import (
+    CommError,
+    allreduce_sum,
+    make_inprocess_worlds,
+    make_tcp_world,
+)
 from .distributed import (
     DadmmWorkerState,
     dadmm_worker_iterate,
@@ -564,7 +569,10 @@ def _run_inprocess(config: RunConfig, X) -> RunMetrics:
             th.start()
         for th in threads:
             th.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    failed = [exc for exc in errors if exc is not None]
+    if failed:
+        # a rank that fails makes its peers time out waiting for it:
+        # report the failure itself, not a peer's CommError about it
+        raise next((exc for exc in failed if not isinstance(exc, CommError)),
+                   failed[0])
     return results[0]

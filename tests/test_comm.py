@@ -1,3 +1,5 @@
+import functools
+import socket
 import threading
 
 import numpy as np
@@ -9,6 +11,7 @@ from didnmf.comm import (
     CommTimeoutError,
     allreduce_sum,
     make_inprocess_worlds,
+    make_tcp_world,
 )
 
 
@@ -116,6 +119,33 @@ def test_tree_matches_left_fold(size):
 
     for out in run_world(size, body):
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("size", range(2, 9))
+def test_sum_is_in_binomial_tree_order_bit_for_bit(size):
+    # 1 added to +-1e16 rounds away, so each order of the P additions
+    # leaves different bits; rank r holds the pattern rotated by r
+    pattern = [1e16, 1.0, -1e16, 1.0, 1.0, 1.0, 1.0, 1.0]
+    parts = [np.roll(pattern, -r) for r in range(size)]
+
+    def tree(ps):
+        # ((x0 + x1) + (x2 + x3)) + ...: the first half is the largest
+        # power of two below len(ps)
+        if len(ps) == 1:
+            return ps[0]
+        half = 1 << ((len(ps) - 1).bit_length() - 1)
+        return tree(ps[:half]) + tree(ps[half:])
+
+    expected = tree(parts)
+    left_fold = functools.reduce(np.add, parts)
+    # below four ranks the tree order is the left fold
+    assert np.array_equal(expected, left_fold) == (size < 4)
+
+    def body(world):
+        return allreduce_sum(world, parts[world.rank])
+
+    for out in run_world(size, body):
+        assert out.tobytes() == expected.tobytes()
 
 
 def test_all_ranks_receive_identical_bits():
@@ -301,3 +331,34 @@ def test_dial_pause_doubles_to_its_cap_and_gives_up_at_the_deadline(monkeypatch)
     assert pauses[6:] == [0.05] * (len(pauses) - 6)
     # it stops at the first attempt at or past the deadline
     assert 0.5 <= clock[0] < 0.5 + 0.05
+
+
+@pytest.mark.parametrize("silent", [False, True], ids=["absent", "silent"])
+def test_rendezvous_times_out_naming_the_ranks_that_never_registered(silent):
+    # rank 1 registers; rank 2 never dials, or dials and never registers.
+    # Rank 0 runs in a thread joined with a bound, so a rendezvous with no
+    # deadline fails this test instead of hanging the suite
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        addr = ("127.0.0.1", s.getsockname()[1])
+    errors = []
+
+    def rank0():
+        try:
+            make_tcp_world(0, 3, addr, timeout=0.5).close()
+        except Exception as exc:
+            errors.append(exc)
+
+    host = threading.Thread(target=rank0, daemon=True)
+    host.start()
+    peers = [comm.TcpEndpoint(1, 3, addr, timeout=5.0)]
+    if silent:
+        peers.append(comm._dial(addr, 5.0))
+    host.join(timeout=5.0)
+    for peer in peers:
+        peer.close()
+    assert not host.is_alive()
+    [exc] = errors
+    assert isinstance(exc, CommTimeoutError)
+    assert "after 0.5s" in str(exc)
+    assert "rank(s) [2] never registered" in str(exc)

@@ -342,50 +342,73 @@ def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
     assert residual_sq(X, res[0][0], C) == pytest.approx(ref_resid, rel=1e-10)
 
 
+@pytest.mark.parametrize("size", [2, 3, 4])
 @pytest.mark.parametrize("alg,calls,doubles", [
     ("did", 1, 5 * 3 + 3 * 4 // 2),  # W, then V's lower triangle
     ("dbcd", 3, 5 + 1),              # [y, z] per basis column
     ("dadmm", 1, 3 * 3 + 5 * 3),     # [gram, rhs]
 ])
 def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
-                                                     doubles):
-    # two ranks over real sockets, one iteration: every collective goes up
-    # the one tree edge as one frame and comes back down as one frame, a
+                                                     doubles, size):
+    # P ranks over real sockets, one iteration: every collective goes from
+    # each rank to rank 0 as one frame and comes back as one frame, a
     # DMAT1 body (24-byte header) holding the whole flat payload
     frames = []
+    servers = []
     write_frame = comm._write_frame
+    create_server = comm.socket.create_server
 
     def spy(conn, tag, body):
         if tag < comm._TAG_LIMIT:
             frames.append(len(body))
         write_frame(conn, tag, body)
 
+    def server_spy(*args, **kwargs):
+        servers.append(threading.current_thread().name)
+        return create_server(*args, **kwargs)
+
     monkeypatch.setattr(comm, "_write_frame", spy)
+    monkeypatch.setattr(comm.socket, "create_server", server_spy)
     X, B0, C0 = random_problem(5, 30, 3, 19)
-    blocks = make_column_blocks(X, C0, 2)
     steps = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
              "dadmm": dadmm_worker_iterate}
+
+    def step(world, block):
+        B = np.array(B0, order="F")
+        state = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
+        steps[alg](world, block, B, state)
+        return B, block.c_block
+
+    blocks = make_column_blocks(X, C0, size)
+    expected = run_ranks(size, lambda world, r: step(world, blocks[r]))
+    blocks = make_column_blocks(X, C0, size)  # the step updated c_block
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
+    before = set(threading.enumerate())
+    results = [None] * size
     errors = []
 
     def rank(r):
         try:
-            B = np.array(B0, order="F")
-            state = DadmmWorkerState.fresh(blocks[r], B) if alg == "dadmm" else None
-            with make_tcp_world(r, 2, ("127.0.0.1", port), timeout=10.0) as world:
-                steps[alg](world, blocks[r], B, state)
+            with make_tcp_world(r, size, ("127.0.0.1", port),
+                                timeout=10.0) as world:
+                results[r] = step(world, blocks[r])
         except Exception as exc:
             errors.append(exc)
 
-    threads = [threading.Thread(target=rank, args=(r,)) for r in range(2)]
+    threads = [threading.Thread(target=rank, args=(r,), name=f"rank{r}")
+               for r in range(size)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=30.0)
     assert not any(t.is_alive() for t in threads) and not errors, errors
-    assert frames == [24 + 8 * doubles] * (2 * calls)
+    assert set(threading.enumerate()) == before  # the endpoint left no thread
+    assert servers == ["rank0"]
+    assert frames == [24 + 8 * doubles] * (2 * (size - 1) * calls)
+    for (B, c), (B_ref, c_ref) in zip(results, expected):
+        assert np.array_equal(B, B_ref) and np.array_equal(c, c_ref)
 
 
 # distributed splitting worker

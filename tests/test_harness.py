@@ -378,6 +378,23 @@ def lowrank_config(alg, **kw):
     return RunConfig(**base)
 
 
+def test_in_process_run_raises_the_failing_rank_not_its_waiting_peer(
+        monkeypatch):
+    # rank 1 fails in its first step and rank 0 then times out waiting for
+    # it; the run must raise rank 1's error, not rank 0's CommTimeoutError
+    step = harness.did_worker_iterate
+
+    def failing(world, *args):
+        if world.rank == 1:
+            raise FloatingPointError("rank 1 overflowed")
+        return step(world, *args)
+
+    monkeypatch.setattr(harness, "did_worker_iterate", failing)
+    config = RunConfig(algorithm="did", m=4, n=8, k=2, p=2, comm_timeout=0.5)
+    with pytest.raises(FloatingPointError, match="rank 1 overflowed"):
+        run(config)
+
+
 def test_run_metrics_row_accounting():
     # bcd is dbcd on one rank: K one-rank collectives, no bytes on a wire;
     # anls never calls a collective
