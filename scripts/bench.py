@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Run the repository benchmark N times and record its medians as BENCH_<pr>.json.
+
+    python3 scripts/bench.py --pr N --runs 5
+    python3 scripts/bench.py --pr N --runs 10 --against M=../parent-checkout
+    python3 scripts/bench.py --compare BENCH_M.json BENCH_N.json
+
+Each run is one `tcpbench/run.py --trace 0` call per workload listed in
+BENCHMARK.json, for the `run_seconds` it lists; the workloads alternate,
+and run i (from 1) uses benchmark seed i on every workload, so two BENCH
+files with the same run count measured the same inputs. `--against N=DIR`
+also measures the checkout in DIR as BENCH_N.json, each of its runs
+beside the same run of this checkout, with this checkout first on odd
+runs and second on even ones, so that a slow spell of the host lands on
+both sides of the comparison. A file holds the commit measured (marked
+"+dirty" when its src/ or tcpbench/ differ from it), the
+environment (CPU count, Python and numpy versions, host steal seconds
+over the whole bench), every run's result line and steal time, and per
+workload the median of each end-to-end metric. `--compare OLD [NEW]`
+prints the per-metric change from OLD to NEW, or to the file this call
+just wrote. Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+
+
+def steal_seconds() -> float:
+    """Host steal time so far, from the aggregate cpu line of /proc/stat."""
+    try:
+        with open("/proc/stat") as f:
+            fields = f.readline().split()
+    except OSError:
+        return float("nan")
+    return int(fields[8]) / os.sysconf("SC_CLK_TCK")
+
+
+def environment() -> dict:
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    return {"cpu_count": os.cpu_count(), "python": platform.python_version(),
+            "numpy": numpy, "platform": platform.platform()}
+
+
+def commit(root: str) -> str | None:
+    """HEAD of the checkout, "+dirty" if its src/ or tcpbench/ differ from it."""
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                          capture_output=True, text=True)
+    if head.returncode != 0:
+        return None
+    diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src",
+                           "tcpbench"], cwd=root)
+    return head.stdout.strip() + ("+dirty" if diff.returncode else "")
+
+
+def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark run: its result line, plus the steal seconds it reported."""
+    out = subprocess.run(
+        [sys.executable, os.path.join("tcpbench", "run.py"), "--workload",
+         workload, "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", "0"],
+        cwd=root, capture_output=True, text=True)
+    lines = out.stdout.splitlines()
+    if out.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{workload} seed {seed} exited {out.returncode}:\n"
+                         f"{out.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    result["steal_s"] = json.loads(lines[-2])["steal_s"]
+    result["seed"] = seed
+    return result
+
+
+def summary(results: dict) -> dict:
+    """Per workload: all runs correct, failed solves, and metric medians."""
+    workloads = {}
+    for name, rs in results.items():
+        metrics = sorted({m for r in rs for m in r["metrics"]})
+        workloads[name] = {
+            "correct": all(r["correct"] for r in rs),
+            "failed": sum(r["failed"] for r in rs),
+            "median": {m: statistics.median(r["metrics"][m]["value"] for r in rs
+                                            if m in r["metrics"])
+                       for m in metrics},
+            "runs": rs,
+        }
+    return workloads
+
+
+def bench(trees: dict[int, str], runs: int) -> dict[int, dict]:
+    """Run every tree (pr -> checkout) on every workload, interleaved and
+    in alternating order."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    names = [w["name"] for w in spec["workloads"]]
+    seconds = int(spec["run_seconds"])
+    steal0, t0 = steal_seconds(), time.monotonic()
+    results = {pr: {name: [] for name in names} for pr in trees}
+    for i in range(runs):
+        order = list(trees.items())[::-1 if i % 2 else 1]
+        for name in names:
+            for pr, root in order:
+                r = run_once(root, name, i + 1, seconds)
+                results[pr][name].append(r)
+                print(f"BENCH_{pr} {name} run {i + 1}/{runs}: "
+                      f"correct={r['correct']} failed={r['failed']} "
+                      f"steal={r['steal_s']:.2f}s", flush=True)
+    env = dict(environment(), steal_s=steal_seconds() - steal0,
+               wall_s=time.monotonic() - t0)
+    return {pr: {"commit": commit(root), "runs": runs,
+                 "run_seconds": seconds, "environment": env,
+                 "workloads": summary(results[pr])}
+            for pr, root in trees.items()}
+
+
+def compare(old: dict, new: dict) -> None:
+    print(f"{'workload':10s} {'metric':20s} {'old':>12s} {'new':>12s} {'change':>9s}")
+    for name, wl in new["workloads"].items():
+        before = old["workloads"].get(name, {}).get("median", {})
+        for metric, value in wl["median"].items():
+            if metric not in before:
+                continue
+            was = before[metric]
+            rel = (value - was) / was if was else float("nan")
+            print(f"{name:10s} {metric:20s} {was:12.4g} {value:12.4g} {rel:+9.1%}")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pr", type=int, help="write BENCH_<pr>.json in the repo root")
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--against", metavar="N=DIR",
+                    help="also measure the checkout DIR, interleaved, as BENCH_N")
+    ap.add_argument("--compare", nargs="+", metavar="JSON",
+                    help="OLD [NEW]: print per-metric changes")
+    args = ap.parse_args(argv)
+    if args.pr is None and not (args.compare and len(args.compare) == 2):
+        ap.error("give --pr to run the benchmark, or --compare OLD NEW")
+    if args.runs < 1:
+        ap.error("--runs must be at least 1")
+    new = None
+    if args.pr is not None:
+        trees = {args.pr: ROOT}
+        base = None
+        if args.against:
+            base, _, root = args.against.partition("=")
+            if not base.isdigit() or not root or int(base) == args.pr:
+                ap.error("--against takes N=DIR, with N other than --pr")
+            base = int(base)
+            trees[base] = os.path.abspath(root)
+        written = bench(trees, args.runs)
+        for pr, data in written.items():
+            path = os.path.join(ROOT, f"BENCH_{pr}.json")
+            with open(path, "w") as f:
+                json.dump(data, f, indent=1)
+                f.write("\n")
+            print(f"wrote {path}")
+        new = written[args.pr]
+        if base is not None and not args.compare:
+            compare(written[base], new)
+    if args.compare:
+        with open(args.compare[0]) as f:
+            old = json.load(f)
+        if len(args.compare) > 1:
+            with open(args.compare[1]) as f:
+                new = json.load(f)
+        compare(old, new)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

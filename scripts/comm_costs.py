@@ -2,10 +2,12 @@
 """Communication-cost table for the three distributed solvers.
 
 For each worker count, runs a fixed instance and reports allreduce calls
-per iteration, modeled bytes per iteration (payload x 2 ceil(log2 P)),
-and the split between compute and communication wall time. The
-one-message worker should show a K-fold call advantage over per-column
-reduction at identical iterate quality.
+per iteration, service collectives per iteration, modeled bytes per
+iteration (payload x 2 ceil(log2 P)), and the split between compute and
+communication wall time. The one-message worker should show a K-fold
+call advantage over per-column reduction at identical iterate quality,
+and no service collective: its message carries the stopping residual,
+so each iteration is one round trip.
 """
 
 import argparse
@@ -26,8 +28,8 @@ def main():
     X = synth_lowrank(args.m, args.n, args.k, args.seed)
     print(f"instance: {args.m} x {args.n}, rank {args.k}, "
           f"{args.iters} iterations (stopping disabled)")
-    header = f"{'solver':8s} {'P':>3s} {'ar/iter':>8s} {'bytes/iter':>11s} " \
-             f"{'compute s':>10s} {'comm s':>8s}"
+    header = f"{'solver':8s} {'P':>3s} {'ar/iter':>8s} {'svc/iter':>8s} " \
+             f"{'bytes/iter':>11s} {'compute s':>10s} {'comm s':>8s}"
     print(header)
     print("-" * len(header))
     for alg in ("did", "dbcd", "dadmm"):
@@ -40,7 +42,8 @@ def main():
             compute = sum(r.compute_s for r in metrics.rows)
             comm = sum(r.comm_s for r in metrics.rows)
             print(f"{alg:8s} {p:3d} {last.allreduce_calls:8d} "
-                  f"{last.bytes:11d} {compute:10.3f} {comm:8.3f}")
+                  f"{last.service_calls:8d} {last.bytes:11d} "
+                  f"{compute:10.3f} {comm:8.3f}")
 
 
 if __name__ == "__main__":

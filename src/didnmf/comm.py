@@ -15,14 +15,18 @@ Transports:
 
 * in-process: every rank is a thread in one process; messages travel
   through one queue per direction of each star edge and are copied on
-  send so no rank ever aliases another rank's buffers.
+  send so no rank ever aliases another rank's buffers. A rank that
+  closes its world leaves a departure marker behind its last message on
+  each edge it feeds, so a peer still waiting on it fails at once,
+  naming it, instead of waiting out the timeout.
 * tcp: one rank per process. The rendezvous is the whole topology: rank
   0 listens, accepts one registration (world size, rank) per peer and
   keeps that socket as the peer's edge; every other rank dials rank 0
   only and opens no listener. A collective's payload crosses an edge as
   one frame, [u32 tag][u64 byte length][DMAT1 body of an n x 1 matrix],
   little-endian and written with one send; the tag carries the
-  collective sequence number.
+  collective sequence number. A connection that resets or breaks
+  raises `CommError` naming the peer at the other end.
 """
 
 from __future__ import annotations
@@ -57,9 +61,12 @@ class CommTimeoutError(CommError):
 class CommStats:
     """Per-rank instrumentation counters.
 
-    `allreduce_calls` and `bytes_sent` count the algorithmic collectives;
-    the `service_*` pair counts bookkeeping reductions (stopping residual,
-    time-cap flag), kept apart so communication-count assertions on the
+    `allreduce_calls` and `bytes_sent` count the algorithmic collectives,
+    including any doubles a solver appends to its own message (did and
+    dbcd carry their stopping residual and time-cap flag that way); the
+    `service_*` pair counts bookkeeping reductions (the setup collective,
+    the initial residual, and the stopping check of solvers whose message
+    cannot carry it), kept apart so communication-count assertions on the
     algorithms stay exact. `bytes_sent` is a cost model, not a wire
     count: payload bytes times the 2 * ceil(log2 P) steps of a log-depth
     reduce and broadcast, identical on every rank and across transports.
@@ -184,6 +191,10 @@ class InProcessFabric:
         return _InProcessEndpoint(self, rank)
 
 
+# queued by a closing endpoint after its last message on each edge
+_DEPARTED = None
+
+
 class _InProcessEndpoint:
     def __init__(self, fabric: InProcessFabric, rank: int):
         self._fabric = fabric
@@ -195,14 +206,20 @@ class _InProcessEndpoint:
 
     def recv(self, src: int, timeout: float):
         try:
-            return self._fabric._boxes[(self._rank, src)].get(timeout=timeout)
+            got = self._fabric._boxes[(self._rank, src)].get(timeout=timeout)
         except queue.Empty:
             raise CommTimeoutError(
                 f"rank {self._rank} timed out after {timeout:.1f}s waiting "
                 f"for rank {src}") from None
+        if got is _DEPARTED:
+            raise CommError(f"rank {src} left the world while rank "
+                            f"{self._rank} was waiting for it")
+        return got
 
     def close(self) -> None:
-        pass
+        # the queues are FIFO: a peer reads every message sent before this
+        for dst in (range(1, self._fabric.size) if self._rank == 0 else (0,)):
+            self._fabric._boxes[(dst, self._rank)].put(_DEPARTED)
 
 
 def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[CommWorld]:
@@ -214,6 +231,12 @@ def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[C
 
 def _write_frame(conn: socket.socket, tag: int, body: bytes) -> None:
     conn.sendall(_FRAME_HEADER.pack(tag, len(body)) + body)
+
+
+def _lost(rank: int, peer: int, exc: OSError) -> CommError:
+    """The error for a connection that reset or broke under a read or write."""
+    return CommError(f"rank {rank} lost its connection to rank {peer} "
+                     f"({type(exc).__name__}: {exc})")
 
 
 def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int, peer: int) -> bytes:
@@ -233,6 +256,8 @@ def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int, peer: in
             raise CommTimeoutError(
                 f"rank {rank} timed out after {timeout:.1f}s waiting for "
                 f"rank {peer}") from None
+        except OSError as exc:
+            raise _lost(rank, peer, exc) from exc
         if not chunk:
             raise CommError(
                 f"rank {peer} closed its connection to rank {rank} mid-frame")
@@ -292,7 +317,7 @@ class TcpEndpoint:
                 self._rendezvous(size, address, timeout)
             else:
                 self._conns[0] = _dial(address, timeout)
-                _write_frame(self._conns[0], _TAG_REGISTER, json.dumps(
+                self._write(0, _TAG_REGISTER, json.dumps(
                     {"world": size, "rank": rank}).encode())
         except BaseException:
             self.close()
@@ -332,8 +357,14 @@ class TcpEndpoint:
                                     f"at the rendezvous")
                 self._conns[peer_rank] = self._conns.pop(-1)
 
+    def _write(self, dst: int, tag: int, body: bytes) -> None:
+        try:
+            _write_frame(self._conns[dst], tag, body)
+        except OSError as exc:
+            raise _lost(self.rank, dst, exc) from exc
+
     def send(self, dst: int, seq: int, col: np.ndarray) -> None:
-        _write_frame(self._conns[dst], seq, dmat_encode(col))
+        self._write(dst, seq, dmat_encode(col))
 
     def recv(self, src: int, timeout: float):
         tag, body = _read_frame(self._conns[src], timeout, self.rank, src)

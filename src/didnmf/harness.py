@@ -3,12 +3,14 @@
 `run(config)` executes one algorithm until the stopping criterion
 ||E_t||_F^2 <= eps * ||E_0||_F^2 or an iteration/time cap, and returns
 per-iteration metrics. Every algorithm is a step
-`(world, block, B, state) -> (local ||X - B C||^2, skipped)` driven by the
-one loop in `_distributed_worker`. Sequential algorithms run on a
-one-rank world (bcd is dbcd there), distributed ones on P ranks. Ranks
-share the in-process fabric (threads) or, for every algorithm alike, run
-one per process over TCP (driven by `run_tcp_rank` or the
-NMF_RANK/NMF_WORLD/NMF_ADDR environment). On both transports a rank
+`(world, block, B, state, deadline) -> (||X - B C||^2, skipped,
+over_time)` driven by the one loop in `_distributed_worker`; the step
+returns the residual summed over all ranks and the time-cap flag of any
+rank, so the loop makes no collective of its own after e0. Sequential
+algorithms run on a one-rank world (bcd is dbcd there), distributed ones
+on P ranks. Ranks share the in-process fabric (threads) or, for every
+algorithm alike, run one per process over TCP (driven by `run_tcp_rank`
+or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). On both transports a rank
 starts in `_rank_setup`, which gives it only its own columns of X and C.
 Every stop decision is made from allreduced quantities so all ranks
 always take the same branch.
@@ -42,6 +44,7 @@ from .kernels import (
     AdmmAuxState,
     admm_iterate,
     anls_iterate,
+    reduce_progress,
     residual_sq,
 )
 from .matrix import (
@@ -115,7 +118,8 @@ class RunConfig:
 class IterRow:
     """Metrics for one completed iteration.
 
-    `b_norm` is kept in memory for parity checks but never serialized.
+    `b_norm` (for parity checks) and `service_calls` (the iteration's
+    service reductions) are kept in memory but never serialized.
     """
 
     iteration: int
@@ -126,6 +130,7 @@ class IterRow:
     compute_s: float
     comm_s: float
     b_norm: float = 0.0
+    service_calls: int = 0
 
 
 @dataclass
@@ -498,10 +503,9 @@ def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
     return metrics
 
 
-def _reduce_progress(world, local_resid: float, flag: float) -> tuple[float, float]:
-    """Service reduction of (residual, time-cap flag); identical on all ranks."""
-    out = allreduce_sum(world, np.array([local_resid, flag]), service=True)
-    return float(out[0]), float(out[1])
+# the e0 reduction, looked up under this name (tcpbench's probes read e0
+# from its first call)
+_reduce_progress = reduce_progress
 
 
 def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
@@ -509,7 +513,9 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
 
     Each algorithm is a step and, for the splitting methods, a factory of
     its carried state. The table is built per call, so a step replaced on
-    this module after import is the one that runs.
+    this module after import is the one that runs. The step reads the
+    clock against the deadline after its local compute; an iteration
+    that any rank flags completes, and the run stops after it.
     """
     steps = {"bcd": (dbcd_worker_iterate, None),
              "anls": (anls_iterate, None),
@@ -521,19 +527,18 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
     state = fresh(block, B, config.rho) if fresh else None
     stats = world.stats
     local = residual_sq(block.x_block, B, block.c_block)
-    e0, _ = _reduce_progress(world, local, 0.0)
+    e0, _ = _reduce_progress(world, local, math.inf)
     rows: list[IterRow] = []
     start = time.perf_counter()
+    deadline = start + config.max_time
     converged = stopping_check(e0, e0, config.epsilon)
     t = 0
     while not converged and t < config.max_iters:
         t += 1
         tick = time.perf_counter()
-        comm0 = stats.comm_wall_time
+        comm0, service0 = stats.comm_wall_time, stats.service_calls
         calls0, bytes0 = stats.allreduce_calls, stats.bytes_sent
-        local, _ = step(world, block, B, state)
-        over_time = 1.0 if time.perf_counter() - start > config.max_time else 0.0
-        resid, time_flag = _reduce_progress(world, local, over_time)
+        resid, _, over = step(world, block, B, state, deadline)
         comm_s = stats.comm_wall_time - comm0
         compute_s = time.perf_counter() - tick - comm_s
         rows.append(IterRow(
@@ -541,9 +546,10 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
             allreduce_calls=stats.allreduce_calls - calls0,
             bytes=stats.bytes_sent - bytes0,
             compute_s=compute_s, comm_s=comm_s,
-            b_norm=math.sqrt(frob_norm_sq(B))))
+            b_norm=math.sqrt(frob_norm_sq(B)),
+            service_calls=stats.service_calls - service0))
         converged = stopping_check(resid, e0, config.epsilon)
-        if time_flag > 0.0:
+        if over:
             break
     return RunMetrics(rows=rows, iterations=t,
                       total_time=time.perf_counter() - start,

@@ -9,17 +9,21 @@ worker on a one-rank world. That kernel is Gram-form HALS (all rows of
 C, then all columns of B), so HALS needs no step of its own.
 
 ANLS and ADMM are sequential steps with the workers' signature,
-`step(world, block, B, state) -> (||X - B C||^2, skipped)`: they update B
-and the block's C in place and run on a one-rank world, which they never
-call.
+`step(world, block, B, state, deadline) -> (||X - B C||^2, skipped,
+over_time)`: they update B and the block's C in place and run on a
+one-rank world. Their residual and time-cap flag take one service
+reduction (`reduce_progress`), a copy on one rank.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .comm import allreduce_sum
 from .matrix import ColumnBlock
 from .nnls import nnls_rows
 
@@ -123,13 +127,31 @@ def residual_sq(X, B, C) -> float:
     return total
 
 
-def anls_iterate(world, block: ColumnBlock, B: np.ndarray,
-                 state=None) -> tuple[float, int]:
+def over_time(deadline: float) -> float:
+    """The time-cap flag: 1.0 once the clock is past `deadline`, else 0.0.
+
+    A step reads it after its local compute, before its message, so the
+    flagged iteration still completes and the run stops after it.
+    """
+    return 1.0 if time.perf_counter() > deadline else 0.0
+
+
+def reduce_progress(world, local: float, deadline: float) -> tuple[float, bool]:
+    """(sum of every rank's ||X - B C||^2, time-cap flag), by one service
+    reduction: the stop test of a step whose own message cannot carry it."""
+    out = allreduce_sum(world, np.array([local, over_time(deadline)]),
+                        service=True)
+    return float(out[0]), bool(out[1] > 0.0)
+
+
+def anls_iterate(world, block: ColumnBlock, B: np.ndarray, state=None,
+                 deadline: float = math.inf) -> tuple[float, int, bool]:
     """Alternating exact nonnegative least squares: all of C, then all of B."""
     X, C = block.x_block, block.c_block
     C[:] = nnls_rows(B.T @ B, X.T @ B).T
     B[:] = nnls_rows(C @ C.T, X @ C.T)
-    return residual_sq(X, B, C), 0
+    resid, over = reduce_progress(world, residual_sq(X, B, C), deadline)
+    return resid, 0, over
 
 
 @dataclass
@@ -163,8 +185,8 @@ def _spd_solve(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, np.linalg.solve(L, Y))
 
 
-def admm_iterate(world, block: ColumnBlock, B: np.ndarray,
-                 aux: AdmmAuxState) -> tuple[float, int]:
+def admm_iterate(world, block: ColumnBlock, B: np.ndarray, aux: AdmmAuxState,
+                 deadline: float = math.inf) -> tuple[float, int, bool]:
     """One pass of the six splitting updates: W, H, B, C, then multipliers.
 
     Both least-squares subproblems are SPD (Gram + rho I), solved by
@@ -183,4 +205,5 @@ def admm_iterate(world, block: ColumnBlock, B: np.ndarray,
     C[:] = np.maximum(H - aux.Psi / rho, 0.0)
     aux.Phi = aux.Phi + rho * (B - W)
     aux.Psi = aux.Psi + rho * (C - H)
-    return residual_sq(X, B, C), 0
+    resid, over = reduce_progress(world, residual_sq(X, B, C), deadline)
+    return resid, 0, over

@@ -1,6 +1,8 @@
 import functools
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -251,15 +253,103 @@ def test_sequence_mismatch_detected():
 
 
 def test_missing_peer_times_out():
+    # rank 1 stays in the world but never joins the collective
+    gave_up = threading.Event()
+
     def rank0(world):
-        allreduce_sum(world, np.ones((2, 2)))
+        try:
+            allreduce_sum(world, np.ones((2, 2)))
+        finally:
+            gave_up.set()
 
     def rank1(world):
-        return None  # never joins the collective
+        gave_up.wait(5.0)
 
     with pytest.raises(AssertionError) as exc_info:
         run_world(2, [rank0, rank1], timeout=0.2)
     assert isinstance(exc_info.value.__cause__, CommTimeoutError)
+
+
+def test_departed_peer_fails_its_waiting_peers_at_once():
+    # rank 2 leaves without joining: rank 0 fails on its departure marker,
+    # naming it, and rank 1 (waiting on rank 0's total) on rank 0's; no
+    # rank waits out the 30 s timeout
+    worlds = make_inprocess_worlds(3, timeout=30.0)
+    errors = [None] * 3
+
+    def target(world):
+        try:
+            with world:
+                if world.rank != 2:
+                    allreduce_sum(world, np.ones(3))
+        except Exception as exc:
+            errors[world.rank] = exc
+
+    threads = [threading.Thread(target=target, args=(w,), daemon=True)
+               for w in worlds]
+    t0 = time.monotonic()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert time.monotonic() - t0 < 2.0
+    assert errors[2] is None
+    for rank, gone in ((0, 2), (1, 0)):
+        assert type(errors[rank]) is CommError
+        assert f"rank {gone} left the world while rank {rank}" in str(errors[rank])
+
+
+def test_messages_sent_before_a_departure_are_still_delivered():
+    # a rank that closes right after its last collective leaves its
+    # marker behind that collective's messages
+    def body(world):
+        return allreduce_sum(world, np.full(2, world.rank + 1.0))
+
+    for size in (2, 3, 4):
+        for out in run_world(size, body):
+            assert np.array_equal(out, np.full(2, size * (size + 1) / 2))
+
+
+def _tcp_pair():
+    """Two connected loopback TCP sockets."""
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        near = socket.create_connection(server.getsockname())
+        far, _ = server.accept()
+    return near, far
+
+
+def _reset(sock):
+    """Close with SO_LINGER 0, so the far end sees a reset, not an EOF."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_reset_connection_on_read_names_the_peer():
+    near, far = _tcp_pair()
+    _reset(far)
+    with near, pytest.raises(CommError) as exc_info:
+        comm._read_frame(near, 5.0, 0, 1)
+    assert type(exc_info.value) is CommError
+    assert "rank 0 lost its connection to rank 1" in str(exc_info.value)
+    assert isinstance(exc_info.value.__cause__, ConnectionResetError)
+
+
+def test_reset_connection_on_write_names_the_peer():
+    near, far = _tcp_pair()
+    endpoint = comm.TcpEndpoint(2, 1, None)  # one rank: no rendezvous
+    endpoint._conns[0] = near
+    _reset(far)
+    with pytest.raises(CommError) as exc_info:
+        # the reset may land after the first frame has gone out
+        for seq in range(100):
+            endpoint.send(0, seq, np.zeros((3, 1)))
+            time.sleep(0.01)
+    endpoint.close()
+    assert type(exc_info.value) is CommError
+    assert "rank 2 lost its connection to rank 0" in str(exc_info.value)
+    assert isinstance(exc_info.value.__cause__,
+                      (ConnectionResetError, BrokenPipeError))
 
 
 # accounting

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from didnmf import comm
+from didnmf import comm, distributed
 from didnmf.comm import make_inprocess_worlds, make_tcp_world
 from didnmf.distributed import (
     DadmmWorkerState,
@@ -15,7 +15,7 @@ from didnmf.distributed import (
     did_update_basis,
     did_worker_iterate,
 )
-from didnmf.harness import init_factors, synth_data
+from didnmf.harness import init_factors, synth_data, synth_lowrank
 from didnmf.kernels import (
     b_column_apply,
     b_column_partials,
@@ -76,14 +76,16 @@ def one_rank_dbcd(X, B0, C0, iters):
     [world] = make_inprocess_worlds(1)
     with world:
         for _ in range(iters):
-            resid, _ = dbcd_worker_iterate(world, block, B)
+            resid, _, _ = dbcd_worker_iterate(world, block, B)
     return B, block.c_block, resid
 
 
-def did_payload(W, V):
-    """The did wire layout: W column-major, then V's lower triangle by rows."""
+def did_payload(W, V, rr=0.0, flag=0.0):
+    """The did wire layout: W column-major, then V's lower triangle by
+    rows, then the residual rr and the time-cap flag."""
     W, V = np.asarray(W, dtype=float), np.asarray(V, dtype=float)
-    return np.concatenate([W.ravel(order="F"), V[np.tril_indices(V.shape[0])]])
+    return np.concatenate([W.ravel(order="F"), V[np.tril_indices(V.shape[0])],
+                           [rr, flag]])
 
 
 # message assembly (worked numbers first)
@@ -94,27 +96,30 @@ def test_did_message_worked_instance():
     # W = X C^T - B C C^T = E C^T: row 1 = (1+2+0, 2+0+0) = (3, 2);
     # row 2 = (2+0+2, 4+0+2) = (4, 6)
     # C C^T = [[9 6], [6 8]], lower triangle keeps (9; 6 8)
-    # on the wire: W by columns (3, 4, 2, 6), then (9, 6, 8): 7 doubles
+    # ||E||^2 = 1 + 1 + 4 + 1 = 7, and the time-cap flag is up
+    # on the wire: W by columns (3, 4, 2, 6), then (9, 6, 8), then (7, 1):
+    # 9 doubles
     B = np.asfortranarray([[1.0, 0.0], [1.0, 1.0]])
     C = np.asfortranarray([[1.0, 2.0, 2.0], [2.0, 0.0, 2.0]])
     E = np.asfortranarray([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
     X = E + B @ C
-    buf = did_build_message(B, X @ C.T, C @ C.T)
-    assert np.array_equal(buf, [3.0, 4.0, 2.0, 6.0, 9.0, 6.0, 8.0])
+    buf = did_build_message(B, X @ C.T, C @ C.T, residual_sq(X, B, C), 1.0)
+    assert np.array_equal(buf, [3.0, 4.0, 2.0, 6.0, 9.0, 6.0, 8.0, 7.0, 1.0])
     assert np.array_equal(buf, did_payload([[3.0, 2.0], [4.0, 6.0]],
-                                           [[9.0, 0.0], [6.0, 8.0]]))
+                                           [[9.0, 0.0], [6.0, 8.0]], 7.0, 1.0))
 
 
 def test_did_messages_add_across_blocks():
     # the reduction target: block messages must sum to the full-data message
     X, B, C = random_problem(4, 23, 3, 2)
-    full = did_build_message(B, X @ C.T, C @ C.T)
-    assert full.shape == (4 * 3 + 3 * 4 // 2,)
+    full = did_build_message(B, X @ C.T, C @ C.T, residual_sq(X, B, C), 0.0)
+    assert full.shape == (4 * 3 + 3 * 4 // 2 + 2,)
     for p in (2, 3, 5):
         total = np.zeros_like(full)
         for block in make_column_blocks(X, C, p):
-            Cb = block.c_block
-            total += did_build_message(B, block.x_block @ Cb.T, Cb @ Cb.T)
+            Xb, Cb = block.x_block, block.c_block
+            total += did_build_message(B, Xb @ Cb.T, Cb @ Cb.T,
+                                       residual_sq(Xb, B, Cb), 0.0)
         assert np.allclose(total, full, rtol=1e-12, atol=1e-14)
 
 
@@ -124,7 +129,7 @@ def test_did_messages_add_across_blocks():
 def update_basis(B, W, V):
     """Apply did_update_basis to (W, V); return (skipped, delta)."""
     before = B.copy()
-    skipped = did_update_basis(B, did_payload(W, V))
+    _, skipped, _ = did_update_basis(B, did_payload(W, V))
     return skipped, B - before
 
 
@@ -183,7 +188,7 @@ def test_did_update_basis_matches_sequential_column_loop():
         E_seq = E - (B_seq - B) @ C
 
         B_msg = np.array(B, order="F")
-        did_update_basis(B_msg, did_build_message(B_msg, S, V))
+        did_update_basis(B_msg, did_build_message(B_msg, S, V, 0.0, 0.0))
         E_msg = E - (B_msg - B) @ C
 
         scale = max(1.0, float(np.abs(B_seq).max()))
@@ -195,7 +200,7 @@ def test_did_c_phase_counts_dead_rows():
     X = np.asfortranarray([[1.0, 2.0, 3.0]])
     block = make_column_blocks(X, np.ones((2, 3)), 1)[0]
     B = np.asfortranarray([[1.0, 0.0]])
-    _, _, skipped = did_c_phase(block, B)
+    _, _, _, skipped = did_c_phase(block, B)
     assert skipped == 1
 
 
@@ -229,7 +234,7 @@ def test_did_single_worker_tracks_sequential_closely():
     with world:
         for _ in range(30):
             sequential_cd(X, B_ref, C_ref)
-            resid, _ = did_worker_iterate(world, block, B)
+            resid, _, _ = did_worker_iterate(world, block, B)
             assert np.allclose(B, B_ref, rtol=1e-10, atol=1e-12)
             assert np.allclose(block.c_block, C_ref, rtol=1e-10, atol=1e-12)
             assert resid == pytest.approx(residual_sq(X, B_ref, C_ref), rel=1e-10)
@@ -252,7 +257,7 @@ def test_dead_rows_and_columns_skipped_alike_by_bcd_dbcd_did():
             assert sequential_cd(X, B_ref, C_ref) == 2
             for alg, worker in (("dbcd", dbcd_worker_iterate),
                                 ("did", did_worker_iterate)):
-                _, skipped = worker(world, blocks[alg], bases[alg])
+                _, skipped, _ = worker(world, blocks[alg], bases[alg])
                 assert skipped == 2
     for B, C in [(B_ref, C_ref)] + [(bases[a], blocks[a].c_block) for a in blocks]:
         assert not B[:, 0].any() and not C[0].any()
@@ -295,12 +300,13 @@ def test_replicated_basis_stays_bit_identical(alg, p):
 @pytest.mark.parametrize("alg,per_iter", [("did", 1), ("dbcd", 3), ("dadmm", 1)])
 def test_allreduce_count_per_iteration(alg, per_iter):
     # did and dadmm ride one collective per iteration; dbcd needs one per
-    # basis column (K = 3 here)
+    # basis column (K = 3 here). did and dbcd carry their stopping residual
+    # in that message; dadmm adds one service reduction for it
     X, B0, C0 = random_problem(4, 21, 3, 9)
     iters = 7
     for _, _, stats in run_multiworker(alg, X, B0, C0, 2, iters):
         assert stats.allreduce_calls == per_iter * iters
-        assert stats.service_calls == 0
+        assert stats.service_calls == (iters if alg == "dadmm" else 0)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -315,11 +321,8 @@ def test_partitioned_run_matches_sequential_objective(p):
         blocks = make_column_blocks(X, C0, p)
         block = blocks[rank]
         for _ in range(20):
-            resid, _ = dbcd_worker_iterate(world, block, B)
-        local = np.array([resid])
-        from didnmf.comm import allreduce_sum
-        total = allreduce_sum(world, local, service=True)
-        return 0.5 * float(total[0])
+            resid, _, _ = dbcd_worker_iterate(world, block, B)
+        return 0.5 * resid
 
     for obj in run_ranks(p, body):
         assert obj == pytest.approx(0.5 * ref_resid, rel=1e-10)
@@ -344,15 +347,17 @@ def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
 
 @pytest.mark.parametrize("size", [2, 3, 4])
 @pytest.mark.parametrize("alg,calls,doubles", [
-    ("did", 1, 5 * 3 + 3 * 4 // 2),  # W, then V's lower triangle
-    ("dbcd", 3, 5 + 1),              # [y, z] per basis column
-    ("dadmm", 1, 3 * 3 + 5 * 3),     # [gram, rhs]
+    ("did", 1, 5 * 3 + 3 * 4 // 2 + 2),  # W, V's lower triangle, rr, flag
+    ("dbcd", 3, 5 + 1),                  # [y, z] per basis column
+    ("dadmm", 1, 3 * 3 + 5 * 3),         # [gram, rhs]
 ])
 def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
                                                      doubles, size):
     # P ranks over real sockets, one iteration: every collective goes from
     # each rank to rank 0 as one frame and comes back as one frame, a
-    # DMAT1 body (24-byte header) holding the whole flat payload
+    # DMAT1 body (24-byte header) holding the whole flat payload. dbcd's
+    # first [y, z] also carries (rr, flag); dadmm adds a service
+    # reduction of (residual, flag)
     frames = []
     servers = []
     write_frame = comm._write_frame
@@ -406,9 +411,113 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
     assert not any(t.is_alive() for t in threads) and not errors, errors
     assert set(threading.enumerate()) == before  # the endpoint left no thread
     assert servers == ["rank0"]
-    assert frames == [24 + 8 * doubles] * (2 * (size - 1) * calls)
+    payloads = [doubles + 2 * (alg == "dbcd")] + [doubles] * (calls - 1)
+    if alg == "dadmm":
+        payloads.append(2)
+    # ranks send concurrently, so the frames of consecutive collectives
+    # may interleave: compare sizes as a multiset
+    assert sorted(frames) == sorted(24 + 8 * d for d in payloads
+                                    for _ in range(2 * (size - 1)))
     for (B, c), (B_ref, c_ref) in zip(results, expected):
         assert np.array_equal(B, B_ref) and np.array_equal(c, c_ref)
+
+
+# the stopping residual carried by the message
+
+
+def identity_trace(alg, X, B0, C0, p, iters):
+    """Drive did or dbcd on p ranks; per iteration, the residual every rank
+    reported and the direct ||X - B C||^2 summed over the rank blocks."""
+    blocks = make_column_blocks(X, C0, p)
+    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate}[alg]
+
+    def body(world, rank):
+        B = np.array(B0, order="F")
+        block = blocks[rank]
+        out = []
+        for _ in range(iters):
+            resid, _, over = step(world, block, B)
+            assert over is False
+            out.append((resid, residual_sq(block.x_block, B, block.c_block)))
+        return out
+
+    res = np.array(run_ranks(p, body))  # rank x iteration x (reported, direct)
+    reported = res[:, :, 0]
+    assert (reported == reported[0]).all()  # bit-identical on every rank
+    return reported[0], res[:, :, 1].sum(axis=0)
+
+
+IDENTITY_INSTANCES = {
+    # (X from a seed, iterations)
+    "lowrank": (lambda s: synth_lowrank(5, 400, 3, s), 60),
+    "data": (lambda s: synth_data(8, 300, s), 30),
+    # two tiles and 3 columns: the blocks straddle tile edges at P = 2, 4
+    "tiles": (lambda s: synth_lowrank(64, 2 * tile_width(64) + 3, 3, s), 8),
+}
+
+
+@pytest.mark.parametrize("instance", sorted(IDENTITY_INSTANCES))
+@pytest.mark.parametrize("p", [1, 2, 4])
+@pytest.mark.parametrize("alg", ["did", "dbcd"])
+def test_message_residual_matches_the_direct_pass(alg, p, instance):
+    # rr - 2 <Delta, W> + <Delta^T Delta, V> (did), or its per-column form
+    # (dbcd), against a fresh tile pass over every block, every iteration
+    make, iters = IDENTITY_INSTANCES[instance]
+    for seed in range(2):
+        X = make(seed)
+        B0, C0 = init_factors(X, 3, seed)
+        reported, direct = identity_trace(alg, X, B0, C0, p, iters)
+        assert np.all(np.abs(reported - direct) <= 1e-12 * direct), seed
+
+
+@pytest.mark.parametrize("alg", ["did", "dbcd"])
+def test_message_residual_with_dead_rows_and_columns(alg):
+    # b_0 = 0 and c_0 = 0: row 0 of C and column 0 of B are skipped on
+    # every rank, and contribute no move to the identity
+    X, B0, C0 = random_problem(5, 30, 3, 17)
+    B0[:, 0] = 0.0
+    C0[0] = 0.0
+    reported, direct = identity_trace(alg, X, B0, C0, 2, 10)
+    assert np.all(np.abs(reported - direct) <= 1e-12 * direct)
+
+
+@pytest.mark.parametrize("alg", ["did", "dbcd"])
+def test_message_residual_rounded_below_zero_reports_zero(monkeypatch, alg):
+    # X = b c exactly for b = (1, 1), c = (1, 0). From B = (1, 0) the C pass
+    # gives c, with rr = 1, and the basis moves by Delta = (0, 1): the
+    # identity is rr - 2 + 1 = 0. A pass that rounded rr two ulps low
+    # (1 - 2^-52) gives (rr - 2) + 1 = -2^-52, which is reported as 0.0
+    X = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
+    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate}[alg]
+    for rr in (1.0, 1.0 - 2.0 ** -52):
+        monkeypatch.setattr(distributed, "residual_sq", lambda *a, rr=rr: rr)
+        block = make_column_blocks(X, np.full((1, 2), 0.5), 1)[0]
+        B = np.asfortranarray([[1.0], [0.0]])
+        [world] = make_inprocess_worlds(1)
+        with world:
+            resid, skipped, _ = step(world, block, B)
+        assert np.array_equal(B, [[1.0], [1.0]]) and skipped == 0
+        assert np.array_equal(block.c_block, [[1.0, 0.0]])
+        assert (rr - 2.0) + 1.0 <= 0.0
+        assert resid == 0.0 and str(resid) == "0.0"
+
+
+def test_time_cap_flag_rides_the_message(monkeypatch):
+    # a deadline already past on one rank only: every rank of did and dbcd
+    # reports the flag, and the iteration still completes
+    for step in (did_worker_iterate, dbcd_worker_iterate):
+        X, B0, C0 = random_problem(4, 21, 3, 9)
+        blocks = make_column_blocks(X, C0, 2)
+
+        def body(world, rank):
+            B = np.array(B0, order="F")
+            deadline = -np.inf if rank == 1 else np.inf
+            return step(world, blocks[rank], B, None, deadline)[2], B
+
+        res = run_ranks(2, body)
+        assert [over for over, _ in res] == [True, True]
+        assert np.array_equal(res[0][1], res[1][1])
+        assert not np.array_equal(res[0][1], B0)
 
 
 # distributed splitting worker

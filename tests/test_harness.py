@@ -395,6 +395,44 @@ def test_in_process_run_raises_the_failing_rank_not_its_waiting_peer(
         run(config)
 
 
+def test_in_process_peers_of_a_failed_rank_fail_at_once(monkeypatch):
+    # rank 1 fails in its first step: rank 0 finds its departure marker and
+    # fails, and rank 2 finds rank 0's, all long before comm_timeout
+    step = harness.did_worker_iterate
+
+    def failing(world, *args):
+        if world.rank == 1:
+            raise FloatingPointError("rank 1 overflowed")
+        return step(world, *args)
+
+    monkeypatch.setattr(harness, "did_worker_iterate", failing)
+    config = RunConfig(algorithm="did", m=4, n=12, k=2, p=3, comm_timeout=30.0)
+    t0 = time.monotonic()
+    with pytest.raises(FloatingPointError, match="rank 1 overflowed"):
+        run(config)
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_tcp_did_run_makes_no_service_reduction_per_iteration(monkeypatch):
+    # the stopping residual and time-cap flag ride did's one message: over
+    # TCP a rank's only service reductions are the setup collective and e0
+    worlds = []
+    make = harness.make_tcp_world
+    monkeypatch.setattr(harness, "make_tcp_world",
+                        lambda *a, **kw: worlds.append(make(*a, **kw)) or worlds[-1])
+    kw = dict(algorithm="did", m=5, n=200, k=3, p=2, seed=4, max_iters=25,
+              epsilon=1e-30, transport="tcp", comm_timeout=30.0)
+    results, errors = _tcp_ranks(kw)
+    assert errors == [None, None], errors
+    assert [r.iterations for r in results] == [25, 25]
+    assert len(worlds) == 2
+    for world in worlds:
+        assert world.stats.service_calls == 2
+        assert world.stats.allreduce_calls == 25
+    assert {row.service_calls for r in results for row in r.rows} == {0}
+    assert np.array_equal(results[0].residuals(), results[1].residuals())
+
+
 def test_run_metrics_row_accounting():
     # bcd is dbcd on one rank: K one-rank collectives, no bytes on a wire;
     # anls never calls a collective
@@ -592,12 +630,13 @@ def test_partitioned_traces_match_sequential(alg, p):
 
 def test_comm_cost_columns_match_algorithm_structure():
     # modelled bytes at P=2: payload doubles x 8 bytes x 2 tree steps.
-    # did packs W (MK) and V's lower triangle (K(K+1)/2) into one payload,
-    # dbcd sends K [y, z] payloads of M + 1, dadmm one [gram, rhs] of K^2 + MK
+    # did packs W (MK), V's lower triangle (K(K+1)/2), rr and the time-cap
+    # flag into one payload; dbcd sends K [y, z] payloads of M + 1, the
+    # first with rr and the flag; dadmm one [gram, rhs] of K^2 + MK
     M, K = 5, 3
     X = synth_lowrank(M, 100, K, 3)
-    expected = {"did": (1, 2 * 8 * (M * K + K * (K + 1) // 2)),
-                "dbcd": (K, K * 2 * 8 * (M + 1)),
+    expected = {"did": (1, 2 * 8 * (M * K + K * (K + 1) // 2 + 2)),
+                "dbcd": (K, 2 * 8 * (K * (M + 1) + 2)),
                 "dadmm": (1, 2 * 8 * (K * K + M * K))}
     for alg, (per_iter, nbytes) in expected.items():
         metrics = run(lowrank_config(alg, p=2, max_iters=8, epsilon=1e-30), X=X)

@@ -48,7 +48,7 @@ class Solo:
         return self.block.c_block
 
     def step(self) -> float:
-        resid, skipped = self._step(self.world, self.block, self.B, self.state)
+        resid, skipped, _ = self._step(self.world, self.block, self.B, self.state)
         self.skipped += skipped
         return resid
 
