@@ -15,8 +15,9 @@ runs and second on even ones, so that a slow spell of the host lands on
 both sides of the comparison. A file holds the commit measured (marked
 "+dirty" when its src/ or tcpbench/ differ from it), the
 environment (CPU count, Python and numpy versions, host steal seconds
-over the whole bench), every run's result line and steal time, and per
-workload the median of each end-to-end metric. `--compare OLD [NEW]`
+over the whole bench), every run's result line, steal time and each
+solve's iteration count and per-rank BLAS thread count, and per workload
+the median of each end-to-end metric. `--compare OLD [NEW]`
 prints the per-metric change from OLD to NEW, or to the file this call
 just wrote. Only the standard library is used.
 """
@@ -68,7 +69,8 @@ def commit(root: str) -> str | None:
 
 
 def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run: its result line, plus the steal seconds it reported."""
+    """One benchmark run: its result line, plus the steal seconds, and each
+    solve's iteration count and per-rank BLAS threads, that it reported."""
     out = subprocess.run(
         [sys.executable, os.path.join("tcpbench", "run.py"), "--workload",
          workload, "--seed", str(seed), "--seconds", str(seconds),
@@ -78,8 +80,10 @@ def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:
     if out.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"{workload} seed {seed} exited {out.returncode}:\n"
                          f"{out.stderr[-2000:]}")
-    result = json.loads(lines[-1])
-    result["steal_s"] = json.loads(lines[-2])["steal_s"]
+    result, solves = json.loads(lines[-1]), json.loads(lines[-2])
+    result["steal_s"] = solves["steal_s"]
+    for key in ("iterations", "blas_threads"):
+        result[key] = [s[key] for s in solves["solves"]]
     result["seed"] = seed
     return result
 

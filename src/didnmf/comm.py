@@ -25,8 +25,9 @@ Transports:
   only and opens no listener. A collective's payload crosses an edge as
   one frame, [u32 tag][u64 byte length][DMAT1 body of an n x 1 matrix],
   little-endian and written with one send; the tag carries the
-  collective sequence number. A connection that resets or breaks
-  raises `CommError` naming the peer at the other end.
+  collective sequence number. Every write gets the world's timeout. A
+  reset or broken connection raises `CommError` naming the peer; a peer
+  that closes between frames has left, as in the in-process transport.
 """
 
 from __future__ import annotations
@@ -212,8 +213,7 @@ class _InProcessEndpoint:
                 f"rank {self._rank} timed out after {timeout:.1f}s waiting "
                 f"for rank {src}") from None
         if got is _DEPARTED:
-            raise CommError(f"rank {src} left the world while rank "
-                            f"{self._rank} was waiting for it")
+            raise _left(self._rank, src)
         return got
 
     def close(self) -> None:
@@ -233,24 +233,29 @@ def _write_frame(conn: socket.socket, tag: int, body: bytes) -> None:
     conn.sendall(_FRAME_HEADER.pack(tag, len(body)) + body)
 
 
+def _left(rank: int, peer: int) -> CommError:
+    """The error for a peer that closed its end between messages."""
+    return CommError(f"rank {peer} left the world while rank {rank} was "
+                     f"waiting for it")
+
+
 def _lost(rank: int, peer: int, exc: OSError) -> CommError:
     """The error for a connection that reset or broke under a read or write."""
     return CommError(f"rank {rank} lost its connection to rank {peer} "
                      f"({type(exc).__name__}: {exc})")
 
 
-def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int, peer: int) -> bytes:
+def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int,
+                peer: int, frame_start: bool = False) -> bytes:
     deadline = time.monotonic() + timeout
     chunks = []
     got = 0
     while got < n:
         left = deadline - time.monotonic()
-        if left <= 0:
-            raise CommTimeoutError(
-                f"rank {rank} timed out after {timeout:.1f}s waiting for "
-                f"rank {peer}")
-        conn.settimeout(left)
         try:
+            if left <= 0:
+                raise socket.timeout
+            conn.settimeout(left)
             chunk = conn.recv(min(n - got, 1 << 20))
         except socket.timeout:
             raise CommTimeoutError(
@@ -259,6 +264,8 @@ def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int, peer: in
         except OSError as exc:
             raise _lost(rank, peer, exc) from exc
         if not chunk:
+            if frame_start and not got:
+                raise _left(rank, peer)
             raise CommError(
                 f"rank {peer} closed its connection to rank {rank} mid-frame")
         chunks.append(chunk)
@@ -267,7 +274,7 @@ def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int, peer: in
 
 
 def _read_frame(conn: socket.socket, timeout: float, rank: int, peer: int):
-    head = _read_exact(conn, _FRAME_HEADER.size, timeout, rank, peer)
+    head = _read_exact(conn, _FRAME_HEADER.size, timeout, rank, peer, True)
     tag, length = _FRAME_HEADER.unpack(head)
     body = _read_exact(conn, length, timeout, rank, peer)
     return tag, body
@@ -309,6 +316,7 @@ class TcpEndpoint:
 
     def __init__(self, rank: int, size: int, address, timeout: float = DEFAULT_TIMEOUT):
         self.rank = rank
+        self._timeout = timeout
         self._conns: dict[int, socket.socket] = {}
         if size == 1:
             return
@@ -358,8 +366,14 @@ class TcpEndpoint:
                 self._conns[peer_rank] = self._conns.pop(-1)
 
     def _write(self, dst: int, tag: int, body: bytes) -> None:
+        # a read or a dial leaves its own timeout on the socket
+        self._conns[dst].settimeout(self._timeout)
         try:
             _write_frame(self._conns[dst], tag, body)
+        except socket.timeout:
+            raise CommTimeoutError(
+                f"rank {self.rank} timed out after {self._timeout:.1f}s "
+                f"sending to rank {dst}") from None
         except OSError as exc:
             raise _lost(self.rank, dst, exc) from exc
 

@@ -3,38 +3,26 @@
 Each worker owns a contiguous slab of columns of X and C; the M x K basis
 B is replicated and stays bit-identical across ranks because every B
 update is computed from allreduced quantities with a deterministic
-reduction order.
+reduction order. Every worker is a step of the `harness` run loop and
+packs each collective's payload into one flat buffer.
 
-Three workers:
-
-* dbcd: coordinate descent with one (y, z) reduction per basis column,
-  so K collectives per iteration.
-* did: the same iterate reorganized so every basis correction rides one
-  (W, V) message, a single collective per iteration; the corrections are
-  applied locally with a delta recurrence that undoes the interference
-  between columns updated in the same sweep.
+* dbcd: coordinate descent. The Gram-form C pass of `kernels` is local;
+  `move_basis` then allreduces each basis column's [y, z], so K
+  collectives per iteration. Sequential bcd is dbcd on a one-rank world.
+* did: the same iterate with one collective per iteration. Each rank's
+  message carries its Gram sums S = X C^T and V = C C^T, which add
+  across blocks, and every rank runs the same `move_basis` on the
+  reduced sums with no further collective. On one rank it is bcd bit
+  for bit.
 * dadmm: per-block splitting with scaled duals and one (Gram, right-hand
   side) reduction per iteration; both factor updates are solved exactly.
 
-dbcd and did share the Gram-form, tile-streamed C pass of `kernels`,
-which hands the basis step X C^T and C C^T instead of a residual;
-sequential bcd is dbcd on a one-rank world. Every worker has the step
-signature of `kernels`, `(world, block, B, state, deadline) ->
-(||X - B C||^2 over all ranks, skipped, over_time)`, and packs each
-collective's payload into one flat buffer.
-
-did and dbcd need no collective of their own for the stop test. After
-the C pass each rank takes rr = ||X_blk - B_old C_new||^2 and the
-time-cap flag, and both ride the iteration's (first) message. Every
-rank then holds the reduced sums and the realized move Delta of the
-basis, and the new residual follows exactly:
-
-    ||X - B_new C||^2 = rr - 2 <Delta, (X - B_old C) C^T> + <Delta^T Delta, C C^T>
-
-did has every term in its one message (W and V); dbcd adds column i's
-share, -2 db_i^T (y_i - b_i z_i) + z_i ||db_i||^2, as it moves b_i. A
-result rounded below zero is reported as 0. dadmm reduces its residual
-and flag in a service reduction after its collective.
+did and dbcd need no collective of their own for the stop test: each
+rank's rr = ||X_blk - B_old C_new||^2 and time-cap flag ride the
+iteration's (first) message, and every rank adds each column's change
+of the residual (see `move_basis`) to the reduced rr. A result rounded
+below zero is reported as 0. dadmm reduces its residual and flag in a
+service reduction after its collective.
 """
 
 from __future__ import annotations
@@ -46,7 +34,6 @@ import numpy as np
 
 from .comm import CommWorld, allreduce_sum
 from .kernels import (
-    DEGENERATE_NORM_TOL,
     b_column_apply,
     b_column_partials,
     c_rowwise_sweep,
@@ -71,56 +58,58 @@ def did_c_phase(block: ColumnBlock, B: np.ndarray
     return S, V, residual_sq(block.x_block, B, block.c_block), skipped
 
 
-def did_build_message(B: np.ndarray, S: np.ndarray, V: np.ndarray,
-                      rr: float, flag: float) -> np.ndarray:
-    """Pack the block's (W, V, rr, flag) message into one flat buffer.
+def did_build_message(S: np.ndarray, V: np.ndarray, rr: float,
+                      flag: float) -> np.ndarray:
+    """Pack the block's (S, V, rr, flag) message into one flat buffer.
 
-    W = X C^T - B C C^T, whose column i is sum_j e_j c_ij with
-    E = X - B C, goes first in column-major order; then the lower triangle
+    S = X C^T goes first in column-major order; then the lower triangle
     of V = C C^T, row by row: v_00; v_10 v_11; ...; then the block's
     residual rr and its time-cap flag. That is MK + K(K+1)/2 + 2 doubles.
     Only this function and `did_update_basis` know the layout.
     """
-    k = V.shape[0]
-    return np.concatenate([(S - B @ V).ravel(order="F")]
-                          + [V[i, :i + 1] for i in range(k)] + [[rr, flag]])
+    return np.concatenate([S.ravel(order="F"), V[np.tril_indices(len(V))],
+                           [rr, flag]])
 
 
 def did_update_basis(B: np.ndarray, buf: np.ndarray) -> tuple[float, int, bool]:
-    """Apply every basis-column correction carried by a reduced message.
+    """Move every basis column from a reduced message, as bcd does.
 
-    Column i moves by w_i / v_ii minus the interference of columns already
-    moved this sweep, then projects to the nonnegative orthant:
-
-        b_i := [b_i + w_i / v_ii - sum_{k < i} (v_ik / v_ii) delta_k]_+
-
-    Dead columns (v_ii below the degeneracy floor) keep a zero delta, so
-    every rank skips them identically. Returns (||X - B C||^2 for the
-    moved B, from the identity in the module docstring and clamped at 0;
-    the number skipped; the time-cap flag of any rank).
+    Unpacks the reduced S and V (V mirrored from its lower triangle) and
+    runs `move_basis` on them with no further collective.
     """
     m, k = B.shape
-    W = buf[:m * k].reshape((m, k), order="F")
+    S = buf[:m * k].reshape((m, k), order="F")
     V = np.zeros((k, k))
-    delta = np.zeros_like(B)
-    skipped = 0
-    row = m * k  # start of v_i0 .. v_ii in the buffer
-    for i in range(k):
-        v = buf[row:row + i + 1]
-        V[i, :i + 1] = v
-        row += i + 1
-        vii = float(v[i])
-        if vii < DEGENERATE_NORM_TOL:
-            skipped += 1
-            continue
-        corr = W[:, i] / vii - delta[:, :i] @ (v[:i] / vii)
-        b_new = np.maximum(B[:, i] + corr, 0.0)
-        delta[:, i] = b_new - B[:, i]
-        B[:, i] = b_new
+    V[np.tril_indices(k)] = buf[m * k:-2]
     V += np.tril(V, -1).T
-    rr, flag = buf[row], buf[row + 1]
-    resid = rr - 2.0 * np.vdot(delta, W) + np.vdot(delta.T @ delta, V)
-    return max(float(resid), 0.0), skipped, bool(flag > 0.0)
+    return move_basis(B, S, V, buf[-2:], lambda yz: yz)
+
+
+def move_basis(B: np.ndarray, S: np.ndarray, V: np.ndarray, tail, reduce
+               ) -> tuple[float, int, bool]:
+    """Move basis columns 0..K-1 in order with the coordinate kernel.
+
+    Column i's [y, z] (`b_column_partials` of (S, V) against the columns
+    already moved; column 0's followed by `tail` = [rr, flag]) goes
+    through `reduce`, and `b_column_apply` installs b_i := [y / z]_+.
+    did and dbcd differ only in `reduce`: did's (S, V) are already
+    reduced and pass through, dbcd allreduces its rank's share. Moving
+    b_i by d changes ||X - B C||^2 by z ||d||^2 - 2 d^T (y - z b_i).
+    Returns (rr plus those changes, clamped at 0; the number of columns
+    skipped; the time-cap flag of any rank).
+    """
+    skipped = 0
+    for i in range(B.shape[1]):
+        y, z = b_column_partials(S, V, B, i)
+        yz = reduce(np.concatenate([y, [z], tail if i == 0 else []]))
+        if i == 0:
+            (resid, over), yz = yz[-2:], yz[:-2]
+        y, z = yz[:-1], float(yz[-1])
+        b = B[:, i].copy()
+        skipped += b_column_apply(B, i, y, z)
+        d = B[:, i] - b
+        resid += z * float(d @ d) - 2.0 * float(d @ (y - z * b))
+    return max(float(resid), 0.0), skipped, bool(over > 0.0)
 
 
 def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
@@ -128,14 +117,11 @@ def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
                        ) -> tuple[float, int, bool]:
     """One incremental-update iteration; exactly one allreduce.
 
-    Updates the block's C and the replicated B in place. Returns
-    ||X - B C||^2 over all ranks for the new B and C, the degenerate-update
-    count for this iteration and the time-cap flag. did keeps no state
-    between iterations.
+    Updates the block's C and the replicated B in place; did keeps no
+    state between iterations.
     """
     S, V, rr, skipped = did_c_phase(block, B)
-    buf = allreduce_sum(world, did_build_message(B, S, V, rr,
-                                                 over_time(deadline)))
+    buf = allreduce_sum(world, did_build_message(S, V, rr, over_time(deadline)))
     resid, basis_skipped, over = did_update_basis(B, buf)
     return resid, skipped + basis_skipped, over
 
@@ -145,28 +131,17 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
                         ) -> tuple[float, int, bool]:
     """One distributed coordinate-descent iteration; K allreduces.
 
-    The C pass is local; each basis column then reduces its flat [y, z]
-    pair and every rank applies the identical closed-form update. The
-    first pair also carries the block's rr and time-cap flag. On one
-    rank this is sequential coordinate descent (`bcd`). Returns
-    ||X - B C||^2 over all ranks, the degenerate-update count and the
-    time-cap flag.
+    The C pass is local; `move_basis` then allreduces each basis column's
+    [y, z] (the first with the block's rr and time-cap flag), and every
+    rank applies the identical update. On one rank this is sequential
+    coordinate descent (`bcd`).
     """
     X, C = block.x_block, block.c_block
     S, V, skipped = c_rowwise_sweep(X, C, B)
-    tail = [residual_sq(X, B, C), over_time(deadline)]  # rides the first [y, z]
-    for i in range(B.shape[1]):
-        y, z = b_column_partials(S, V, B, i)
-        yz = allreduce_sum(world, np.concatenate([y, [z], tail]))
-        if tail:
-            resid, over = float(yz[-2]), bool(yz[-1] > 0.0)
-            yz, tail = yz[:-2], []
-        y, z = yz[:-1], float(yz[-1])
-        b = B[:, i].copy()
-        skipped += b_column_apply(B, i, y, z)
-        d = B[:, i] - b
-        resid += z * float(d @ d) - 2.0 * float(d @ (y - z * b))
-    return max(resid, 0.0), skipped, over
+    resid, basis_skipped, over = move_basis(
+        B, S, V, [residual_sq(X, B, C), over_time(deadline)],
+        lambda yz: allreduce_sum(world, yz))
+    return resid, skipped + basis_skipped, over
 
 
 @dataclass

@@ -382,7 +382,7 @@ def _check_values(world, x_block) -> float:
     return float(out[0])
 
 
-def _rank_setup(config: RunConfig, rank: int, X, connect):
+def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
     """One rank's prologue, on either transport: (world, block, B).
 
     The rank takes only its column block [a, a + size): a view of `X` when
@@ -391,7 +391,8 @@ def _rank_setup(config: RunConfig, rank: int, X, connect):
     `connect()` makes the world; the values and the init scale ride one
     setup collective after it; then the rank draws B and its block of C.
     CSV input and kmeans init need the whole matrix: the rank loads it,
-    and keeps a copy of its block only.
+    and keeps a copy of its block only; `kmeans` stands in for
+    `init_factors` there, so the ranks of one process can share one start.
     """
     whole = X is None and (config.init == "kmeans" or (
         config.input_path is not None and config.input_path.endswith(".csv")))
@@ -418,7 +419,8 @@ def _rank_setup(config: RunConfig, rank: int, X, connect):
     try:
         total = _check_values(world, x_block)
         if config.init == "kmeans":
-            B, C = init_factors(X, config.k, config.seed, "kmeans")
+            B, C = (kmeans or init_factors)(X, config.k, config.seed, "kmeans")
+            B = B.copy(order="F")
             c_block = C[:, start:start + size].copy(order="F")
         else:
             B, c_block = init_factors(x_block, config.k, config.seed,
@@ -429,9 +431,10 @@ def _rank_setup(config: RunConfig, rank: int, X, connect):
     return world, ColumnBlock(x_block, c_block), B
 
 
-def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
+def _rank_run(config: RunConfig, rank: int, X, connect,
+              kmeans=None) -> RunMetrics:
     """One rank from its data to its last iteration (see `_rank_setup`)."""
-    world, block, B = _rank_setup(config, rank, X, connect)
+    world, block, B = _rank_setup(config, rank, X, connect, kmeans)
     try:
         return _distributed_worker(config, world, block, B)
     finally:
@@ -561,10 +564,19 @@ def _run_inprocess(config: RunConfig, X) -> RunMetrics:
     worlds = make_inprocess_worlds(config.p, timeout=config.comm_timeout)
     results: list[RunMetrics | None] = [None] * config.p
     errors: list[BaseException | None] = [None] * config.p
+    lock, start = threading.Lock(), []
+
+    def kmeans(*args):
+        # the first rank here, its data checked, runs Lloyd's method for all
+        with lock:
+            if not start:
+                start.append(init_factors(*args))
+        return start[0]
 
     def work(rank: int) -> None:
         try:
-            results[rank] = _rank_run(config, rank, X, lambda: worlds[rank])
+            results[rank] = _rank_run(config, rank, X, lambda: worlds[rank],
+                                      kmeans)
         except BaseException as exc:
             errors[rank] = exc
 

@@ -8,11 +8,9 @@ built from that kernel, and sequential coordinate descent is the dbcd
 worker on a one-rank world. That kernel is Gram-form HALS (all rows of
 C, then all columns of B), so HALS needs no step of its own.
 
-ANLS and ADMM are sequential steps with the workers' signature,
-`step(world, block, B, state, deadline) -> (||X - B C||^2, skipped,
-over_time)`: they update B and the block's C in place and run on a
-one-rank world. Their residual and time-cap flag take one service
-reduction (`reduce_progress`), a copy on one rank.
+ANLS and ADMM are sequential `harness` steps: they update B and the
+block's C in place on a one-rank world, and their residual and time-cap
+flag take one service reduction (`reduce_progress`).
 """
 
 from __future__ import annotations

@@ -352,6 +352,43 @@ def test_reset_connection_on_write_names_the_peer():
                       (ConnectionResetError, BrokenPipeError))
 
 
+def test_peer_closing_between_frames_has_left_the_world():
+    # a clean close at a frame boundary is a departure, named in the
+    # in-process transport's words; a close inside a frame is not
+    near, far = _tcp_pair()
+    far.close()
+    with near, pytest.raises(CommError) as exc_info:
+        comm._read_frame(near, 5.0, 0, 1)
+    assert type(exc_info.value) is CommError
+    assert str(exc_info.value) == ("rank 1 left the world while rank 0 "
+                                   "was waiting for it")
+    near, far = _tcp_pair()
+    with far:
+        far.sendall(comm._FRAME_HEADER.pack(0, 8)[:5])
+    with near, pytest.raises(CommError, match="rank 1 closed its connection "
+                             "to rank 0 mid-frame"):
+        comm._read_frame(near, 5.0, 0, 1)
+
+
+def test_send_to_a_peer_that_never_reads_times_out_after_the_world_timeout():
+    # a 16 MB frame fills the socket buffers of a peer that never reads;
+    # the write waits the world's timeout, not the 0.2 s a read left on
+    # the socket, and then names the peer
+    near, far = socket.socketpair()
+    endpoint = comm.TcpEndpoint(2, 1, None, timeout=1.0)  # no rendezvous
+    endpoint._conns[0] = near
+    with far:
+        with pytest.raises(CommTimeoutError):
+            comm._read_frame(near, 0.2, 2, 0)
+        t0 = time.monotonic()
+        with pytest.raises(CommTimeoutError) as exc_info:
+            endpoint.send(0, 0, np.zeros((2_000_000, 1)))
+        elapsed = time.monotonic() - t0
+        endpoint.close()
+    assert 0.95 <= elapsed < 5.0
+    assert "rank 2 timed out after 1.0s sending to rank 0" in str(exc_info.value)
+
+
 # accounting
 
 

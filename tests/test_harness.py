@@ -316,9 +316,10 @@ def _free_port():
 
 
 def _tcp_ranks(kw, X=None):
-    """Run both TCP ranks at once, as threads; (results, errors) by rank."""
+    """Run every TCP rank at once, as threads; (results, errors) by rank."""
     config = dict(kw, tcp_address=("127.0.0.1", _free_port()))
-    results, errors = [None, None], [None, None]
+    p = kw["p"]
+    results, errors = [None] * p, [None] * p
 
     def rank(r):
         try:
@@ -327,7 +328,7 @@ def _tcp_ranks(kw, X=None):
         except Exception as exc:
             errors[r] = exc
 
-    threads = [threading.Thread(target=rank, args=(r,)) for r in range(2)]
+    threads = [threading.Thread(target=rank, args=(r,)) for r in range(p)]
     for t in threads:
         t.start()
     for t in threads:
@@ -532,6 +533,22 @@ def test_tcp_ranks_on_a_file_match_the_in_process_run(monkeypatch, tmp_path,
         assert np.array_equal(got.residuals(), ref.residuals())
 
 
+def test_in_process_ranks_share_one_kmeans_start(monkeypatch):
+    # four in-process ranks run Lloyd's method once between them; four TCP
+    # ranks, each with its own, reach the same trajectory bit for bit
+    X = synth_lowrank(5, 400, 3, 4)
+    kw = dict(algorithm="did", m=5, n=400, k=3, p=4, seed=4, max_iters=40,
+              epsilon=1e-30, init="kmeans", comm_timeout=30.0)
+    calls = _spy(monkeypatch, "_kmeans_init", lambda a: ())
+    ref = run(RunConfig(**kw), X=X)
+    assert len(calls) == 1 and ref.iterations == 40
+    results, errors = _tcp_ranks(dict(kw, transport="tcp"), X)
+    assert errors == [None] * 4, errors
+    assert len(calls) == 5
+    for got in results:
+        assert got.residuals().tobytes() == ref.residuals().tobytes()
+
+
 _RANK_HWM = """
 import sys
 
@@ -630,7 +647,7 @@ def test_partitioned_traces_match_sequential(alg, p):
 
 def test_comm_cost_columns_match_algorithm_structure():
     # modelled bytes at P=2: payload doubles x 8 bytes x 2 tree steps.
-    # did packs W (MK), V's lower triangle (K(K+1)/2), rr and the time-cap
+    # did packs S (MK), V's lower triangle (K(K+1)/2), rr and the time-cap
     # flag into one payload; dbcd sends K [y, z] payloads of M + 1, the
     # first with rr and the flag; dadmm one [gram, rhs] of K^2 + MK
     M, K = 5, 3
