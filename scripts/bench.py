@@ -13,7 +13,7 @@ also measures the checkout in DIR as BENCH_N.json, each of its runs
 beside the same run of this checkout, with this checkout first on odd
 runs and second on even ones, so that a slow spell of the host lands on
 both sides of the comparison. A file holds the commit measured (marked
-"+dirty" when its src/ or tcpbench/ differ from it), the
+"+dirty.<hash of the diff>" when its src/ or tcpbench/ differ from it), the
 environment (CPU count, Python and numpy versions, host steal seconds
 over the whole bench), every run's result line, steal time and each
 solve's iteration count and per-rank BLAS thread count, and per workload
@@ -25,6 +25,7 @@ just wrote. Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.metadata
 import json
 import os
@@ -58,14 +59,17 @@ def environment() -> dict:
 
 
 def commit(root: str) -> str | None:
-    """HEAD of the checkout, "+dirty" if its src/ or tcpbench/ differ from it."""
+    """HEAD of the checkout; if its src/ or tcpbench/ differ from it,
+    "+dirty." and 12 hex digits of the sha256 of that diff, which name
+    the tree measured."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                           capture_output=True, text=True)
     if head.returncode != 0:
         return None
-    diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src",
-                           "tcpbench"], cwd=root)
-    return head.stdout.strip() + ("+dirty" if diff.returncode else "")
+    diff = subprocess.run(["git", "diff", "HEAD", "--", "src", "tcpbench"],
+                          cwd=root, capture_output=True, check=True).stdout
+    dirty = f"+dirty.{hashlib.sha256(diff).hexdigest()[:12]}" if diff else ""
+    return head.stdout.strip() + dirty
 
 
 def run_once(root: str, workload: str, seed: int, seconds: int) -> dict:

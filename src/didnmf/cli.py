@@ -38,7 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--max-time", type=float, default=600.0,
                       help="wall-clock cap in seconds")
     runp.add_argument("--rho", type=float, default=1.0,
-                      help="splitting penalty (admm and dadmm)")
+                      help="splitting penalty (dadmm)")
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--transport", choices=TRANSPORTS, default="in-process")
     runp.add_argument("--init", choices=INIT_METHODS, default="scaled-random")

@@ -245,9 +245,8 @@ def _lost(rank: int, peer: int, exc: OSError) -> CommError:
                      f"({type(exc).__name__}: {exc})")
 
 
-def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int,
-                peer: int, frame_start: bool = False) -> bytes:
-    deadline = time.monotonic() + timeout
+def _read_exact(conn: socket.socket, n: int, deadline: float, timeout: float,
+                rank: int, peer: int, frame_start: bool = False) -> bytes:
     chunks = []
     got = 0
     while got < n:
@@ -274,9 +273,12 @@ def _read_exact(conn: socket.socket, n: int, timeout: float, rank: int,
 
 
 def _read_frame(conn: socket.socket, timeout: float, rank: int, peer: int):
-    head = _read_exact(conn, _FRAME_HEADER.size, timeout, rank, peer, True)
+    """One whole frame, header and body, within one `timeout`."""
+    deadline = time.monotonic() + timeout
+    head = _read_exact(conn, _FRAME_HEADER.size, deadline, timeout, rank,
+                       peer, True)
     tag, length = _FRAME_HEADER.unpack(head)
-    body = _read_exact(conn, length, timeout, rank, peer)
+    body = _read_exact(conn, length, deadline, timeout, rank, peer)
     return tag, body
 
 
@@ -351,6 +353,11 @@ class TcpEndpoint:
                         f"rank 0 timed out after {timeout:.1f}s at the "
                         f"rendezvous: rank(s) {missing} never registered"
                     ) from None
+                except CommError:
+                    # a connection that closed or reset before its frame
+                    # was whole never named a rank: drop it, keep waiting
+                    self._conns.pop(-1).close()
+                    continue
                 if tag != _TAG_REGISTER:
                     raise CommError(
                         f"rank 0 expected a registration frame, got tag {tag:#x}")

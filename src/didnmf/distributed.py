@@ -6,9 +6,10 @@ update is computed from allreduced quantities with a deterministic
 reduction order. Every worker is a step of the `harness` run loop and
 packs each collective's payload into one flat buffer.
 
-* dbcd: coordinate descent. The Gram-form C pass of `kernels` is local;
-  `move_basis` then allreduces each basis column's [y, z], so K
-  collectives per iteration. Sequential bcd is dbcd on a one-rank world.
+* dbcd: coordinate descent. Its C phase, `did_c_phase` (the Gram-form C
+  pass of `kernels`), is local; `move_basis` then allreduces each basis
+  column's [y, z], so K collectives per iteration. Sequential bcd is
+  dbcd on a one-rank world.
 * did: the same iterate with one collective per iteration. Each rank's
   message carries its Gram sums S = X C^T and V = C C^T, which add
   across blocks, and every rank runs the same `move_basis` on the
@@ -18,11 +19,12 @@ packs each collective's payload into one flat buffer.
   side) reduction per iteration; both factor updates are solved exactly.
 
 did and dbcd need no collective of their own for the stop test: each
-rank's rr = ||X_blk - B_old C_new||^2 and time-cap flag ride the
-iteration's (first) message, and every rank adds each column's change
-of the residual (see `move_basis`) to the reduced rr. A result rounded
-below zero is reported as 0. dadmm reduces its residual and flag in a
-service reduction after its collective.
+rank's rr = ||X_blk - B_old C_new||^2, which the C phase takes in its
+one pass over X_blk, and its time-cap flag ride the iteration's (first)
+message, and every rank adds each column's change of the residual (see
+`move_basis`) to the reduced rr. A result rounded below zero is
+reported as 0. dadmm reduces its residual and flag in a service
+reduction after its collective.
 """
 
 from __future__ import annotations
@@ -47,15 +49,14 @@ from .nnls import nnls_rows
 
 def did_c_phase(block: ColumnBlock, B: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """Run the Gram-form coordinate pass over the block's C, then take
-    the block's residual against the basis the pass used.
+    """The C phase of did and dbcd: one Gram-form coordinate pass over
+    the block's C, which also takes the block's residual.
 
     Returns (S, V, rr, skipped): the block's X C^T and C C^T for the
     updated C, rr = ||X - B C||^2 for the updated C and the unmoved B,
     and the number of degenerate rows left untouched.
     """
-    S, V, skipped = c_rowwise_sweep(block.x_block, block.c_block, B)
-    return S, V, residual_sq(block.x_block, B, block.c_block), skipped
+    return c_rowwise_sweep(block.x_block, block.c_block, B)
 
 
 def did_build_message(S: np.ndarray, V: np.ndarray, rr: float,
@@ -131,15 +132,14 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
                         ) -> tuple[float, int, bool]:
     """One distributed coordinate-descent iteration; K allreduces.
 
-    The C pass is local; `move_basis` then allreduces each basis column's
-    [y, z] (the first with the block's rr and time-cap flag), and every
-    rank applies the identical update. On one rank this is sequential
-    coordinate descent (`bcd`).
+    The C phase (`did_c_phase`) is local; `move_basis` then allreduces
+    each basis column's [y, z] (the first with the block's rr and
+    time-cap flag), and every rank applies the identical update. On one
+    rank this is sequential coordinate descent (`bcd`).
     """
-    X, C = block.x_block, block.c_block
-    S, V, skipped = c_rowwise_sweep(X, C, B)
+    S, V, rr, skipped = did_c_phase(block, B)
     resid, basis_skipped, over = move_basis(
-        B, S, V, [residual_sq(X, B, C), over_time(deadline)],
+        B, S, V, [rr, over_time(deadline)],
         lambda yz: allreduce_sum(world, yz))
     return resid, skipped + basis_skipped, over
 

@@ -40,13 +40,7 @@ from .distributed import (
     dbcd_worker_iterate,
     did_worker_iterate,
 )
-from .kernels import (
-    AdmmAuxState,
-    admm_iterate,
-    anls_iterate,
-    reduce_progress,
-    residual_sq,
-)
+from .kernels import anls_iterate, reduce_progress, residual_sq
 from .matrix import (
     ColumnBlock,
     as_matrix,
@@ -57,7 +51,7 @@ from .matrix import (
     read_dmat_shape,
 )
 
-SEQUENTIAL_ALGS = ("bcd", "anls", "admm")
+SEQUENTIAL_ALGS = ("bcd", "anls")
 DISTRIBUTED_ALGS = ("dadmm", "dbcd", "did")
 ALGORITHMS = SEQUENTIAL_ALGS + DISTRIBUTED_ALGS
 TRANSPORTS = ("in-process", "tcp")
@@ -514,15 +508,14 @@ _reduce_progress = reduce_progress
 def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
     """The run loop of every algorithm: one rank's iterations to the stop.
 
-    Each algorithm is a step and, for the splitting methods, a factory of
-    its carried state. The table is built per call, so a step replaced on
-    this module after import is the one that runs. The step reads the
-    clock against the deadline after its local compute; an iteration
-    that any rank flags completes, and the run stops after it.
+    Each algorithm is a step and, for dadmm, a factory of its carried
+    state. The table is built per call, so a step replaced on this
+    module after import is the one that runs. The step reads the clock
+    against the deadline after its local compute; an iteration that any
+    rank flags completes, and the run stops after it.
     """
     steps = {"bcd": (dbcd_worker_iterate, None),
              "anls": (anls_iterate, None),
-             "admm": (admm_iterate, AdmmAuxState.fresh),
              "dadmm": (dadmm_worker_iterate, DadmmWorkerState.fresh),
              "dbcd": (dbcd_worker_iterate, None),
              "did": (did_worker_iterate, None)}

@@ -1,23 +1,23 @@
-"""Factorization kernels: the Gram-form coordinate kernel, ANLS, ADMM.
+"""Factorization kernels: the Gram-form coordinate kernel and ANLS.
 
 All minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
 C (K x N). Coordinate descent runs in Gram form: the C pass streams X in
-column tiles sized for L2 and hands the basis step X C^T and C C^T, so
-nothing M x N is formed. The distributed workers (`distributed`) are
+column tiles sized for L2 and, in that one pass, hands the basis step
+X C^T and C C^T and takes the residual, so nothing M x N is formed and X
+is read once per iteration. The distributed workers (`distributed`) are
 built from that kernel, and sequential coordinate descent is the dbcd
 worker on a one-rank world. That kernel is Gram-form HALS (all rows of
 C, then all columns of B), so HALS needs no step of its own.
 
-ANLS and ADMM are sequential `harness` steps: they update B and the
-block's C in place on a one-rank world, and their residual and time-cap
-flag take one service reduction (`reduce_progress`).
+ANLS is a sequential `harness` step: it updates B and the block's C in
+place on a one-rank world, and its residual and time-cap flag take one
+service reduction (`reduce_progress`).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ def column_tiles(n: int, m: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, int]:
+def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One coordinate pass over C in Gram form, streamed over column tiles.
 
     Rows i = 0..K-1 are updated in order, every column at once:
@@ -55,12 +55,14 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, int]:
     HALS row update c_i + (p_i - g_i^T C) / g_ii with the c_i terms
     cancelled exactly, i.e. c_ij := [b_i^T e_j / b_i^T b_i]_+ with e_j the
     residual of column j minus b_i's share. Distinct columns never
-    interact, so each tile is swept on its own, and its part of X C^T and
-    C C^T is added while it is still in cache: the basis step never reads
-    X again. Rows with g_ii under the degeneracy floor are left untouched.
+    interact, so each tile is swept on its own, and its part of X C^T,
+    C C^T and ||X - B C||^2 is added while it is still in cache: nothing
+    reads X again before the next pass. Rows with g_ii under the
+    degeneracy floor are left untouched.
 
-    Returns (S, V, skipped): S = X C^T and V = C C^T for the updated C,
-    and the number of skipped rows.
+    Returns (S, V, rr, skipped): S = X C^T and V = C C^T for the updated
+    C, rr = ||X - B C||^2 for the updated C and this B, equal to
+    `residual_sq` bit for bit, and the number of skipped rows.
     """
     m, k = B.shape
     G = B.T @ B
@@ -75,6 +77,7 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, int]:
     Bt = np.ascontiguousarray(B.T)
     S = np.zeros((m, k))
     V = np.zeros((k, k))
+    rr = 0.0
     for cols in column_tiles(X.shape[1], m):
         Xt, Ct = X[:, cols], C[:, cols]
         P = Bt @ Xt
@@ -87,7 +90,8 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, int]:
         # a copied right operand keeps numpy off its syrk path, which is
         # slower than gemm at this K
         V += Ct @ Ct.T.copy()
-    return S, V, k - len(rows)
+        rr += _tile_residual_sq(Xt, Ct, B)
+    return S, V, rr, k - len(rows)
 
 
 def b_column_partials(S, V, B, i: int) -> tuple[np.ndarray, float]:
@@ -115,13 +119,20 @@ def b_column_apply(B, i: int, y, z: float) -> int:
     return 0
 
 
+def _tile_residual_sq(Xt, Ct, B) -> float:
+    """||X_t - B C_t||^2 of one column tile; the one expression both
+    `residual_sq` and `c_rowwise_sweep` sum, so their totals agree bit
+    for bit."""
+    # T x M row-major on both sides, which is X's own column-major layout
+    R = Xt.T - Ct.T @ B.T
+    return float(np.vdot(R, R))
+
+
 def residual_sq(X, B, C) -> float:
     """Exact ||X - B C||_F^2, summed tile by tile with no M x N temporary."""
     total = 0.0
     for cols in column_tiles(X.shape[1], B.shape[0]):
-        # T x M row-major on both sides, which is X's own column-major layout
-        R = X[:, cols].T - C[:, cols].T @ B.T
-        total += float(np.vdot(R, R))
+        total += _tile_residual_sq(X[:, cols], C[:, cols], B)
     return total
 
 
@@ -148,60 +159,5 @@ def anls_iterate(world, block: ColumnBlock, B: np.ndarray, state=None,
     X, C = block.x_block, block.c_block
     C[:] = nnls_rows(B.T @ B, X.T @ B).T
     B[:] = nnls_rows(C @ C.T, X @ C.T)
-    resid, over = reduce_progress(world, residual_sq(X, B, C), deadline)
-    return resid, 0, over
-
-
-@dataclass
-class AdmmAuxState:
-    """Splitting variables and scaled multipliers for the ADMM kernel.
-
-    Waux/Haux are the unconstrained copies of B/C; Phi/Psi the multipliers
-    on the coupling constraints B = Waux and C = Haux.
-    """
-
-    Waux: np.ndarray
-    Haux: np.ndarray
-    Phi: np.ndarray
-    Psi: np.ndarray
-    rho: float
-
-    @classmethod
-    def fresh(cls, block: ColumnBlock, B: np.ndarray,
-              rho: float = 1.0) -> "AdmmAuxState":
-        if rho <= 0.0:
-            raise ValueError("rho must be positive")
-        C = block.c_block
-        return cls(Waux=B.copy(), Haux=C.copy(), Phi=np.zeros_like(B),
-                   Psi=np.zeros_like(C), rho=float(rho))
-
-
-def _spd_solve(A: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Solve A Z = Y for symmetric positive definite A: A = L L^T, then
-    two triangular systems."""
-    L = np.linalg.cholesky(A)
-    return np.linalg.solve(L.T, np.linalg.solve(L, Y))
-
-
-def admm_iterate(world, block: ColumnBlock, B: np.ndarray, aux: AdmmAuxState,
-                 deadline: float = math.inf) -> tuple[float, int, bool]:
-    """One pass of the six splitting updates: W, H, B, C, then multipliers.
-
-    Both least-squares subproblems are SPD (Gram + rho I), solved by
-    Cholesky factorization.
-    """
-    X, C = block.x_block, block.c_block
-    rho = aux.rho
-    ridge = rho * np.eye(B.shape[1])
-    H = aux.Haux
-    # W-step is a right-hand solve; transpose since the system is symmetric
-    aux.Waux = _spd_solve(H @ H.T + ridge, (X @ H.T + aux.Phi + rho * B).T).T
-    W = aux.Waux
-    aux.Haux = _spd_solve(W.T @ W + ridge, W.T @ X + aux.Psi + rho * C)
-    H = aux.Haux
-    B[:] = np.maximum(W - aux.Phi / rho, 0.0)
-    C[:] = np.maximum(H - aux.Psi / rho, 0.0)
-    aux.Phi = aux.Phi + rho * (B - W)
-    aux.Psi = aux.Psi + rho * (C - H)
     resid, over = reduce_progress(world, residual_sq(X, B, C), deadline)
     return resid, 0, over

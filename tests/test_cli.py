@@ -64,6 +64,8 @@ def test_run_distributed_in_process(tmp_path, capsys):
 def test_run_rejects_bad_flag_combinations(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--alg", "sgd", "--m", "4", "--n", "4"])
+    with pytest.raises(SystemExit):  # deleted solvers are gone from --alg
+        main(["run", "--alg", "admm", "--m", "4", "--n", "4"])
     with pytest.raises(ValueError):
         main(["run", "--alg", "bcd", "--m", "4", "--n", "8", "--p", "2"])
 

@@ -370,6 +370,29 @@ def test_peer_closing_between_frames_has_left_the_world():
         comm._read_frame(near, 5.0, 0, 1)
 
 
+def test_a_frame_arrives_within_one_timeout_not_one_per_read():
+    # the header comes after 0.8 s and the body 0.8 s later: each read
+    # alone is inside the 1.0 s timeout, the frame as a whole is not
+    near, far = socket.socketpair()
+
+    def slow_sender():
+        time.sleep(0.8)
+        far.sendall(comm._FRAME_HEADER.pack(0, 8))
+        time.sleep(0.8)
+        far.sendall(bytes(8))
+
+    sender = threading.Thread(target=slow_sender, daemon=True)
+    with near, far:
+        sender.start()
+        t0 = time.monotonic()
+        with pytest.raises(CommTimeoutError, match="rank 0 timed out after "
+                           "1.0s waiting for rank 1"):
+            comm._read_frame(near, 1.0, 0, 1)
+        elapsed = time.monotonic() - t0
+        sender.join(timeout=5.0)
+    assert 0.95 <= elapsed < 1.4
+
+
 def test_send_to_a_peer_that_never_reads_times_out_after_the_world_timeout():
     # a 16 MB frame fills the socket buffers of a peer that never reads;
     # the write waits the world's timeout, not the 0.2 s a read left on
@@ -489,3 +512,32 @@ def test_rendezvous_times_out_naming_the_ranks_that_never_registered(silent):
     assert isinstance(exc, CommTimeoutError)
     assert "after 0.5s" in str(exc)
     assert "rank(s) [2] never registered" in str(exc)
+
+
+def test_rendezvous_drops_a_connection_that_closes_before_registering():
+    # a stray dial that closes at once is no rank: rank 0 keeps accepting
+    # and the world forms when rank 1 registers
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        addr = ("127.0.0.1", s.getsockname()[1])
+    worlds, errors = [], []
+
+    def rank0():
+        try:
+            worlds.append(comm.TcpEndpoint(0, 2, addr, timeout=3.0))
+        except Exception as exc:
+            errors.append(exc)
+
+    host = threading.Thread(target=rank0, daemon=True)
+    host.start()
+    comm._dial(addr, 5.0).close()
+    peer = comm.TcpEndpoint(1, 2, addr, timeout=5.0)
+    host.join(timeout=5.0)
+    assert not host.is_alive() and errors == []
+    [endpoint] = worlds
+    assert sorted(endpoint._conns) == [1]
+    peer.send(0, 7, np.arange(3.0).reshape(3, 1))
+    tag, col = endpoint.recv(1, 5.0)
+    assert tag == 7 and np.array_equal(col, np.arange(3.0).reshape(3, 1))
+    endpoint.close()
+    peer.close()

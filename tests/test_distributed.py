@@ -61,7 +61,7 @@ def sequential_cd(X, B, C):
     """Reference coordinate-descent sweep built from the kernel's parts with
     no collective at all: the C pass, then each basis column in order.
     Updates B and C in place and returns the skipped-update count."""
-    S, V, skipped = c_rowwise_sweep(X, C, B)
+    S, V, _, skipped = c_rowwise_sweep(X, C, B)
     for i in range(B.shape[1]):
         y, z = b_column_partials(S, V, B, i)
         skipped += b_column_apply(B, i, y, z)

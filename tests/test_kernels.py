@@ -6,8 +6,6 @@ from didnmf.distributed import dbcd_worker_iterate
 from didnmf.harness import init_factors, synth_data, synth_lowrank
 from didnmf.kernels import (
     DEGENERATE_NORM_TOL,
-    AdmmAuxState,
-    admm_iterate,
     anls_iterate,
     b_column_apply,
     b_column_partials,
@@ -34,11 +32,10 @@ class Solo:
     (bcd) is the dbcd worker on one rank.
     """
 
-    def __init__(self, step, X, B, C, state=None):
+    def __init__(self, step, X, B, C):
         self.X = np.asfortranarray(X, dtype=float)
         self.block = make_column_blocks(self.X, np.asarray(C, dtype=float), 1)[0]
         self.B = np.array(B, dtype=float, order="F")
-        self.state = state(self.block, self.B) if state else None
         self._step = step
         [self.world] = make_inprocess_worlds(1)
         self.skipped = 0
@@ -48,7 +45,7 @@ class Solo:
         return self.block.c_block
 
     def step(self) -> float:
-        resid, skipped, _ = self._step(self.world, self.block, self.B, self.state)
+        resid, skipped, _ = self._step(self.world, self.block, self.B, None)
         self.skipped += skipped
         return resid
 
@@ -64,20 +61,15 @@ def anls(X, B, C):
     return Solo(anls_iterate, X, B, C)
 
 
-def admm(X, B, C, rho=1.0):
-    return Solo(admm_iterate, X, B, C,
-                state=lambda block, B: AdmmAuxState.fresh(block, B, rho))
-
-
 # Gram-form coordinate updates (worked instances first)
 
 
 def sweep(X, B, C):
-    """Run the C pass on copies; return (C, S, V, skipped)."""
+    """Run the C pass on copies; return (C, S, V, rr, skipped)."""
     C = np.array(C, dtype=float, order="F")
-    S, V, skipped = c_rowwise_sweep(np.asfortranarray(X, dtype=float),
-                                    C, np.asfortranarray(B, dtype=float))
-    return C, S, V, skipped
+    S, V, rr, skipped = c_rowwise_sweep(np.asfortranarray(X, dtype=float),
+                                        C, np.asfortranarray(B, dtype=float))
+    return C, S, V, rr, skipped
 
 
 def elementwise_c_pass(X, B, C):
@@ -103,23 +95,23 @@ def elementwise_c_pass(X, B, C):
 def test_c_element_update_scalar_instance():
     # x = (2,2), b = (1,1), c = 1: optimum c = 2 and the residual vanishes
     X = np.asfortranarray([[2.0], [2.0]])
-    C, S, V, skipped = sweep(X, [[1.0], [1.0]], [[1.0]])
+    C, S, V, rr, skipped = sweep(X, [[1.0], [1.0]], [[1.0]])
     assert C[0, 0] == 2.0 and skipped == 0
     assert np.array_equal(S, [[4.0], [4.0]]) and np.array_equal(V, [[4.0]])
-    assert residual_sq(X, np.ones((2, 1)), C) == 0.0
+    assert rr == residual_sq(X, np.ones((2, 1)), C) == 0.0
 
 
 def test_c_element_clamps_to_zero():
     X = np.asfortranarray([[-3.0], [-3.0]])
-    C, S, V, _ = sweep(X, [[1.0], [1.0]], [[1.0]])
+    C, S, V, rr, _ = sweep(X, [[1.0], [1.0]], [[1.0]])
     assert C[0, 0] == 0.0
     assert not S.any() and not V.any()
-    assert residual_sq(X, np.ones((2, 1)), C) == 18.0
+    assert rr == residual_sq(X, np.ones((2, 1)), C) == 18.0
 
 
 def test_c_element_degenerate_column_skipped():
     X = np.asfortranarray([[1.0], [1.0]])
-    C, _, _, skipped = sweep(X, [[0.0], [0.0]], [[5.0]])
+    C, _, _, _, skipped = sweep(X, [[0.0], [0.0]], [[5.0]])
     assert np.array_equal(C, [[5.0]])
     assert skipped == 1
 
@@ -158,7 +150,7 @@ def test_c_rowwise_sweep_matches_elementwise():
     # expanded through G = B^T B and P = B^T X, so agreement is to the
     # last few ulp rather than bitwise
     X, B0, C0 = make_factors(4, 9, 3, 21)
-    C, S, V, _ = sweep(X, B0, C0)
+    C, S, V, _, _ = sweep(X, B0, C0)
     C_ref, _ = elementwise_c_pass(X, B0, C0)
     assert np.allclose(C, C_ref, rtol=1e-13, atol=1e-15)
     assert np.allclose(S, X @ C_ref.T, rtol=1e-13)
@@ -182,13 +174,34 @@ def test_c_rowwise_sweep_tile_boundaries(width):
     tiles = column_tiles(n, m)
     assert tiles[0].start == 0 and tiles[-1].stop == n
     assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
-    C, S, V, _ = sweep(X, B, C0)
+    C, S, V, _, _ = sweep(X, B, C0)
     C_ref, _ = elementwise_c_pass(X, B, C0)
     assert np.allclose(C, C_ref, rtol=1e-12, atol=1e-14)
     assert np.allclose(S, X @ C.T, rtol=1e-12)
     assert np.allclose(V, C @ C.T, rtol=1e-12)
     assert residual_sq(X, B, C) == pytest.approx(
         frob_norm_sq(X - B @ C), rel=1e-12)
+
+
+@pytest.mark.parametrize("tiles,dead", [(1, False), (3, False), (3, True)],
+                         ids=["one-tile", "short-last-tile", "dead-row"])
+def test_c_rowwise_sweep_takes_the_residual_of_residual_sq(tiles, dead):
+    # the sweep adds each tile's ||X_t - B C_t||^2 in the pass, against
+    # the basis it swept with; that is `residual_sq` of the updated C to
+    # the last bit, a dead row (g_ii under the floor) included
+    m, k = 4, 3
+    n = 9 if tiles == 1 else 2 * tile_width(m) + 3
+    assert len(column_tiles(n, m)) == tiles
+    rng = np.random.default_rng(n)
+    X = np.asfortranarray(rng.uniform(0.0, 1.0, size=(m, n)))
+    B = np.asfortranarray(rng.uniform(0.1, 1.0, size=(m, k)))
+    if dead:
+        B[:, 1] = 0.0
+    C = np.asfortranarray(rng.uniform(0.0, 1.0, size=(k, n)))
+    _, _, rr, skipped = c_rowwise_sweep(X, C, B)
+    assert skipped == int(dead)
+    assert rr == residual_sq(X, B, C)
+    assert rr == pytest.approx(frob_norm_sq(X - B @ C), rel=1e-12)
 
 
 def test_bcd_coordinate_optimality_after_element_update():
@@ -199,7 +212,7 @@ def test_bcd_coordinate_optimality_after_element_update():
     for last in range(3):
         order = [i for i in range(3) if i != last] + [last]
         B = B0[:, order]
-        C, _, _, _ = sweep(X, B, C0[order])
+        C, _, _, _, _ = sweep(X, B, C0[order])
         g = -(B[:, -1] @ (X - B @ C))
         pg = np.where(C[-1] > 0, g, np.minimum(g, 0.0))
         assert np.abs(pg).max() <= 1e-10
@@ -299,58 +312,6 @@ def test_anls_monotone_and_each_block_optimal():
     # (re-solving that block changes nothing)
     B_again = nnls_rows(a.C @ a.C.T, X @ a.C.T)
     assert np.allclose(B_again, a.B, atol=1e-8)
-
-
-# ADMM
-
-
-def test_admm_aux_state_init_and_validation():
-    X, B0, C0 = make_factors(3, 5, 2, 12)
-    block = make_column_blocks(X, C0, 1)[0]
-    aux = AdmmAuxState.fresh(block, B0, rho=2.0)
-    assert np.array_equal(aux.Waux, B0)
-    assert np.array_equal(aux.Haux, C0)
-    assert not aux.Phi.any() and not aux.Psi.any()
-    assert aux.rho == 2.0
-    with pytest.raises(ValueError):
-        AdmmAuxState.fresh(block, B0, rho=0.0)
-
-
-def test_admm_fixed_point_and_multiplier_stasis():
-    rng = np.random.default_rng(13)
-    B = rng.uniform(0.5, 1.5, size=(4, 2))
-    C = rng.uniform(0.5, 1.5, size=(2, 7))
-    a = admm(B @ C, B, C)
-    a.step()
-    aux = a.state
-    assert np.allclose(a.B, B, rtol=1e-10)
-    assert np.allclose(a.C, C, rtol=1e-10)
-    assert np.allclose(aux.Waux, B, rtol=1e-10)
-    assert np.allclose(aux.Haux, C, rtol=1e-10)
-    # with B = W exactly, the multiplier update is a no-op
-    assert np.allclose(aux.Phi, 0.0, atol=1e-10)
-    assert np.allclose(aux.Psi, 0.0, atol=1e-10)
-
-
-def test_admm_b_step_projection():
-    # B := [W - Phi/rho]_+ is a plain shifted projection
-    X = np.asfortranarray([[1.0, 1.0], [1.0, 1.0]])
-    a = admm(X, np.full((2, 1), 0.5), np.full((1, 2), 0.5))
-    a.state.Phi = np.full((2, 1), 2.0)  # forces W - Phi/rho below zero
-    a.step()
-    assert (a.B >= 0.0).all()
-
-
-def test_admm_converges_on_lowrank_instance():
-    X, B0, C0 = make_factors(5, 200, 3, 1, lowrank=True)
-    a = admm(X, B0, C0)
-    e0 = a.recomputed()
-    for _ in range(600):
-        resid = a.step()
-        if resid / e0 <= 1e-6:
-            break
-    assert resid / e0 <= 1e-6
-    assert resid == pytest.approx(a.recomputed(), rel=1e-12)
 
 
 # degenerate bookkeeping
