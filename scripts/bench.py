@@ -13,13 +13,13 @@ also measures the checkout in DIR as BENCH_N.json, each of its runs
 beside the same run of this checkout, with this checkout first on odd
 runs and second on even ones, so that a slow spell of the host lands on
 both sides of the comparison. A file holds the commit measured (marked
-"+dirty.<hash of the diff>" when its src/ or tcpbench/ differ from it), the
-environment (CPU count, Python and numpy versions, host steal seconds
-over the whole bench), every run's result line, steal time and each
-solve's iteration count and per-rank BLAS thread count, and per workload
-the median of each end-to-end metric. `--compare OLD [NEW]`
-prints the per-metric change from OLD to NEW, or to the file this call
-just wrote. Only the standard library is used.
+"+dirty.<hash of the change>" when its src/ or tcpbench/ differ from it,
+untracked files included), the environment (CPU count, Python and numpy
+versions, host steal seconds over the whole bench), every run's result
+line, steal time and each solve's iteration count and per-rank BLAS
+thread count, and per workload the median of each end-to-end metric.
+`--compare OLD [NEW]` prints the per-metric change from OLD to NEW, or
+to the file this call just wrote. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -60,15 +60,26 @@ def environment() -> dict:
 
 def commit(root: str) -> str | None:
     """HEAD of the checkout; if its src/ or tcpbench/ differ from it,
-    "+dirty." and 12 hex digits of the sha256 of that diff, which name
-    the tree measured."""
+    "+dirty." and 12 hex digits of a sha256 that names the tree measured:
+    of the diff of tracked files, then of each untracked, not ignored
+    file's path and contents, in path order."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                           capture_output=True, text=True)
     if head.returncode != 0:
         return None
-    diff = subprocess.run(["git", "diff", "HEAD", "--", "src", "tcpbench"],
-                          cwd=root, capture_output=True, check=True).stdout
-    dirty = f"+dirty.{hashlib.sha256(diff).hexdigest()[:12]}" if diff else ""
+
+    def git(*args: str) -> bytes:
+        return subprocess.run(["git", *args, "--", "src", "tcpbench"],
+                              cwd=root, capture_output=True, check=True).stdout
+
+    diff = git("diff", "HEAD")
+    untracked = sorted(filter(None, git("ls-files", "-z", "--others",
+                                        "--exclude-standard").split(b"\0")))
+    tree = hashlib.sha256(diff)
+    for path in untracked:
+        with open(os.path.join(root, os.fsdecode(path)), "rb") as f:
+            tree.update(b"\0" + path + b"\0" + f.read())
+    dirty = f"+dirty.{tree.hexdigest()[:12]}" if diff or untracked else ""
     return head.stdout.strip() + dirty
 
 

@@ -514,11 +514,18 @@ def test_message_residual_rounded_below_zero_reports_zero(monkeypatch, alg):
     # X = b c exactly for b = (1, 1), c = (1, 0). From B = (1, 0) the C pass
     # gives c, with rr = 1, and the basis moves by Delta = (0, 1): the
     # identity is rr - 2 + 1 = 0. A pass that rounded rr two ulps low
-    # (1 - 2^-52) gives (rr - 2) + 1 = -2^-52, which is reported as 0.0
+    # (1 - 2^-52) gives (rr - 2) + 1 = -2^-52, which is reported as 0.0.
+    # The C phase is the one place either worker takes rr from
     X = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
     step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate}[alg]
+    c_phase = distributed.did_c_phase
     for rr in (1.0, 1.0 - 2.0 ** -52):
-        monkeypatch.setattr(distributed, "residual_sq", lambda *a, rr=rr: rr)
+        def low_c_phase(block, B, rr=rr):
+            S, V, exact, skipped = c_phase(block, B)
+            assert exact == 1.0
+            return S, V, rr, skipped
+
+        monkeypatch.setattr(distributed, "did_c_phase", low_c_phase)
         block = make_column_blocks(X, np.full((1, 2), 0.5), 1)[0]
         B = np.asfortranarray([[1.0], [0.0]])
         [world] = make_inprocess_worlds(1)
