@@ -18,8 +18,12 @@ untracked files included), the environment (CPU count, Python and numpy
 versions, host steal seconds over the whole bench), every run's result
 line, steal time and each solve's iteration count and per-rank BLAS
 thread count, and per workload the median of each end-to-end metric.
-`--compare OLD [NEW]` prints the per-metric change from OLD to NEW, or
-to the file this call just wrote. Only the standard library is used.
+`--compare OLD [NEW]` compares OLD with NEW, or with the file this call
+just wrote: per workload and metric, each side's median and quartiles,
+the change of the median, and, for two files of one `--against` run,
+how many of the runs paired by index NEW won and whether that makes a
+gain (at least 9 in 10 pairs won, and the medians apart by more than
+OLD's interquartile range). Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -145,16 +149,75 @@ def bench(trees: dict[int, str], runs: int) -> dict[int, dict]:
             for pr, root in trees.items()}
 
 
-def compare(old: dict, new: dict) -> None:
-    print(f"{'workload':10s} {'metric':20s} {'old':>12s} {'new':>12s} {'change':>9s}")
+def directions() -> dict[str, str]:
+    """Each end-to-end metric's better direction, from BENCHMARK.json."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile), linearly interpolated."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def paired(old: dict, new: dict, better: dict[str, str]) -> list[dict]:
+    """Per workload and metric that both files hold: each side's quartiles
+    and, when both files were written by one `--against` run (they share
+    its environment record, wall time and steal time included, and hold
+    the same seeds run for run), how many of the runs paired by index NEW
+    won.
+
+    `better` maps a metric to "lower" or "higher" (default "lower"). A
+    gain holds when NEW won at least 9 in 10 of the pairs, ties counting
+    for neither, and its median is better than OLD's by more than OLD's
+    interquartile range.
+    """
+    rows = []
+    one_run = old.get("environment") == new.get("environment")
     for name, wl in new["workloads"].items():
-        before = old["workloads"].get(name, {}).get("median", {})
-        for metric, value in wl["median"].items():
-            if metric not in before:
+        old_runs = old["workloads"].get(name, {}).get("runs", [])
+        same_seeds = one_run and ([r["seed"] for r in old_runs]
+                                  == [r["seed"] for r in wl["runs"]])
+        for metric in wl["median"]:
+            was, now = ([r["metrics"][metric]["value"] for r in runs
+                         if metric in r["metrics"]]
+                        for runs in (old_runs, wl["runs"]))
+            if not was or not now:
                 continue
-            was = before[metric]
-            rel = (value - was) / was if was else float("nan")
-            print(f"{name:10s} {metric:20s} {was:12.4g} {value:12.4g} {rel:+9.1%}")
+            row = {"workload": name, "metric": metric, "old": quartiles(was),
+                   "new": quartiles(now), "pairs": None, "won": None,
+                   "gain": False}
+            if same_seeds:
+                sign = 1.0 if better.get(metric, "lower") == "higher" else -1.0
+                pairs = [(o["metrics"][metric]["value"],
+                          n["metrics"][metric]["value"])
+                         for o, n in zip(old_runs, wl["runs"])
+                         if metric in o["metrics"] and metric in n["metrics"]]
+                won = sum(sign * (n - o) > 0 for o, n in pairs)
+                q1, median, q3 = row["old"]
+                row.update(pairs=len(pairs), won=won,
+                           gain=(won >= 0.9 * len(pairs) and
+                                 sign * (row["new"][1] - median) > q3 - q1))
+            rows.append(row)
+    return rows
+
+
+def compare(old: dict, new: dict, better: dict[str, str]) -> None:
+    """Print `paired(old, new, better)`, one workload and metric a line."""
+    print(f"{'workload':10s} {'metric':20s} {'old median [q1, q3]':>28s} "
+          f"{'new median [q1, q3]':>28s} {'change':>8s} {'won':>6s} gain")
+    for row in paired(old, new, better):
+        sides = [f"{q2:.4g} [{q1:.4g}, {q3:.4g}]" for q1, q2, q3
+                 in (row["old"], row["new"])]
+        was, now = row["old"][1], row["new"][1]
+        rel = (now - was) / was if was else float("nan")
+        won = "-" if row["pairs"] is None else f"{row['won']}/{row['pairs']}"
+        print(f"{row['workload']:10s} {row['metric']:20s} {sides[0]:>28s} "
+              f"{sides[1]:>28s} {rel:+8.1%} {won:>6s} "
+              f"{'yes' if row['gain'] else 'no'}")
 
 
 def main(argv=None) -> int:
@@ -189,14 +252,14 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         new = written[args.pr]
         if base is not None and not args.compare:
-            compare(written[base], new)
+            compare(written[base], new, directions())
     if args.compare:
         with open(args.compare[0]) as f:
             old = json.load(f)
         if len(args.compare) > 1:
             with open(args.compare[1]) as f:
                 new = json.load(f)
-        compare(old, new)
+        compare(old, new, directions())
     return 0
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import queue
+import selectors
 import socket
 import struct
 import time
@@ -313,6 +314,24 @@ def _dial(addr, timeout: float):
             pause = min(2.0 * pause, _DIAL_PAUSE_MAX)
 
 
+def _registered_rank(tag: int, body: bytes, size: int, registered) -> int:
+    """The rank a registration frame names, checked against the world's
+    size and the ranks already `registered`."""
+    if tag != _TAG_REGISTER:
+        raise CommError(
+            f"rank 0 expected a registration frame, got tag {tag:#x}")
+    reg = json.loads(body.decode())
+    peer_rank = int(reg["rank"])
+    if int(reg["world"]) != size:
+        raise CommError(
+            f"world size mismatch: rank 0 expects {size} but "
+            f"rank {peer_rank} announced {reg['world']}")
+    if not 1 <= peer_rank < size or peer_rank in registered:
+        raise CommError(f"invalid or duplicate rank {peer_rank} "
+                        f"at the rendezvous")
+    return peer_rank
+
+
 class TcpEndpoint:
     """One rank's sockets: rank 0 holds one per peer, a peer one to rank 0."""
 
@@ -334,43 +353,56 @@ class TcpEndpoint:
             raise
 
     def _rendezvous(self, size: int, address, timeout: float) -> None:
-        """Accept the P-1 registrations, all within one `timeout`."""
+        """Accept the P-1 registrations, all within one `timeout`.
+
+        The listener and every connection that has not registered yet are
+        watched at once, and a connection's frame is read only once it
+        has bytes ready, so a dial that stays silent holds no rank behind
+        it. A connection that closes or resets before its registration
+        frame is whole is dropped; the silent ones left once P-1 ranks
+        have registered are closed.
+        """
         deadline = time.monotonic() + timeout
-        with socket.create_server(address, backlog=size) as listener:
-            while len(self._conns) < size - 1:
-                try:
+
+        def never_registered() -> CommTimeoutError:
+            missing = sorted(set(range(1, size)) - set(self._conns))
+            return CommTimeoutError(
+                f"rank 0 timed out after {timeout:.1f}s at the "
+                f"rendezvous: rank(s) {missing} never registered")
+
+        with socket.create_server(address, backlog=size) as listener, \
+                selectors.DefaultSelector() as watch:
+            watch.register(listener, selectors.EVENT_READ)
+            try:
+                while len(self._conns) < size - 1:
                     left = deadline - time.monotonic()
-                    if left <= 0:
-                        raise socket.timeout
-                    listener.settimeout(left)
-                    # held under -1 until it names its rank, so close() has it
-                    conn = self._conns[-1] = _nodelay(listener.accept()[0])
-                    tag, body = _read_frame(conn, deadline - time.monotonic(),
-                                            0, -1)
-                except (socket.timeout, CommTimeoutError):
-                    missing = sorted(set(range(1, size)) - set(self._conns))
-                    raise CommTimeoutError(
-                        f"rank 0 timed out after {timeout:.1f}s at the "
-                        f"rendezvous: rank(s) {missing} never registered"
-                    ) from None
-                except CommError:
-                    # a connection that closed or reset before its frame
-                    # was whole never named a rank: drop it, keep waiting
-                    self._conns.pop(-1).close()
-                    continue
-                if tag != _TAG_REGISTER:
-                    raise CommError(
-                        f"rank 0 expected a registration frame, got tag {tag:#x}")
-                reg = json.loads(body.decode())
-                peer_rank = int(reg["rank"])
-                if int(reg["world"]) != size:
-                    raise CommError(
-                        f"world size mismatch: rank 0 expects {size} but "
-                        f"rank {peer_rank} announced {reg['world']}")
-                if not 1 <= peer_rank < size or peer_rank in self._conns:
-                    raise CommError(f"invalid or duplicate rank {peer_rank} "
-                                    f"at the rendezvous")
-                self._conns[peer_rank] = self._conns.pop(-1)
+                    ready = watch.select(left) if left > 0 else []
+                    if not ready:
+                        raise never_registered()
+                    for key, _ in ready:
+                        conn = key.fileobj
+                        if conn is listener:
+                            watch.register(_nodelay(listener.accept()[0]),
+                                           selectors.EVENT_READ)
+                            continue
+                        try:
+                            tag, body = _read_frame(
+                                conn, deadline - time.monotonic(), 0, -1)
+                        except CommTimeoutError:
+                            raise never_registered() from None
+                        except CommError:
+                            # closed or reset before its frame was whole:
+                            # it never named a rank, so drop it
+                            watch.unregister(conn)
+                            conn.close()
+                            continue
+                        peer = _registered_rank(tag, body, size, self._conns)
+                        watch.unregister(conn)
+                        self._conns[peer] = conn
+            finally:
+                for key in list(watch.get_map().values()):
+                    if key.fileobj is not listener:
+                        key.fileobj.close()
 
     def _write(self, dst: int, tag: int, body: bytes) -> None:
         # a read or a dial leaves its own timeout on the socket

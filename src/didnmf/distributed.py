@@ -68,7 +68,7 @@ def did_build_message(S: np.ndarray, V: np.ndarray, rr: float,
     residual rr and its time-cap flag. That is MK + K(K+1)/2 + 2 doubles.
     Only this function and `did_update_basis` know the layout.
     """
-    return np.concatenate([S.ravel(order="F"), V[np.tril_indices(len(V))],
+    return np.concatenate([S.ravel(order="F"), V[np.tri(len(V), dtype=bool)],
                            [rr, flag]])
 
 
@@ -81,7 +81,7 @@ def did_update_basis(B: np.ndarray, buf: np.ndarray) -> tuple[float, int, bool]:
     m, k = B.shape
     S = buf[:m * k].reshape((m, k), order="F")
     V = np.zeros((k, k))
-    V[np.tril_indices(k)] = buf[m * k:-2]
+    V[np.tri(k, dtype=bool)] = buf[m * k:-2]
     V += np.tril(V, -1).T
     return move_basis(B, S, V, buf[-2:], lambda yz: yz)
 

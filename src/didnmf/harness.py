@@ -180,21 +180,21 @@ def read_metrics_csv(path) -> list[dict]:
 
 
 def _philox_rows(key, rows: int, width: int, start: int, size: int,
-                 base: int = 0) -> np.ndarray:
+                 base: int = 0, order: str = "F") -> np.ndarray:
     """Columns [start, start + size) of a rows x width matrix drawn row-major.
 
     The matrix is the Philox 4x64-10 stream keyed with SeedSequence(key),
     from draw `base` on, one float64 per draw. Philox is counter-based, so
     each row starts a fresh generator at its own offset: `advance` skips
     whole 4-draw counter blocks and the remainder is drawn and dropped.
-    The result equals the same slice of the full draw bit for bit, and no
-    other column of the stream is generated.
+    The result, laid out in `order`, equals the same slice of the full
+    draw bit for bit, and no other column of the stream is generated.
     """
     if start < 0 or size < 0 or start + size > width:
         raise ValueError(f"columns [{start}, {start + size}) are outside "
                          f"the {width} columns")
     seq = np.random.SeedSequence(key)
-    out = np.empty((rows, size), order="F")
+    out = np.empty((rows, size), order=order)
     for i in range(rows):
         offset = base + i * width + start
         bits = np.random.Philox(seq)
@@ -258,6 +258,8 @@ def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
     Lloyd's method on the columns of X, takes centroids as B, and seeds C
     with smoothed one-hot assignment columns. The stream is Philox keyed
     with SeedSequence([seed, 1]); B is drawn before C, both row-major.
+    C is returned row-major in memory, as a block's C is kept (see
+    `ColumnBlock`); B column-major.
 
     For scaled-random, X may be the column block [start, start + size) of
     an n-column matrix whose mean is `mean`: B and that block of C then
@@ -272,7 +274,7 @@ def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
     if method == "scaled-random":
         s = random_init_scale(X, k, mean)
         B = _philox_rows([seed, 1], m, k, 0, k)
-        C = _philox_rows([seed, 1], k, n, start, size, base=m * k)
+        C = _philox_rows([seed, 1], k, n, start, size, base=m * k, order="C")
         B *= s
         C *= s
     elif method == "kmeans":
@@ -309,8 +311,7 @@ def _kmeans_init(X, k: int, rng, sweeps: int = 50, smoothing: float = 0.1):
         assign = new_assign
     C = np.full((k, n), smoothing)
     C[assign, np.arange(n)] += 1.0
-    return (np.asfortranarray(np.maximum(centroids, 0.0)),
-            np.asfortranarray(C))
+    return np.asfortranarray(np.maximum(centroids, 0.0)), C
 
 
 def stopping_check(e_t_sq: float, e_0_sq: float, epsilon: float) -> bool:
@@ -415,7 +416,7 @@ def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
         if config.init == "kmeans":
             B, C = (kmeans or init_factors)(X, config.k, config.seed, "kmeans")
             B = B.copy(order="F")
-            c_block = C[:, start:start + size].copy(order="F")
+            c_block = C[:, start:start + size].copy(order="C")
         else:
             B, c_block = init_factors(x_block, config.k, config.seed,
                                       start=start, n=n, mean=total / (m * n))

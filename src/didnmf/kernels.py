@@ -27,9 +27,12 @@ from .nnls import nnls_rows
 
 # squared-norm floor below which a closed-form update is skipped
 DEGENERATE_NORM_TOL = 1e-12
-# bytes of X per column tile: with the tile's C and B^T X rows the working
-# set stays inside a per-core L2 cache. At M=5, K=3 on a core with 2 MiB
-# of L2, 256 KiB swept fastest of 128 KiB to 1 MiB.
+# bytes of X per column tile: with the tile's C, P~ and residual rows the
+# working set stays inside a per-core L2 cache. On a core with 2 MiB of L2
+# (Xeon, 2 vCPUs), one BLAS thread, row-major C, median sweep ms over 21
+# interleaved repetitions for 128 / 256 / 384 / 512 / 1024 KiB:
+# M=5, N=5e5, K=3: 12.36 / 11.69 / 12.06 / 12.52 / 13.36;
+# M=40, N=5e4, K=30: 34.57 / 28.96 / 33.87 / 32.54 / 32.98.
 TILE_BYTES = 256 * 1024
 
 
@@ -49,49 +52,67 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
 
     Rows i = 0..K-1 are updated in order, every column at once:
 
-        c_i := [(p_i - sum_{k != i} g_ik c_k) / g_ii]_+
+        c_i := [p~_i + h_i^T C]_+
 
-    with G = B^T B formed once and P = B^T X_t once per tile. This is the
-    HALS row update c_i + (p_i - g_i^T C) / g_ii with the c_i terms
-    cancelled exactly, i.e. c_ij := [b_i^T e_j / b_i^T b_i]_+ with e_j the
-    residual of column j minus b_i's share. Distinct columns never
-    interact, so each tile is swept on its own, and its part of X C^T,
-    C C^T and ||X - B C||^2 is added while it is still in cache: nothing
-    reads X again before the next pass. Rows with g_ii under the
-    degeneracy floor are left untouched.
+    with G = B^T B, h_i = -g_i / g_ii (h_ii = 0) and P~ = B~^T X_t, where
+    column i of B~ is b_i / g_ii, formed once per tile. This is the HALS
+    row update c_i + (p_i - g_i^T C) / g_ii with the c_i terms cancelled
+    exactly and 1/g_ii folded into the products, i.e.
+    c_ij := [b_i^T e_j / b_i^T b_i]_+ with e_j the residual of column j
+    minus b_i's share. Distinct columns never interact, so each tile is
+    swept on its own, and its part of X C^T, C C^T and ||X - B C||^2 is
+    added while it is still in cache: nothing reads X again before the
+    next pass. Rows with g_ii under the degeneracy floor are left
+    untouched. B is only read; C- and Fortran-ordered B give the same
+    result bit for bit. A row-major C (a block's layout) keeps every row
+    update and the C C^T copy contiguous; any layout gives the same
+    iterate up to rounding.
 
     Returns (S, V, rr, skipped): S = X C^T and V = C C^T for the updated
     C, rr = ||X - B C||^2 for the updated C and this B, equal to
     `residual_sq` bit for bit, and the number of skipped rows.
     """
     m, k = B.shape
-    G = B.T @ B
-    rows = []
+    BF = np.asfortranarray(B)
+    G = BF.T @ BF
+    # a copy, never a view of B; a Fortran B^T puts P~ on the fast gemm
+    Bt = np.array(BF.T, order="F")
+    H = np.zeros((k, k))
+    live = []
     for i in range(k):
         gii = float(G[i, i])
         if gii < DEGENERATE_NORM_TOL:
             continue
-        g = G[i].copy()
-        g[i] = 0.0
-        rows.append((i, g, gii))
-    Bt = np.ascontiguousarray(B.T)
+        live.append(i)
+        Bt[i] /= gii
+        H[i] = G[i] / -gii
+        H[i, i] = 0.0
+    # per-tile operands are slices of buffers made once per call; every
+    # product writes a C- or Fortran-contiguous `out`, which keeps numpy
+    # on its gemm/gemv path
+    width = tile_width(m)
+    P_buf, W_buf, r_buf = np.empty(k * width), np.empty(k * width), np.empty(width)
+    E = _tile_buffer(m)
     S = np.zeros((m, k))
     V = np.zeros((k, k))
     rr = 0.0
     for cols in column_tiles(X.shape[1], m):
         Xt, Ct = X[:, cols], C[:, cols]
-        P = Bt @ Xt
-        for i, g, gii in rows:
-            r = g @ Ct
-            np.subtract(P[i], r, out=r)
-            r /= gii
+        t = Xt.shape[1]
+        P, W, r = (P_buf[:k * t].reshape((k, t)), W_buf[:k * t].reshape((k, t)),
+                   r_buf[:t])
+        np.matmul(Bt, Xt, out=P)
+        for i in live:
+            np.matmul(H[i], Ct, out=r)
+            r += P[i]
             np.maximum(r, 0.0, out=Ct[i])
         S += Xt @ Ct.T
         # a copied right operand keeps numpy off its syrk path, which is
         # slower than gemm at this K
-        V += Ct @ Ct.T.copy()
-        rr += _tile_residual_sq(Xt, Ct, B)
-    return S, V, rr, k - len(rows)
+        np.copyto(W, Ct)
+        V += Ct @ W.T
+        rr += _tile_residual_sq(Xt, Ct, BF, E[:, :t])
+    return S, V, rr, k - len(live)
 
 
 def b_column_partials(S, V, B, i: int) -> tuple[np.ndarray, float]:
@@ -119,20 +140,30 @@ def b_column_apply(B, i: int, y, z: float) -> int:
     return 0
 
 
-def _tile_residual_sq(Xt, Ct, B) -> float:
-    """||X_t - B C_t||^2 of one column tile; the one expression both
-    `residual_sq` and `c_rowwise_sweep` sum, so their totals agree bit
-    for bit."""
-    # T x M row-major on both sides, which is X's own column-major layout
-    R = Xt.T - Ct.T @ B.T
-    return float(np.vdot(R, R))
+def _tile_buffer(m: int) -> np.ndarray:
+    """Fortran m x `tile_width(m)` scratch for `_tile_residual_sq`."""
+    return np.empty((m, tile_width(m)), order="F")
+
+
+def _tile_residual_sq(Xt, Ct, BF, E) -> float:
+    """||X_t - B C_t||^2 of one column tile, with BF a Fortran B and E a
+    Fortran scratch of X_t's shape; the one expression both `residual_sq`
+    and `c_rowwise_sweep` sum, so their totals agree bit for bit."""
+    # a Fortran B and `out` make this one gemm on OpenBLAS's fast path
+    np.matmul(BF, Ct, out=E)
+    np.subtract(Xt, E, out=E)
+    e = E.ravel(order="F")
+    return float(e @ e)
 
 
 def residual_sq(X, B, C) -> float:
     """Exact ||X - B C||_F^2, summed tile by tile with no M x N temporary."""
+    m = B.shape[0]
+    BF, E = np.asfortranarray(B), _tile_buffer(m)
     total = 0.0
-    for cols in column_tiles(X.shape[1], B.shape[0]):
-        total += _tile_residual_sq(X[:, cols], C[:, cols], B)
+    for cols in column_tiles(X.shape[1], m):
+        Xt = X[:, cols]
+        total += _tile_residual_sq(Xt, C[:, cols], BF, E[:, :Xt.shape[1]])
     return total
 
 

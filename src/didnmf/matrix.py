@@ -63,8 +63,9 @@ class ColumnBlock:
 
     `x_block` is read only: a view of the shared data matrix in-process,
     the rank's own columns in a TCP rank. `c_block` is owned (written) by
-    exactly one worker. A block's rank is its world's, and its width is
-    `x_block.shape[1]`.
+    exactly one worker, and is kept row-major (C-ordered), so each row
+    that the C sweep rewrites is contiguous. A block's rank is its
+    world's, and its width is `x_block.shape[1]`.
     """
 
     x_block: np.ndarray
@@ -79,7 +80,7 @@ def make_column_blocks(X, C, p: int) -> list[ColumnBlock]:
         raise ValueError(
             f"X and C disagree on column count: {X.shape[1]} vs {C.shape[1]}")
     return [ColumnBlock(x_block=X[:, start:start + size],
-                        c_block=np.array(C[:, start:start + size], order="F"))
+                        c_block=np.array(C[:, start:start + size], order="C"))
             for start, size in partition_columns(X.shape[1], p)]
 
 

@@ -73,3 +73,48 @@ def test_commit_counts_untracked_files_under_the_measured_dirs(tmp_path):
     both = bench.commit(str(tmp_path))
     (tmp_path / "tcpbench" / "b.py").unlink()
     assert len({both, bench.commit(str(tmp_path)), *names}) == 4
+
+
+def bench_file(env, runs):
+    """A BENCH dict of one workload from {metric: [value per run]}."""
+    count = len(next(iter(runs.values())))
+    return {"environment": env, "workloads": {"w": {
+        "median": {m: sorted(v)[count // 2] for m, v in runs.items()},
+        "runs": [{"seed": i + 1,
+                  "metrics": {m: {"value": v[i]} for m, v in runs.items()}}
+                 for i in range(count)]}}}
+
+
+def test_compare_pairs_the_runs_of_one_against_run():
+    bench = load_bench()
+    env = {"wall_s": 1.0}
+    old = bench_file(env, {"t": [10.0, 11, 12, 13, 14, 15, 16, 17, 18, 19],
+                           "bytes": [440.0] * 10,
+                           "rate": [1.0, 2, 3, 4, 5, 6, 7, 8, 9, 10]})
+    # t: lower is better, won 9 of 10 (the last pair lost) and the median
+    # 5 below the old one, which is more than its 4.5 interquartile range
+    new = bench_file(env, {"t": [5.0, 6, 7, 8, 9, 10, 11, 12, 13, 20],
+                           "bytes": [440.0] * 10,
+                           "rate": [2.0, 3, 4, 5, 6, 7, 8, 9, 10, 11]})
+    rows = {r["metric"]: r for r in
+            bench.paired(old, new, {"t": "lower", "rate": "higher"})}
+    t = rows["t"]
+    assert t["old"] == (12.25, 14.5, 16.75)
+    assert t["new"][1] == 9.5
+    assert (t["won"], t["pairs"], t["gain"]) == (9, 10, True)
+    # ties count for neither side, and equal medians are no gain
+    assert (rows["bytes"]["won"], rows["bytes"]["gain"]) == (0, False)
+    # higher is better: 10 of 10 won, but a median 1 apart is inside the
+    # old interquartile range of 4.5
+    assert (rows["rate"]["won"], rows["rate"]["gain"]) == (10, False)
+    # 8 of 10 is below the 9-in-10 rule, however far the medians move
+    worse = bench_file(env, {"t": [1.0] * 8 + [30.0, 30.0],
+                             "bytes": [440.0] * 10, "rate": [1.0] * 10})
+    [t] = [r for r in bench.paired(old, worse, {}) if r["metric"] == "t"]
+    assert (t["won"], t["gain"]) == (8, False)
+    # files of two different runs are not paired, even on the same seeds
+    other = bench_file({"wall_s": 2.0}, {"t": [5.0] * 10, "bytes": [440.0] * 10,
+                                         "rate": [1.0] * 10})
+    [t] = [r for r in bench.paired(old, other, {}) if r["metric"] == "t"]
+    assert (t["pairs"], t["won"], t["gain"]) == (None, None, False)
+    assert t["new"] == (5.0, 5.0, 5.0)

@@ -541,3 +541,39 @@ def test_rendezvous_drops_a_connection_that_closes_before_registering():
     assert tag == 7 and np.array_equal(col, np.arange(3.0).reshape(3, 1))
     endpoint.close()
     peer.close()
+
+
+def test_a_silent_connection_does_not_hold_the_rendezvous():
+    # a dial that never sends is watched beside the registered ranks, so
+    # rank 1's registration 0.1 s later forms the world at once; the
+    # silent stray is then closed
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        addr = ("127.0.0.1", s.getsockname()[1])
+    worlds, errors = [], []
+
+    def rank0():
+        try:
+            worlds.append(comm.TcpEndpoint(0, 2, addr, timeout=2.0))
+        except Exception as exc:
+            errors.append(exc)
+
+    host = threading.Thread(target=rank0, daemon=True)
+    start = time.monotonic()
+    host.start()
+    stray = comm._dial(addr, 5.0)
+    time.sleep(0.1)
+    peer = comm.TcpEndpoint(1, 2, addr, timeout=5.0)
+    host.join(timeout=5.0)
+    elapsed = time.monotonic() - start
+    assert not host.is_alive() and errors == []
+    assert elapsed < 1.0
+    [endpoint] = worlds
+    assert sorted(endpoint._conns) == [1]
+    stray.settimeout(1.0)
+    assert stray.recv(1) == b""
+    peer.send(0, 7, np.arange(3.0).reshape(3, 1))
+    tag, col = endpoint.recv(1, 5.0)
+    assert tag == 7 and np.array_equal(col, np.arange(3.0).reshape(3, 1))
+    for sock in (endpoint, peer, stray):
+        sock.close()

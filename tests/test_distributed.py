@@ -208,10 +208,12 @@ def test_did_c_phase_counts_dead_rows():
 
 def test_dbcd_single_worker_is_bitwise_sequential():
     # on one rank the packed [y, z] collective hands back its input, so
-    # dbcd is the plain sequential sweep bit for bit
+    # dbcd is the plain sequential sweep bit for bit. The reference sweeps
+    # a C in the block's own (row-major) layout, since BLAS may round a
+    # product differently for another layout
     X, B0, C0 = random_problem(5, 17, 3, 4)
-    B_ref, C_ref = np.array(B0, order="F"), np.array(C0, order="F")
     block = make_column_blocks(X, C0, 1)[0]
+    B_ref, C_ref = np.array(B0, order="F"), block.c_block.copy()
     B = np.array(B0, order="F")
     [world] = make_inprocess_worlds(1)
     with world:

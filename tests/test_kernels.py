@@ -204,6 +204,30 @@ def test_c_rowwise_sweep_takes_the_residual_of_residual_sq(tiles, dead):
     assert rr == pytest.approx(frob_norm_sq(X - B @ C), rel=1e-12)
 
 
+@pytest.mark.parametrize("dead", [False, True], ids=["live", "dead-row"])
+def test_c_rowwise_sweep_never_writes_b_and_ignores_its_order(dead):
+    # the sweep folds 1/g_ii into a copy of B^T. A layout conversion of
+    # B.T that needs no copy returns B's own memory, and scaling that in
+    # place would move B. B stays bit for bit as it was, and a C- and a
+    # Fortran-ordered B give the same C, S, V and rr bit for bit
+    m, k = 4, 3
+    n = 2 * tile_width(m) + 3
+    rng = np.random.default_rng(5)
+    X = np.asfortranarray(rng.uniform(0.0, 1.0, size=(m, n)))
+    B0 = rng.uniform(0.1, 1.0, size=(m, k))
+    if dead:
+        B0[:, 2] = 0.0
+    C0 = rng.uniform(0.0, 1.0, size=(k, n))
+    results = []
+    for B in (np.ascontiguousarray(B0), np.asfortranarray(B0)):
+        C = C0.copy()
+        S, V, rr, skipped = c_rowwise_sweep(X, C, B)
+        assert B.tobytes() == B0.tobytes()
+        assert skipped == int(dead)
+        results.append((C.tobytes(), S.tobytes(), V.tobytes(), rr))
+    assert results[0] == results[1]
+
+
 def test_bcd_coordinate_optimality_after_element_update():
     # the projected gradient of each one-variable problem vanishes right
     # after its row is updated; the last row swept is checked, with every
