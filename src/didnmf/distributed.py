@@ -76,36 +76,39 @@ def did_update_basis(B: np.ndarray, buf: np.ndarray) -> tuple[float, int, bool]:
     """Move every basis column from a reduced message, as bcd does.
 
     Unpacks the reduced S and V (V mirrored from its lower triangle) and
-    runs `move_basis` on them with no further collective.
+    runs `move_basis` on them with no further collective and no reduce.
     """
     m, k = B.shape
     S = buf[:m * k].reshape((m, k), order="F")
     V = np.zeros((k, k))
     V[np.tri(k, dtype=bool)] = buf[m * k:-2]
     V += np.tril(V, -1).T
-    return move_basis(B, S, V, buf[-2:], lambda yz: yz)
+    return move_basis(B, S, V, buf[-2:])
 
 
-def move_basis(B: np.ndarray, S: np.ndarray, V: np.ndarray, tail, reduce
-               ) -> tuple[float, int, bool]:
+def move_basis(B: np.ndarray, S: np.ndarray, V: np.ndarray, tail,
+               reduce=None) -> tuple[float, int, bool]:
     """Move basis columns 0..K-1 in order with the coordinate kernel.
 
     Column i's [y, z] (`b_column_partials` of (S, V) against the columns
-    already moved; column 0's followed by `tail` = [rr, flag]) goes
-    through `reduce`, and `b_column_apply` installs b_i := [y / z]_+.
-    did and dbcd differ only in `reduce`: did's (S, V) are already
-    reduced and pass through, dbcd allreduces its rank's share. Moving
-    b_i by d changes ||X - B C||^2 by z ||d||^2 - 2 d^T (y - z b_i).
-    Returns (rr plus those changes, clamped at 0; the number of columns
-    skipped; the time-cap flag of any rank).
+    already moved) is reduced, and `b_column_apply` installs
+    b_i := [y / z]_+. did and dbcd differ only in `reduce`: did's (S, V)
+    and `tail` = [rr, flag] are already reduced and used as they are (no
+    `reduce`); dbcd's `reduce` allreduces its rank's [y, z], column 0's
+    followed by `tail`. Moving b_i by d changes ||X - B C||^2 by
+    z ||d||^2 - 2 d^T (y - z b_i). Returns (rr plus those changes,
+    clamped at 0; the number of columns skipped; the time-cap flag of
+    any rank).
     """
     skipped = 0
+    resid, over = tail
     for i in range(B.shape[1]):
         y, z = b_column_partials(S, V, B, i)
-        yz = reduce(np.concatenate([y, [z], tail if i == 0 else []]))
-        if i == 0:
-            (resid, over), yz = yz[-2:], yz[:-2]
-        y, z = yz[:-1], float(yz[-1])
+        if reduce is not None:
+            yz = reduce(np.concatenate([y, [z], tail if i == 0 else []]))
+            if i == 0:
+                (resid, over), yz = yz[-2:], yz[:-2]
+            y, z = yz[:-1], float(yz[-1])
         b = B[:, i].copy()
         skipped += b_column_apply(B, i, y, z)
         d = B[:, i] - b
@@ -155,7 +158,7 @@ class DadmmWorkerState:
     @classmethod
     def fresh(cls, block: ColumnBlock, B: np.ndarray,
               rho: float = 1.0) -> "DadmmWorkerState":
-        if rho <= 0.0:
+        if not rho > 0.0:
             raise ValueError("rho must be positive")
         return cls(U=np.zeros_like(block.x_block),
                    Y=B @ block.c_block,

@@ -98,13 +98,13 @@ class RunConfig:
             raise ValueError("p must be at least 1")
         if self.algorithm in SEQUENTIAL_ALGS and self.p != 1:
             raise ValueError(f"{self.algorithm} is sequential; use p=1")
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.max_time <= 0.0:
+        if not self.max_time > 0.0:
             raise ValueError("max_time must be positive")
-        if self.rho <= 0.0:
+        if not self.rho > 0.0:
             raise ValueError("rho must be positive")
 
 
@@ -180,21 +180,21 @@ def read_metrics_csv(path) -> list[dict]:
 
 
 def _philox_rows(key, rows: int, width: int, start: int, size: int,
-                 base: int = 0, order: str = "F") -> np.ndarray:
+                 base: int = 0) -> np.ndarray:
     """Columns [start, start + size) of a rows x width matrix drawn row-major.
 
     The matrix is the Philox 4x64-10 stream keyed with SeedSequence(key),
     from draw `base` on, one float64 per draw. Philox is counter-based, so
     each row starts a fresh generator at its own offset: `advance` skips
     whole 4-draw counter blocks and the remainder is drawn and dropped.
-    The result, laid out in `order`, equals the same slice of the full
-    draw bit for bit, and no other column of the stream is generated.
+    The result, row-major, equals the same slice of the full draw bit for
+    bit, and no other column of the stream is generated.
     """
     if start < 0 or size < 0 or start + size > width:
         raise ValueError(f"columns [{start}, {start + size}) are outside "
                          f"the {width} columns")
     seq = np.random.SeedSequence(key)
-    out = np.empty((rows, size), order=order)
+    out = np.empty((rows, size))
     for i in range(rows):
         offset = base + i * width + start
         bits = np.random.Philox(seq)
@@ -210,7 +210,8 @@ def synth_data(m: int, n: int, seed: int, start: int = 0,
     """Uniform [0, 1) data matrix, reproducible bit for bit from the seed.
 
     The stream is NumPy's Philox 4x64-10 counter generator keyed with
-    SeedSequence([seed, 0]) and drawn row-major as float64. Philox is
+    SeedSequence([seed, 0]) and drawn, and returned, row-major as float64
+    (the layout of every data matrix a solver reads). Philox is
     counter-based and platform independent, so any faithful
     implementation of the same generator reproduces the dataset from the
     seed alone. With `start`/`size` only columns [start, start + size)
@@ -233,7 +234,7 @@ def synth_lowrank(m: int, n: int, k: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, 2])))
     left = rng.random((m, k))
     right = rng.random((k, n))
-    return np.asfortranarray(left @ right)
+    return left @ right
 
 
 def random_init_scale(X, k: int, mean: float | None = None) -> float:
@@ -273,8 +274,8 @@ def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
     if method == "scaled-random":
         s = random_init_scale(X, k, mean)
-        B = _philox_rows([seed, 1], m, k, 0, k)
-        C = _philox_rows([seed, 1], k, n, start, size, base=m * k, order="C")
+        B = np.asfortranarray(_philox_rows([seed, 1], m, k, 0, k))
+        C = _philox_rows([seed, 1], k, n, start, size, base=m * k)
         B *= s
         C *= s
     elif method == "kmeans":
@@ -365,7 +366,9 @@ def _check_values(world, x_block) -> float:
     lo, hi = float(x_block.min()), float(x_block.max())
     finite = math.isfinite(lo) and math.isfinite(hi)
     buf = np.zeros(2 + world.size)
-    buf[0] = float(np.sum(x_block))
+    # row by row, so an in-process view and a rank's own copy of the
+    # block sum alike, bit for bit
+    buf[0] = float(x_block.sum(axis=1).sum())
     buf[1] = 0.0 if finite else 1.0
     buf[2 + world.rank] = lo if finite else 0.0
     out = allreduce_sum(world, buf, service=True)
@@ -405,7 +408,7 @@ def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
     if X is not None:
         x_block = X[:, start:start + size]
         if whole:
-            x_block = x_block.copy(order="F")
+            x_block = x_block.copy()
     elif config.input_path is not None:
         x_block = load_matrix(config.input_path, start, size)
     else:

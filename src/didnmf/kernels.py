@@ -29,10 +29,10 @@ from .nnls import nnls_rows
 DEGENERATE_NORM_TOL = 1e-12
 # bytes of X per column tile: with the tile's C, P~ and residual rows the
 # working set stays inside a per-core L2 cache. On a core with 2 MiB of L2
-# (Xeon, 2 vCPUs), one BLAS thread, row-major C, median sweep ms over 21
-# interleaved repetitions for 128 / 256 / 384 / 512 / 1024 KiB:
-# M=5, N=5e5, K=3: 12.36 / 11.69 / 12.06 / 12.52 / 13.36;
-# M=40, N=5e4, K=30: 34.57 / 28.96 / 33.87 / 32.54 / 32.98.
+# (Xeon, 2 vCPUs), one BLAS thread, row-major X and C, median sweep ms
+# over 21 interleaved repetitions for 128 / 256 / 384 / 512 / 1024 KiB:
+# M=5, N=5e5, K=3: 12.85 / 10.94 / 10.92 / 11.70 / 13.51;
+# M=40, N=5e4, K=30: 36.38 / 31.47 / 34.03 / 34.12 / 34.04.
 TILE_BYTES = 256 * 1024
 
 
@@ -64,9 +64,10 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     added while it is still in cache: nothing reads X again before the
     next pass. Rows with g_ii under the degeneracy floor are left
     untouched. B is only read; C- and Fortran-ordered B give the same
-    result bit for bit. A row-major C (a block's layout) keeps every row
-    update and the C C^T copy contiguous; any layout gives the same
-    iterate up to rounding.
+    result bit for bit. A row-major X and C (a block's layout) keep every
+    row update, every product's operands and the tile's residual on
+    contiguous rows; any layout of either gives the same iterate up to
+    rounding.
 
     Returns (S, V, rr, skipped): S = X C^T and V = C C^T for the updated
     C, rr = ||X - B C||^2 for the updated C and this B, equal to
@@ -75,8 +76,9 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     m, k = B.shape
     BF = np.asfortranarray(B)
     G = BF.T @ BF
-    # a copy, never a view of B; a Fortran B^T puts P~ on the fast gemm
-    Bt = np.array(BF.T, order="F")
+    # a copy, never a view of B; against a row-major X a row-major B^T
+    # keeps P~ on the fast gemm
+    Bt = np.array(BF.T, order="C")
     H = np.zeros((k, k))
     live = []
     for i in range(k):
@@ -92,7 +94,7 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     # on its gemm/gemv path
     width = tile_width(m)
     P_buf, W_buf, r_buf = np.empty(k * width), np.empty(k * width), np.empty(width)
-    E = _tile_buffer(m)
+    E_buf = _tile_buffer(m)
     S = np.zeros((m, k))
     V = np.zeros((k, k))
     rr = 0.0
@@ -111,7 +113,7 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
         # slower than gemm at this K
         np.copyto(W, Ct)
         V += Ct @ W.T
-        rr += _tile_residual_sq(Xt, Ct, BF, E[:, :t])
+        rr += _tile_residual_sq(Xt, Ct, BF, E_buf)
     return S, V, rr, k - len(live)
 
 
@@ -141,29 +143,35 @@ def b_column_apply(B, i: int, y, z: float) -> int:
 
 
 def _tile_buffer(m: int) -> np.ndarray:
-    """Fortran m x `tile_width(m)` scratch for `_tile_residual_sq`."""
-    return np.empty((m, tile_width(m)), order="F")
+    """Flat scratch of m * `tile_width(m)` doubles for `_tile_residual_sq`."""
+    return np.empty(m * tile_width(m))
 
 
-def _tile_residual_sq(Xt, Ct, BF, E) -> float:
-    """||X_t - B C_t||^2 of one column tile, with BF a Fortran B and E a
-    Fortran scratch of X_t's shape; the one expression both `residual_sq`
-    and `c_rowwise_sweep` sum, so their totals agree bit for bit."""
-    # a Fortran B and `out` make this one gemm on OpenBLAS's fast path
+def _tile_residual_sq(Xt, Ct, BF, buf) -> float:
+    """||X_t - B C_t||^2 of one column tile, with BF a Fortran B and buf a
+    `_tile_buffer`; the one expression both `residual_sq` and
+    `c_rowwise_sweep` sum, so their totals agree bit for bit.
+
+    The tile's residual E is the row-major head of buf, so on a row-major
+    X_t the subtract reads and writes contiguous rows and the dot product
+    runs over one contiguous run of memory."""
+    m, t = Xt.shape
+    e = buf[:m * t]
+    E = e.reshape((m, t))
+    # a Fortran B and a row-major `out` make this one gemm on OpenBLAS's
+    # fast path
     np.matmul(BF, Ct, out=E)
     np.subtract(Xt, E, out=E)
-    e = E.ravel(order="F")
     return float(e @ e)
 
 
 def residual_sq(X, B, C) -> float:
     """Exact ||X - B C||_F^2, summed tile by tile with no M x N temporary."""
     m = B.shape[0]
-    BF, E = np.asfortranarray(B), _tile_buffer(m)
+    BF, buf = np.asfortranarray(B), _tile_buffer(m)
     total = 0.0
     for cols in column_tiles(X.shape[1], m):
-        Xt = X[:, cols]
-        total += _tile_residual_sq(Xt, C[:, cols], BF, E[:, :Xt.shape[1]])
+        total += _tile_residual_sq(X[:, cols], C[:, cols], BF, buf)
     return total
 
 

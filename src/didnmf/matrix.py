@@ -1,12 +1,15 @@
-"""Column-major dense matrix substrate shared by every solver.
+"""Row-major dense matrix substrate shared by every solver.
 
-Matrices are plain float64 numpy arrays kept in Fortran (column-major)
-layout where it matters: the solvers walk data column by column, and a
-column range of a Fortran array is a contiguous, copy-free view, which is
-what lets a worker own a slab of X without duplicating it.
+Matrices are plain float64 numpy arrays kept row-major (C-ordered), the
+layout of a block's C: the coordinate kernel's products and residual
+then read X and C row by row. A column range of a row-major array is
+still a copy-free view, whose rows are contiguous and one row stride
+apart (BLAS takes that stride as its leading dimension), which is what
+lets a worker own a slab of X without duplicating it.
 
 Two interchange formats are provided: a small binary one ("DMAT1", used
-both on disk and on the wire) and plain CSV for small matrices.
+both on disk and on the wire, with a column-major body) and plain CSV for
+small matrices.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ DMAT_MAGIC = b"DMAT"
 DMAT_VERSION = 1
 # magic(4s) + version(u32) + rows(u64) + cols(u64), little-endian, packed
 _DMAT_HEADER = struct.Struct("<4sIQQ")
+# bytes of the column-major body `read_dmat` reads and transposes at once
+READ_CHUNK_BYTES = 1 << 20
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 column-major array (copies only if needed)."""
-    m = np.asfortranarray(a, dtype=np.float64)
+    """Coerce to a 2-D float64 row-major array (copies only if needed)."""
+    m = np.asarray(a, dtype=np.float64, order="C")
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got {m.ndim} dimensions")
     return m
@@ -61,11 +66,13 @@ def partition_columns(n: int, p: int) -> list[tuple[int, int]]:
 class ColumnBlock:
     """One worker's contiguous slab of columns of X and C.
 
-    `x_block` is read only: a view of the shared data matrix in-process,
-    the rank's own columns in a TCP rank. `c_block` is owned (written) by
-    exactly one worker, and is kept row-major (C-ordered), so each row
-    that the C sweep rewrites is contiguous. A block's rank is its
-    world's, and its width is `x_block.shape[1]`.
+    `x_block` is read only: a view of the shared row-major data matrix
+    in-process (contiguous rows, one row of X apart), the rank's own
+    row-major columns in a TCP rank. `c_block` is owned (written) by
+    exactly one worker, and is kept row-major too, so each row that the C
+    sweep rewrites, and each row of X and C its products read, is
+    contiguous. A block's rank is its world's, and its width is
+    `x_block.shape[1]`.
     """
 
     x_block: np.ndarray
@@ -113,7 +120,7 @@ def dmat_decode(buf: bytes) -> np.ndarray:
     rows, cols = _dmat_shape(buf, len(buf))
     body = np.frombuffer(buf, dtype="<f8", offset=_DMAT_HEADER.size)
     return np.array(body.reshape((rows, cols), order="F"),
-                    dtype=np.float64, order="F")
+                    dtype=np.float64, order="C")
 
 
 def write_dmat(path, a) -> None:
@@ -138,8 +145,11 @@ def read_dmat_shape(path) -> tuple[int, int]:
 def read_dmat(path, start: int = 0, size: int | None = None) -> np.ndarray:
     """Columns [start, start + size) of a DMAT1 file (all by default).
 
-    The body is column-major, so a column range is one byte range: it is
-    read straight into the returned array, with no bytes object beside it.
+    The body is column-major, so a column range is one byte range. It is
+    read READ_CHUNK_BYTES at a time into one buffer, and each chunk's
+    columns are transposed straight into the returned array, which is
+    row-major like every matrix a solver reads. Beside the result only
+    that buffer is held, never a second copy of the block.
     """
     with open(path, "rb") as f:
         rows, cols = _read_dmat_header(f)
@@ -148,10 +158,17 @@ def read_dmat(path, start: int = 0, size: int | None = None) -> np.ndarray:
         if start < 0 or size < 0 or start + size > cols:
             raise ValueError(f"columns [{start}, {start + size}) are outside "
                              f"the {cols} columns of {path}")
-        # the offset counts from the end of the header, where f now stands
-        body = np.fromfile(f, dtype="<f8", count=rows * size,
-                           offset=8 * rows * start)
-    return np.asarray(body, dtype=np.float64).reshape((rows, size), order="F")
+        out = np.empty((rows, size))
+        width = max(1, READ_CHUNK_BYTES // (8 * max(rows, 1)))
+        buf = np.empty(rows * min(width, size), dtype="<f8")
+        f.seek(_DMAT_HEADER.size + 8 * rows * start)
+        for a in range(0, size, width):
+            w = min(width, size - a)
+            chunk = buf[:rows * w]
+            if f.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{path} ended inside its DMAT1 body")
+            out[:, a:a + w] = chunk.reshape((w, rows)).T
+    return out
 
 
 def write_csv_matrix(path, a) -> None:

@@ -6,7 +6,12 @@ import pytest
 
 import didnmf
 from didnmf.cli import main
-from didnmf.harness import read_metrics_csv, synth_data, synth_lowrank
+from didnmf.harness import (
+    RunConfig,
+    read_metrics_csv,
+    synth_data,
+    synth_lowrank,
+)
 from didnmf.matrix import read_csv_matrix, read_dmat
 
 
@@ -68,6 +73,22 @@ def test_run_rejects_bad_flag_combinations(capsys):
         main(["run", "--alg", "admm", "--m", "4", "--n", "4"])
     with pytest.raises(ValueError):
         main(["run", "--alg", "bcd", "--m", "4", "--n", "8", "--p", "2"])
+
+
+@pytest.mark.parametrize("flag,alg", [("--eps", "did"), ("--max-time", "did"),
+                                      ("--rho", "dadmm")])
+@pytest.mark.parametrize("value", ["nan", "0", "-1"])
+def test_run_rejects_a_setting_that_is_not_positive(flag, alg, value):
+    # NaN compares False both ways, so it is refused like 0 and -1
+    # instead of running to the iteration cap, dropping the time cap or
+    # failing inside dadmm
+    with pytest.raises(ValueError, match="must be positive"):
+        main(["run", "--alg", alg, "--m", "5", "--n", "50", flag, value])
+    field = {"--eps": "epsilon", "--max-time": "max_time",
+             "--rho": "rho"}[flag]
+    config = RunConfig(alg, m=5, n=50, **{field: float(value)})
+    with pytest.raises(ValueError, match="must be positive"):
+        config.validate()
 
 
 def test_parser_requires_a_subcommand():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from didnmf import harness
+from didnmf.comm import make_inprocess_worlds
 from didnmf.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -34,7 +35,7 @@ def test_synth_data_reproducible_and_in_range():
     b = synth_data(7, 11, 42)
     assert np.array_equal(a, b)
     assert a.shape == (7, 11)
-    assert a.flags.f_contiguous
+    assert a.flags.c_contiguous
     assert float(a.min()) >= 0.0 and float(a.max()) < 1.0
 
 
@@ -83,7 +84,7 @@ def test_synth_data_blocks_equal_slices_of_the_whole():
     for start, size in _blocks(BLOCK_N):
         block = synth_data(5, BLOCK_N, 13, start, size)
         assert np.array_equal(block, whole[:, start:start + size])
-        assert block.flags.f_contiguous
+        assert block.flags.c_contiguous
     with pytest.raises(ValueError):
         synth_data(5, 10, 0, start=8, size=3)
 
@@ -531,6 +532,23 @@ def test_tcp_ranks_on_a_file_match_the_in_process_run(monkeypatch, tmp_path,
     for got in results:
         assert got.iterations == ref.iterations == 40
         assert np.array_equal(got.residuals(), ref.residuals())
+
+
+def test_setup_sum_of_a_block_does_not_depend_on_its_layout():
+    # an in-process rank sums a view of the shared row-major X (rows one
+    # row of X apart), a TCP rank its own contiguous copy; the setup
+    # collective gives both the same sum, so both draw the same start.
+    # (with numpy 2.4, np.sum of this view and of its copy differ in the
+    # last bit.)
+    X = np.random.default_rng(1).random((5, 100_000))
+    view = X[:, 33_333:83_333]
+    sums = []
+    for block in (view, view.copy()):
+        [world] = make_inprocess_worlds(1)
+        with world:
+            sums.append(harness._check_values(world, block))
+    assert sums[0] == sums[1]
+    assert sums[0] == pytest.approx(float(np.sum(view)), rel=1e-12)
 
 
 def test_in_process_ranks_share_one_kmeans_start(monkeypatch):

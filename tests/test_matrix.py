@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from didnmf import matrix
 from didnmf.matrix import (
     as_matrix,
     dmat_decode,
@@ -73,12 +76,17 @@ def test_as_matrix_rejects_non_2d():
 
 
 def test_make_column_blocks_views_and_copies():
-    X = np.asfortranarray(np.arange(12.0).reshape(2, 6))
+    X = np.arange(12.0).reshape(2, 6)
     C = np.asfortranarray(np.ones((2, 6)))
     blocks = make_column_blocks(X, C, 3)
     assert [b.x_block.shape[1] for b in blocks] == [2, 2, 2]
-    # x blocks are views into X, c blocks are private copies
-    assert blocks[0].x_block.base is not None
+    # x blocks are views into the row-major X itself (rows one row of X
+    # apart), c blocks are private copies
+    X[1, 3] = -1.0
+    for block in blocks:
+        assert np.shares_memory(block.x_block, X)
+        assert block.x_block.strides == X.strides
+    assert blocks[1].x_block[1, 1] == -1.0
     blocks[0].c_block[0, 0] = 99.0
     assert C[0, 0] == 1.0
     assert np.array_equal(blocks[2].x_block, X[:, 4:6])
@@ -92,7 +100,7 @@ def test_dmat_roundtrip_exact():
     assert len(buf) == 24 + 8 * a.size
     back = dmat_decode(buf)
     assert np.array_equal(back, a)
-    assert back.flags.f_contiguous
+    assert back.flags.c_contiguous
 
 
 def test_dmat_rejects_corrupt_input():
@@ -127,10 +135,49 @@ def test_dmat_column_ranges_equal_slices_of_the_whole(tmp_path):
     for start, size in ranges:
         block = read_dmat(path, start, size)
         assert np.array_equal(block, a[:, start:start + size])
-        assert block.flags.f_contiguous and block.dtype == np.float64
+        assert block.flags.c_contiguous and block.dtype == np.float64
     for start, size in ((200, 4), (-1, 2), (0, 204)):
         with pytest.raises(ValueError, match="outside"):
             read_dmat(path, start, size)
+
+
+def test_read_dmat_transposes_the_body_chunk_by_chunk(tmp_path):
+    # read_dmat reads READ_CHUNK_BYTES of the column-major body at a time
+    # and transposes each chunk into a row-major block. The file holds two
+    # whole chunks of columns and 5 more; every range read equals the
+    # body's columns, including ranges across one and two chunk boundaries
+    rows = 3
+    width = matrix.READ_CHUNK_BYTES // (8 * rows)
+    n = 2 * width + 5
+    assert n % width != 0
+    a = np.random.default_rng(11).normal(size=(rows, n))
+    path = tmp_path / "m.dmat"
+    write_dmat(path, a)
+    body = np.frombuffer(path.read_bytes()[24:], dtype="<f8")
+    cols = body.reshape((n, rows)).T
+    ranges = [(0, 1), (n - 1, 1), (0, n), (1, n - 1),
+              (0, width - 1), (0, width), (0, width + 1), (7, width),
+              (7, width + 1), (width - 2, width + 4), (3, 2 * width + 1)]
+    for start, size in ranges:
+        block = read_dmat(path, start, size)
+        assert block.flags.c_contiguous and block.dtype == np.float64
+        assert block.tobytes() == np.ascontiguousarray(
+            cols[:, start:start + size]).tobytes(), (start, size)
+    assert np.array_equal(read_dmat(path), a)
+
+
+def test_read_dmat_holds_one_chunk_beside_the_block(tmp_path):
+    # the transpose goes chunk by chunk into the result: the read's peak
+    # allocation is the block and one chunk buffer, never two blocks
+    path = tmp_path / "m.dmat"
+    write_dmat(path, np.ones((4, 200_000)))
+    tracemalloc.start()
+    try:
+        block = read_dmat(path, 1, 199_998)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < block.nbytes + 2 * matrix.READ_CHUNK_BYTES, peak
 
 
 def test_dmat_file_length_is_checked_against_its_header(tmp_path):
