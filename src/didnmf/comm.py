@@ -126,12 +126,10 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
         raise ValueError("an allreduce payload is a nonempty scalar, vector "
                          "or matrix")
     t0 = time.perf_counter()
-    if world.size == 1:
-        # the sum over one rank is its own (already copied) payload
-        out = buf
-    else:
-        # the wire carries 2-D DMAT1 frames: the payload rides as one column
-        out = _star_allreduce(world, buf.reshape((-1, 1), order="F"))
+    # the wire carries 2-D DMAT1 frames: the payload rides as one column.
+    # On one rank the star sends and receives nothing and returns the
+    # (already copied) payload.
+    out = _star_allreduce(world, buf.reshape((-1, 1), order="F"))
     stats = world.stats
     stats.comm_wall_time += time.perf_counter() - t0
     volume = out.nbytes * 2 * _ceil_log2(world.size)

@@ -106,6 +106,8 @@ class RunConfig:
             raise ValueError("max_time must be positive")
         if not self.rho > 0.0:
             raise ValueError("rho must be positive")
+        if not self.comm_timeout > 0.0:
+            raise ValueError("comm_timeout must be positive")
 
 
 @dataclass
@@ -479,8 +481,9 @@ def _env_rank(config: RunConfig) -> int:
     addr = os.environ.get("NMF_ADDR")
     if addr:
         host, _, port = addr.rpartition(":")
-        if not port.isdigit():
-            raise ValueError(f"NMF_ADDR={addr!r} is not host:port")
+        if not port.isdecimal() or int(port) > 65535:
+            raise ValueError(f"NMF_ADDR={addr!r} is not host:port with a "
+                             "port in 0..65535")
         config.tcp_address = (host or "127.0.0.1", int(port))
     return rank
 

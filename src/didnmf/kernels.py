@@ -23,10 +23,8 @@ import numpy as np
 
 from .comm import allreduce_sum
 from .matrix import ColumnBlock
-from .nnls import nnls_rows
+from .nnls import DEGENERATE_NORM_TOL, nnls_rows
 
-# squared-norm floor below which a closed-form update is skipped
-DEGENERATE_NORM_TOL = 1e-12
 # bytes of X per column tile: with the tile's C, P~ and residual rows the
 # working set stays inside a per-core L2 cache. On a core with 2 MiB of L2
 # (Xeon, 2 vCPUs), one BLAS thread, row-major X and C, median sweep ms

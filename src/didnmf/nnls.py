@@ -7,10 +7,13 @@ independent rows of the same quadratic program
 
 with one shared K x K symmetric positive semidefinite Gram matrix G and
 per-row linear terms r (the rows of R). `nnls_rows` solves all rows at
-once with block principal pivoting, grouping rows that share a passive
-set so each K x K subsystem is factored once per group. `nnls_oracle`
-solves small systems exactly by enumerating every active set; it exists
-so the fast path can be audited against an independent reference.
+once with block principal pivoting with the backup rule (Kim & Park,
+SIAM J. Sci. Comput. 2011), grouping rows that share a passive set so
+each K x K subsystem is factored once per group. Rows whose pivoting
+lands off the KKT tolerance by rounding get one projected-gradient
+polish. `nnls_oracle` solves small systems exactly by enumerating every
+active set; it exists so the fast path can be audited against an
+independent reference.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 KKT_TOL = 1e-8
-ZERO_DIAG_TOL = 1e-12  # Gram diagonal below this marks a dead coordinate
+# a squared column norm or Gram diagonal below this marks a dead coordinate
+DEGENERATE_NORM_TOL = 1e-12
 _FEAS_TOL = 1e-12
+_BACKUP_TRIES = 3  # full exchanges a row may make without a new best
 
 
 class NnlsError(RuntimeError):
@@ -73,111 +78,110 @@ def _solve_patterns(G, R, passive):
     return B
 
 
-def _kkt_violations(B, Y, kkt_tol):
+def _kkt_violations(B, Y):
     """Boolean row mask of KKT failures: b >= 0, gradient >= -tol, b.g <= tol."""
     comp = np.einsum("ij,ij->i", B, Y)
-    return ((B < 0.0).any(axis=1)
-            | (Y < -kkt_tol).any(axis=1)
-            | (comp > kkt_tol))
+    return (B < 0.0).any(axis=1) | (Y < -KKT_TOL).any(axis=1) | (comp > KKT_TOL)
 
 
-def _projected_gradient(G, R, B0, kkt_tol, max_steps):
-    """Fixed-step fallback; step 1/lambda_max(G) keeps every row monotone."""
+def _projected_gradient(G, R, B0):
+    """Fixed-step polish; step 1/lambda_max(G) keeps every row monotone."""
     lam = float(np.linalg.eigvalsh(G)[-1])
     B = np.maximum(B0, 0.0)
     if lam <= 0.0:
         return B
     step = 1.0 / lam
-    for _ in range(max_steps):
+    for _ in range(100 * G.shape[0]):
         Y = B @ G - R
-        if not _kkt_violations(B, Y, kkt_tol).any():
+        if not _kkt_violations(B, Y).any():
             break
         B = np.maximum(B - step * Y, 0.0)
     return B
 
 
-def _bpp_solve(G, R, kkt_tol):
-    """Block principal pivoting with full exchange and a stall fallback."""
+def _bpp_solve(G, R):
+    """Block principal pivoting with full exchange and the backup rule.
+
+    Every row starts from the unconstrained solve (all coordinates
+    passive) and, each cycle, exchanges its infeasible coordinates: a
+    passive one with b_i < 0 turns active, an active one with gradient
+    y_i < 0 turns passive. A row keeps the smallest count of infeasible
+    coordinates it has reached and ``_BACKUP_TRIES`` tries. While the
+    count sets a new best it exchanges them all (and its tries refill);
+    after that many exchanges without a new best it flips only its last
+    infeasible coordinate until the count falls again. That single flip
+    is Murty's principal pivot, so on a positive definite G every row
+    ends in finitely many cycles (Kim & Park, SIAM J. Sci. Comput. 2011,
+    after Judice & Pires 1994). ``100 K`` cycles bound the loop when
+    rounding defeats that argument; rows still infeasible then are
+    clipped at zero and left to the caller's KKT check.
+    """
     n_rows, k = R.shape
-    max_cycles = 100 * k
-    stall_limit = 3 * k
     passive = np.ones((n_rows, k), dtype=bool)  # warm start: unconstrained solve
     B = _solve_patterns(G, R, passive)
     best_inf = np.full(n_rows, k + 1, dtype=np.int64)
-    stall = np.zeros(n_rows, dtype=np.int64)
-    pg_pool = np.zeros(n_rows, dtype=bool)
-    for _ in range(max_cycles):
+    tries = np.full(n_rows, _BACKUP_TRIES, dtype=np.int64)
+    for _ in range(100 * k):
         Y = B @ G - R
         bad = (passive & (B < -_FEAS_TOL)) | (~passive & (Y < -_FEAS_TOL))
-        bad[pg_pool] = False
         ninf = bad.sum(axis=1)
-        live = ninf > 0
-        if not live.any():
+        rows = np.nonzero(ninf)[0]
+        if not rows.size:
             break
-        improved = ninf < best_inf
-        stall[live & improved] = 0
-        stall[live & ~improved] += 1
-        np.minimum(best_inf, ninf, out=best_inf)
-        stalled = live & (stall >= stall_limit)
-        pg_pool |= stalled
-        flips = bad & (live & ~stalled)[:, None]
-        rows = np.nonzero(flips.any(axis=1))[0]
-        if rows.size:
-            passive[rows] ^= flips[rows]
-            B[rows] = _solve_patterns(G, R[rows], passive[rows])
-    else:
-        Y = B @ G - R
-        bad = (passive & (B < -_FEAS_TOL)) | (~passive & (Y < -_FEAS_TOL))
-        pg_pool |= bad.any(axis=1)
+        improved = ninf[rows] < best_inf[rows]
+        best_inf[rows] = np.minimum(best_inf[rows], ninf[rows])
+        tries[rows] = np.where(improved, _BACKUP_TRIES, tries[rows] - 1)
+        flips = bad[rows]
+        single = np.nonzero(tries[rows] < 0)[0]
+        if single.size:
+            last = k - 1 - np.argmax(flips[single, ::-1], axis=1)
+            flips[single] = False
+            flips[single, last] = True
+        passive[rows] ^= flips
+        B[rows] = _solve_patterns(G, R[rows], passive[rows])
     # tiny pivot negatives in passive coordinates are numerical zero
-    B = np.maximum(B, 0.0)
-    if pg_pool.any():
-        idx = np.nonzero(pg_pool)[0]
-        B[idx] = _projected_gradient(G, R[idx], B[idx], kkt_tol, max_cycles)
-    return B
+    return np.maximum(B, 0.0)
 
 
-def nnls_rows(G, R, kkt_tol: float = KKT_TOL) -> np.ndarray:
+def nnls_rows(G, R) -> np.ndarray:
     """Solve min_{b >= 0} (1/2) b G b^T - b r^T for every row r of R.
 
     Parameters
     ----------
     G : (K, K) symmetric PSD Gram matrix, shared by all rows.
     R : (M, K) linear terms, one row per independent problem.
-    kkt_tol : float
-        Acceptance threshold for the stationarity check: the gradient
-        g = b G - r must satisfy g >= -kkt_tol and b . g <= kkt_tol.
 
     Returns
     -------
     (M, K) nonnegative solution matrix.
 
-    Coordinates whose Gram diagonal is below ``ZERO_DIAG_TOL`` cannot
-    influence the objective through G; they are dropped and returned as
-    exact zeros. If any row fails the KKT check after the pivoting and
-    projected-gradient budgets, ``NnlsError`` is raised carrying the
-    best iterate found.
+    Coordinates whose Gram diagonal is below ``DEGENERATE_NORM_TOL``
+    cannot influence the objective through G; they are dropped and
+    returned as exact zeros. Block principal pivoting with the backup
+    rule (`_bpp_solve`) solves the rest. Each row must then pass the KKT
+    check at ``KKT_TOL``: the gradient g = b G - r satisfies
+    g >= -KKT_TOL and b . g <= KKT_TOL. Rows that miss it (a pivot on a
+    near-singular G can land off by rounding, or the cycle bound ran out)
+    get one projected-gradient polish; if any still miss it,
+    ``NnlsError`` is raised carrying the best iterate found.
     """
     G, R = _check_gram(G, R)
-    keep = np.diag(G) > ZERO_DIAG_TOL
+    keep = np.diag(G) > DEGENERATE_NORM_TOL
     if not keep.all():
         out = np.zeros_like(R)
         if keep.any():
-            sub = nnls_rows(G[np.ix_(keep, keep)], R[:, keep], kkt_tol)
-            out[:, keep] = sub
+            out[:, keep] = nnls_rows(G[np.ix_(keep, keep)], R[:, keep])
         return out
-    B = _bpp_solve(G, R, kkt_tol)
-    bad = _kkt_violations(B, B @ G - R, kkt_tol)
+    B = _bpp_solve(G, R)
+    bad = _kkt_violations(B, B @ G - R)
     if bad.any():
-        # rows that are sign-feasible but numerically off get a gradient polish
         idx = np.nonzero(bad)[0]
-        B[idx] = _projected_gradient(G, R[idx], B[idx], kkt_tol,
-                                     100 * G.shape[0])
-        bad = _kkt_violations(B, B @ G - R, kkt_tol)
+        B[idx] = _projected_gradient(G, R[idx], B[idx])
+        bad = _kkt_violations(B, B @ G - R)
     if bad.any():
         raise NnlsError(
             f"{int(bad.sum())} of {R.shape[0]} rows missed the "
-            f"{kkt_tol:g} KKT tolerance", B)
+            f"{KKT_TOL:g} KKT tolerance", B)
     return B
 
 

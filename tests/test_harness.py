@@ -200,6 +200,9 @@ def test_config_validation_rejects_bad_values():
         dict(good, transport="carrier-pigeon"),
         dict(good, init="zeros"),
         dict(good, m=0, input_path=None),
+        dict(good, comm_timeout=float("nan")),
+        dict(good, comm_timeout=-1.0),
+        dict(good, comm_timeout=0.0),
     ]
     for kwargs in bad:
         with pytest.raises(ValueError):
@@ -222,7 +225,9 @@ def test_tcp_world_size_env_must_match(monkeypatch):
 
 
 @pytest.mark.parametrize("name,value", [("NMF_RANK", "one"), ("NMF_WORLD", "2.0"),
-                                        ("NMF_ADDR", "127.0.0.1")])
+                                        ("NMF_ADDR", "127.0.0.1"),
+                                        ("NMF_ADDR", "127.0.0.1:99999"),
+                                        ("NMF_ADDR", "127.0.0.1:\u00b2")])
 def test_tcp_env_names_the_bad_variable(monkeypatch, name, value):
     for key, text in {"NMF_RANK": "0", "NMF_WORLD": "2", name: value}.items():
         monkeypatch.setenv(key, text)
@@ -590,10 +595,13 @@ print("VmHWM", after_imports, peak_kib())
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                     reason="needs Linux /proc for a process's peak memory")
 def test_tcp_rank_memory_grows_by_less_than_the_input_file(tmp_path):
-    # each rank holds half the columns of a tall-and-wide X (M >> K) and
-    # its block of C: its peak grows by about half the file, never by the
-    # whole of it. The child's own VmHWM is read, because ru_maxrss of a
-    # child inherits the parent's high-water mark.
+    # each rank holds half the columns of a tall-and-wide X (M >> K): its
+    # block (half the file), its block of C (K/M = 0.1 of that) and one
+    # 1 MiB read chunk (0.13 of it) make about 1.25 blocks at peak. The
+    # bound, 1.5 blocks, leaves a quarter block for the allocator and the
+    # interpreter, while a second copy of the block anywhere in the rank's
+    # setup reaches 2 blocks and fails. The child's own VmHWM is read,
+    # because ru_maxrss of a child inherits the parent's high-water mark.
     path = tmp_path / "wide.dmat"
     write_dmat(path, synth_lowrank(20, 100_000, 2, 0))
     file_kib = os.path.getsize(path) / 1024
@@ -612,7 +620,7 @@ def test_tcp_rank_memory_grows_by_less_than_the_input_file(tmp_path):
     for out, _ in outs:
         _, after_imports, after_run = out.splitlines()[-1].split()
         growth = int(after_run) - int(after_imports)
-        assert growth < file_kib, (growth, file_kib)
+        assert growth < 1.5 * file_kib / 2, (growth, file_kib)
 
 
 def test_metrics_csv_header_and_roundtrip(tmp_path):

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from didnmf.harness import RunConfig, run, synth_lowrank
 from didnmf.nnls import (
     KKT_TOL,
     NnlsError,
+    _kkt_violations,
     nnls_oracle,
     nnls_rows,
     row_objectives,
@@ -142,6 +144,31 @@ def test_nnls_rows_ill_conditioned_gram():
     grad_neg, comp = kkt_residuals(G, R, out)
     assert (out >= 0.0).all()
     assert grad_neg <= KKT_TOL and comp <= KKT_TOL
+
+
+def test_nnls_rows_meets_kkt_on_a_near_collinear_gram():
+    # A's last column is its first plus 1e-7 noise, so cond(G) is ~5e15.
+    # Full exchange alone cycles on one of these rows; the backup rule's
+    # single flips end its pivoting at a KKT point.
+    rng = np.random.default_rng(10016)
+    m = int(rng.integers(8, 34))
+    a = rng.uniform(size=(m, 8))
+    a[:, -1] = a[:, 0] + 1e-7 * rng.uniform(size=m)
+    x = rng.uniform(size=(m, 200)) - 0.3
+    G, R = a.T @ a, x.T @ a
+    assert np.linalg.cond(G) > 1e15
+    out = nnls_rows(G, R)
+    assert (out >= 0.0).all()
+    assert not _kkt_violations(out, out @ G - R).any()
+
+
+@pytest.mark.parametrize("alg,p", [("anls", 1), ("dadmm", 2)])
+def test_als_solvers_finish_on_a_rank_deficient_factor(alg, p):
+    # K=5 on rank-3 data: the factors' Grams go near-singular as the
+    # residual falls, and every NNLS row must still end at a KKT point
+    config = RunConfig(algorithm=alg, m=5, n=100, k=5, p=p, seed=6,
+                       epsilon=1e-30, max_iters=150)
+    assert run(config, X=synth_lowrank(5, 100, 3, 6)).converged
 
 
 @given(st.integers(0, 2**32 - 1), st.floats(0.1, 100.0))
