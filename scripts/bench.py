@@ -4,6 +4,7 @@
     python3 scripts/bench.py --pr N --runs 5
     python3 scripts/bench.py --pr N --runs 10 --against M=../parent-checkout
     python3 scripts/bench.py --compare BENCH_M.json BENCH_N.json
+    python3 scripts/bench.py --sweep --runs 15 --against M=../parent-checkout
 
 Each run is one `tcpbench/run.py --trace 0` call per workload listed in
 BENCHMARK.json, for the `run_seconds` it lists; the workloads alternate,
@@ -23,14 +24,21 @@ just wrote: per workload and metric, each side's median and quartiles,
 the change of the median, and, for two files of one `--against` run,
 how many of the runs paired by index NEW won and whether that makes a
 gain (at least 9 in 10 pairs won, and the medians apart by more than
-OLD's interquartile range). Only the standard library is used.
+OLD's interquartile range). `--sweep` times the C sweep alone
+(`kernels.c_rowwise_sweep`) in this process on one BLAS thread, at each
+of SWEEP_SHAPES on one seeded input, and with `--against` the same sweep
+of the checkout in DIR, the two alternating sweep by sweep; it prints
+each side's median and quartiles and the pairs this checkout won. Only
+the standard library is used, but `--sweep` imports numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import importlib.metadata
+import inspect
 import json
 import os
 import platform
@@ -41,6 +49,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+# (M, N, K) of the inputs `--sweep` times
+SWEEP_SHAPES = ((5, 100_000, 3), (5, 1_000_000, 3), (20, 100_000, 10),
+                (40, 50_000, 30))
 
 
 def steal_seconds() -> float:
@@ -220,6 +231,69 @@ def compare(old: dict, new: dict, better: dict[str, str]) -> None:
               f"{'yes' if row['gain'] else 'no'}")
 
 
+def sweep_kernel(root: str):
+    """`c_rowwise_sweep` of the checkout at root, as a call on (X, C, B)
+    that returns a function which runs the sweep once on copies made now.
+
+    The package is imported from root's src/ and dropped from
+    sys.modules again, so two checkouts can be loaded side by side. A
+    checkout whose sweep takes a block's stacked [X; C] gets one; an
+    older one, taking (X, C, B), gets X and a copy of C.
+    """
+    sys.path.insert(0, os.path.join(root, "src"))
+    try:
+        kernels = importlib.import_module("didnmf.kernels")
+    finally:
+        sys.path.pop(0)
+        for name in [m for m in sys.modules
+                     if m == "didnmf" or m.startswith("didnmf.")]:
+            del sys.modules[name]
+    sweep = kernels.c_rowwise_sweep
+    stacked = len(inspect.signature(sweep).parameters) == 2
+
+    def prepare(X, C, B):
+        import numpy as np
+        if stacked:
+            Z = np.vstack([X, C])
+            return lambda: sweep(Z, B)
+        C = C.copy()
+        return lambda: sweep(X, C, B)
+    return prepare
+
+
+def sweep_bench(trees: dict[str, str], runs: int) -> None:
+    """Time each tree's C sweep at every SWEEP_SHAPES input, interleaved in
+    alternating order, one BLAS thread; print medians and pair wins."""
+    import numpy as np
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    from didnmf.blas import one_blas_thread
+    sys.path.pop(0)
+    kernels = {name: sweep_kernel(root) for name, root in trees.items()}
+    names = list(trees)
+    print(f"{'M x N, K':22s} " + " ".join(f"{n + ' ms median [q1, q3]':>30s}"
+                                         for n in names) + "     won")
+    with one_blas_thread():
+        for m, n, k in SWEEP_SHAPES:
+            rng = np.random.default_rng([m, n, k])
+            X, C = rng.random((m, n)), 0.3 * rng.random((k, n))
+            B = np.asfortranarray(rng.random((m, k)))
+            times = {name: [] for name in names}
+            for i in range(runs + 1):
+                for name in names[::-1 if i % 2 else 1]:
+                    run = kernels[name](X, C, B)
+                    t0 = time.perf_counter()
+                    run()
+                    if i:  # the first round warms the caches
+                        times[name].append(1e3 * (time.perf_counter() - t0))
+                    del run
+            cells = [f"{q2:.2f} [{q1:.2f}, {q3:.2f}]"
+                     for q1, q2, q3 in (quartiles(times[nm]) for nm in names)]
+            won = (f"{sum(a < b for a, b in zip(*times.values()))}/{runs}"
+                   if len(names) == 2 else "-")
+            print(f"{f'{m} x {n}, K={k}':22s} " + " ".join(f"{c:>30s}" for c in cells)
+                  + f" {won:>7s}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, help="write BENCH_<pr>.json in the repo root")
@@ -228,11 +302,20 @@ def main(argv=None) -> int:
                     help="also measure the checkout DIR, interleaved, as BENCH_N")
     ap.add_argument("--compare", nargs="+", metavar="JSON",
                     help="OLD [NEW]: print per-metric changes")
+    ap.add_argument("--sweep", action="store_true",
+                    help="time the C sweep alone, in this process")
     args = ap.parse_args(argv)
-    if args.pr is None and not (args.compare and len(args.compare) == 2):
-        ap.error("give --pr to run the benchmark, or --compare OLD NEW")
     if args.runs < 1:
         ap.error("--runs must be at least 1")
+    if args.sweep:
+        trees = {"this": ROOT}
+        if args.against:
+            base, _, root = args.against.partition("=")
+            trees[f"BENCH_{base}"] = os.path.abspath(root)
+        sweep_bench(trees, args.runs)
+        return 0
+    if args.pr is None and not (args.compare and len(args.compare) == 2):
+        ap.error("give --pr to run the benchmark, or --compare OLD NEW")
     new = None
     if args.pr is not None:
         trees = {args.pr: ROOT}

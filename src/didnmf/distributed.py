@@ -50,13 +50,14 @@ from .nnls import nnls_rows
 def did_c_phase(block: ColumnBlock, B: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, float, int]:
     """The C phase of did and dbcd: one Gram-form coordinate pass over
-    the block's C, which also takes the block's residual.
+    the block's C, on its stacked [X; C], which also takes the block's
+    residual.
 
     Returns (S, V, rr, skipped): the block's X C^T and C C^T for the
     updated C, rr = ||X - B C||^2 for the updated C and the unmoved B,
     and the number of degenerate rows left untouched.
     """
-    return c_rowwise_sweep(block.x_block, block.c_block, B)
+    return c_rowwise_sweep(block.z, B)
 
 
 def did_build_message(S: np.ndarray, V: np.ndarray, rr: float,

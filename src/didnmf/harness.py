@@ -182,8 +182,9 @@ def read_metrics_csv(path) -> list[dict]:
 
 
 def _philox_rows(key, rows: int, width: int, start: int, size: int,
-                 base: int = 0) -> np.ndarray:
-    """Columns [start, start + size) of a rows x width matrix drawn row-major.
+                 base: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Columns [start, start + size) of a rows x width matrix drawn row-major,
+    into `out` (a rows x size float64 array) if given.
 
     The matrix is the Philox 4x64-10 stream keyed with SeedSequence(key),
     from draw `base` on, one float64 per draw. Philox is counter-based, so
@@ -196,7 +197,8 @@ def _philox_rows(key, rows: int, width: int, start: int, size: int,
         raise ValueError(f"columns [{start}, {start + size}) are outside "
                          f"the {width} columns")
     seq = np.random.SeedSequence(key)
-    out = np.empty((rows, size))
+    if out is None:
+        out = np.empty((rows, size))
     for i in range(rows):
         offset = base + i * width + start
         bits = np.random.Philox(seq)
@@ -208,7 +210,8 @@ def _philox_rows(key, rows: int, width: int, start: int, size: int,
 
 
 def synth_data(m: int, n: int, seed: int, start: int = 0,
-               size: int | None = None) -> np.ndarray:
+               size: int | None = None, out: np.ndarray | None = None
+               ) -> np.ndarray:
     """Uniform [0, 1) data matrix, reproducible bit for bit from the seed.
 
     The stream is NumPy's Philox 4x64-10 counter generator keyed with
@@ -217,11 +220,13 @@ def synth_data(m: int, n: int, seed: int, start: int = 0,
     counter-based and platform independent, so any faithful
     implementation of the same generator reproduces the dataset from the
     seed alone. With `start`/`size` only columns [start, start + size)
-    are drawn, equal to that slice of the whole matrix.
+    are drawn, equal to that slice of the whole matrix, into `out` if
+    given.
     """
     if m < 1 or n < 1:
         raise ValueError("data dimensions must be positive")
-    return _philox_rows([seed, 0], m, n, start, n - start if size is None else size)
+    return _philox_rows([seed, 0], m, n, start,
+                        n - start if size is None else size, out=out)
 
 
 def synth_lowrank(m: int, n: int, k: int, seed: int) -> np.ndarray:
@@ -252,7 +257,7 @@ def random_init_scale(X, k: int, mean: float | None = None) -> float:
 
 def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
                  start: int = 0, n: int | None = None,
-                 mean: float | None = None):
+                 mean: float | None = None, out: np.ndarray | None = None):
     """Deterministic starting factors, shared by every algorithm.
 
     scaled-random draws both factors uniform on [0, s) with
@@ -267,7 +272,8 @@ def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
     For scaled-random, X may be the column block [start, start + size) of
     an n-column matrix whose mean is `mean`: B and that block of C then
     equal the whole draw's B and C slice bit for bit. kmeans reads every
-    column, so it takes the whole X and no block.
+    column, so it takes the whole X and no block. scaled-random draws C
+    into `out` (a block's `c_block`) if given.
     """
     X = np.asarray(X)
     m, size = X.shape
@@ -277,7 +283,7 @@ def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
     if method == "scaled-random":
         s = random_init_scale(X, k, mean)
         B = np.asfortranarray(_philox_rows([seed, 1], m, k, 0, k))
-        C = _philox_rows([seed, 1], k, n, start, size, base=m * k)
+        C = _philox_rows([seed, 1], k, n, start, size, base=m * k, out=out)
         B *= s
         C *= s
     elif method == "kmeans":
@@ -329,16 +335,17 @@ def stopping_check(e_t_sq: float, e_0_sq: float, epsilon: float) -> bool:
     return e_t_sq / e_0_sq <= epsilon
 
 
-def load_matrix(path, start: int = 0, size: int | None = None) -> np.ndarray:
+def load_matrix(path, start: int = 0, size: int | None = None,
+                out: np.ndarray | None = None) -> np.ndarray:
     """Columns [start, start + size) of a data matrix file (all by default).
 
     .csv is text, read whole and sliced; anything else is DMAT1, of which
-    only the requested columns are read.
+    only the requested columns are read, straight into `out` if given.
     """
     if str(path).endswith(".csv"):
         stop = None if size is None else start + size
         return read_csv_matrix(path)[:, start:stop]
-    return read_dmat(path, start, size)
+    return read_dmat(path, start, size, out)
 
 
 def _get_data(config: RunConfig) -> np.ndarray:
@@ -368,8 +375,8 @@ def _check_values(world, x_block) -> float:
     lo, hi = float(x_block.min()), float(x_block.max())
     finite = math.isfinite(lo) and math.isfinite(hi)
     buf = np.zeros(2 + world.size)
-    # row by row, so an in-process view and a rank's own copy of the
-    # block sum alike, bit for bit
+    # row by row, so the sum does not depend on the block's row stride:
+    # a view into a wider X and a contiguous copy sum alike, bit for bit
     buf[0] = float(x_block.sum(axis=1).sum())
     buf[1] = 0.0 if finite else 1.0
     buf[2 + world.rank] = lo if finite else 0.0
@@ -382,21 +389,27 @@ def _check_values(world, x_block) -> float:
     return float(out[0])
 
 
+def _whole_input(config: RunConfig) -> bool:
+    """CSV input and kmeans init read every column of X."""
+    return config.init == "kmeans" or (
+        config.input_path is not None and config.input_path.endswith(".csv"))
+
+
 def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
     """One rank's prologue, on either transport: (world, block, B).
 
-    The rank takes only its column block [a, a + size): a view of `X` when
-    the caller holds the matrix, else a byte-range read of the DMAT1 input
-    or a draw of those synth_data columns. The shape is checked before
-    `connect()` makes the world; the values and the init scale ride one
-    setup collective after it; then the rank draws B and its block of C.
-    CSV input and kmeans init need the whole matrix: the rank loads it,
-    and keeps a copy of its block only; `kmeans` stands in for
-    `init_factors` there, so the ranks of one process can share one start.
+    The rank takes only its column block [a, a + size), into the stacked
+    `ColumnBlock` it allocates: a copy of those columns of `X` when the
+    caller holds the matrix, else a byte-range read of the DMAT1 input or
+    a draw of those synth_data columns, each made straight into the
+    block. The shape is checked before `connect()` makes the world; the
+    values and the init scale ride one setup collective after it; then
+    the rank draws B and its block of C. CSV input and kmeans init need
+    the whole matrix: the rank loads it unless the caller passed it;
+    `kmeans` stands in for `init_factors` there, so the ranks of one
+    process can share one start.
     """
-    whole = X is None and (config.init == "kmeans" or (
-        config.input_path is not None and config.input_path.endswith(".csv")))
-    if whole:
+    if X is None and _whole_input(config):
         X = _get_data(config)
     if X is not None:
         X = as_matrix(X)
@@ -407,28 +420,28 @@ def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
         m, n = config.m, config.n
     check_shape(m, n, config.k, config.p)
     start, size = partition_columns(n, config.p)[rank]
+    block = ColumnBlock(m, config.k, size)
     if X is not None:
-        x_block = X[:, start:start + size]
-        if whole:
-            x_block = x_block.copy()
+        block.x_block[...] = X[:, start:start + size]
     elif config.input_path is not None:
-        x_block = load_matrix(config.input_path, start, size)
+        load_matrix(config.input_path, start, size, out=block.x_block)
     else:
-        x_block = synth_data(m, n, config.seed, start, size)
+        synth_data(m, n, config.seed, start, size, out=block.x_block)
     world = connect()
     try:
-        total = _check_values(world, x_block)
+        total = _check_values(world, block.x_block)
         if config.init == "kmeans":
             B, C = (kmeans or init_factors)(X, config.k, config.seed, "kmeans")
             B = B.copy(order="F")
-            c_block = C[:, start:start + size].copy(order="C")
+            block.c_block[...] = C[:, start:start + size]
         else:
-            B, c_block = init_factors(x_block, config.k, config.seed,
-                                      start=start, n=n, mean=total / (m * n))
+            B, _ = init_factors(block.x_block, config.k, config.seed,
+                                start=start, n=n, mean=total / (m * n),
+                                out=block.c_block)
     except BaseException:
         world.close()
         raise
-    return world, ColumnBlock(x_block, c_block), B
+    return world, block, B
 
 
 def _rank_run(config: RunConfig, rank: int, X, connect,
@@ -444,17 +457,20 @@ def _rank_run(config: RunConfig, rank: int, X, connect,
 def run(config: RunConfig, X=None) -> RunMetrics:
     """Execute one configured run and return its metrics.
 
-    `X` overrides data loading (used by tests and scripts). In-process
-    runs (a sequential algorithm is one rank) load the matrix once and
-    hand each rank a view of its block. With the tcp transport this
-    process is the one rank named by the NMF_RANK environment variable
-    (see `run_tcp_rank`), whatever the algorithm: a sequential one is a
-    one-rank TCP world. Rank 0 writes the CSV.
+    `X` overrides data loading (used by tests and scripts); each rank
+    copies its block of it. Otherwise in-process ranks (a sequential
+    algorithm is one rank) read or draw their own blocks as TCP ranks do,
+    and only CSV input or kmeans init loads the whole matrix, once for
+    all of them. With the tcp transport this process is the one rank
+    named by the NMF_RANK environment variable (see `run_tcp_rank`),
+    whatever the algorithm: a sequential one is a one-rank TCP world.
+    Rank 0 writes the CSV.
     """
     config.validate()
     if config.transport == "tcp":
         return run_tcp_rank(config, _env_rank(config), X=X)
-    X = as_matrix(_get_data(config) if X is None else X)
+    if X is not None or _whole_input(config):
+        X = as_matrix(_get_data(config) if X is None else X)
     metrics = _run_inprocess(config, X)
     if config.out_path:
         metrics.write_csv(config.out_path)

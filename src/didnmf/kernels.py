@@ -1,10 +1,10 @@
 """Factorization kernels: the Gram-form coordinate kernel and ANLS.
 
 All minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
-C (K x N). Coordinate descent runs in Gram form: the C pass streams X in
-column tiles sized for L2 and, in that one pass, hands the basis step
-X C^T and C C^T and takes the residual, so nothing M x N is formed and X
-is read once per iteration. The distributed workers (`distributed`) are
+C (K x N). Coordinate descent runs in Gram form: the C pass streams a
+block's stacked [X; C] in column tiles sized for L2 and, in that one
+pass, hands the basis step X C^T and C C^T and takes the residual, so
+nothing M x N is formed and X is read once per iteration. The distributed workers (`distributed`) are
 built from that kernel, and sequential coordinate descent is the dbcd
 worker on a one-rank world. That kernel is Gram-form HALS (all rows of
 C, then all columns of B), so HALS needs no step of its own.
@@ -25,13 +25,16 @@ from .comm import allreduce_sum
 from .matrix import ColumnBlock
 from .nnls import DEGENERATE_NORM_TOL, nnls_rows
 
-# bytes of X per column tile: with the tile's C, P~ and residual rows the
+# bytes of X per column tile: with the tile's C, Q and residual rows the
 # working set stays inside a per-core L2 cache. On a core with 2 MiB of L2
-# (Xeon, 2 vCPUs), one BLAS thread, row-major X and C, median sweep ms
-# over 21 interleaved repetitions for 128 / 256 / 384 / 512 / 1024 KiB:
-# M=5, N=5e5, K=3: 12.85 / 10.94 / 10.92 / 11.70 / 13.51;
-# M=40, N=5e4, K=30: 36.38 / 31.47 / 34.03 / 34.12 / 34.04.
-TILE_BYTES = 256 * 1024
+# (Xeon, 2 vCPUs), one BLAS thread, stacked [X; C] blocks, median sweep
+# ms over 21 interleaved repetitions for 128 / 256 / 384 / 512 / 1024 KiB,
+# in two runs:
+# M=5, N=5e5, K=3: 10.01 / 8.65 / 8.63 / 9.04 / 10.65 and
+#                  10.37 / 9.24 / 9.09 / 9.78 / 11.06;
+# M=40, N=5e4, K=30: 34.28 / 29.64 / 28.78 / 28.03 / 28.54 and
+#                    37.80 / 32.77 / 29.62 / 29.30 / 30.08.
+TILE_BYTES = 384 * 1024
 
 
 def tile_width(m: int) -> int:
@@ -45,27 +48,34 @@ def column_tiles(n: int, m: int) -> list[slice]:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
+def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     """One coordinate pass over C in Gram form, streamed over column tiles.
 
-    Rows i = 0..K-1 are updated in order, every column at once:
+    Z is a block's stack [X; C] (`ColumnBlock.z`): X in its first M =
+    B.shape[0] rows, C in the K rows below, row-major. Rows i = 0..K-1 of
+    C are updated in order, every column at once:
 
         c_i := [p~_i + h_i^T C]_+
 
-    with G = B^T B, h_i = -g_i / g_ii (h_ii = 0) and P~ = B~^T X_t, where
-    column i of B~ is b_i / g_ii, formed once per tile. This is the HALS
-    row update c_i + (p_i - g_i^T C) / g_ii with the c_i terms cancelled
-    exactly and 1/g_ii folded into the products, i.e.
-    c_ij := [b_i^T e_j / b_i^T b_i]_+ with e_j the residual of column j
-    minus b_i's share. Distinct columns never interact, so each tile is
-    swept on its own, and its part of X C^T, C C^T and ||X - B C||^2 is
-    added while it is still in cache: nothing reads X again before the
-    next pass. Rows with g_ii under the degeneracy floor are left
-    untouched. B is only read; C- and Fortran-ordered B give the same
-    result bit for bit. A row-major X and C (a block's layout) keep every
-    row update, every product's operands and the tile's residual on
-    contiguous rows; any layout of either gives the same iterate up to
-    rounding.
+    with G = B^T B, h_i = -g_i / g_ii (h_ii = 0) and P~ = B~^T X, where
+    column i of B~ is b_i / g_ii. This is the HALS row update
+    c_i + (p_i - g_i^T C) / g_ii with the c_i terms cancelled exactly and
+    1/g_ii folded into the products, i.e. c_ij := [b_i^T e_j / b_i^T b_i]_+
+    with e_j the residual of column j minus b_i's share. Distinct columns
+    never interact, so each tile T = Z[:, cols] = [X_t; C_t] is swept on
+    its own, in three kinds of product:
+
+    * Q = [B~^T | U] T, with U the strictly upper triangle of H: row i of
+      Q is p~_i plus the share of the rows after i, not yet updated;
+    * c_0 := [q_0]_+, then c_i := [q_i + L_i C_t[:i]]_+ with L the strictly
+      lower triangle of H, which reads only the rows already updated;
+    * C_t T^T = [S_t^T | V_t], the tile's part of S = X C^T and of
+      V = C C^T.
+
+    The tile's ||X_t - B C_t||^2 is added while it is still in cache, so
+    nothing reads X again before the next pass. Rows with g_ii under the
+    degeneracy floor are left untouched. B is only read; C- and
+    Fortran-ordered B give the same result bit for bit.
 
     Returns (S, V, rr, skipped): S = X C^T and V = C C^T for the updated
     C, rr = ||X - B C||^2 for the updated C and this B, equal to
@@ -74,45 +84,47 @@ def c_rowwise_sweep(X, C, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     m, k = B.shape
     BF = np.asfortranarray(B)
     G = BF.T @ BF
-    # a copy, never a view of B; against a row-major X a row-major B^T
-    # keeps P~ on the fast gemm
-    Bt = np.array(BF.T, order="C")
-    H = np.zeros((k, k))
+    # A = [B~^T | U] and L, copies, never views of B
+    A = np.zeros((k, m + k))
+    A[:, :m] = BF.T
+    L = np.zeros((k, k))
     live = []
     for i in range(k):
         gii = float(G[i, i])
         if gii < DEGENERATE_NORM_TOL:
             continue
         live.append(i)
-        Bt[i] /= gii
-        H[i] = G[i] / -gii
-        H[i, i] = 0.0
-    # per-tile operands are slices of buffers made once per call; every
-    # product writes a C- or Fortran-contiguous `out`, which keeps numpy
-    # on its gemm/gemv path
+        A[i, :m] /= gii
+        A[i, m + i + 1:] = G[i, i + 1:] / -gii
+        L[i, :i] = G[i, :i] / -gii
+    # per-tile operands are slices of buffers made once per call; Q and
+    # each row's product write a C-contiguous `out`, which keeps numpy on
+    # its gemm/gemv path
     width = tile_width(m)
-    P_buf, W_buf, r_buf = np.empty(k * width), np.empty(k * width), np.empty(width)
+    Q_buf, r_buf = np.empty(k * width), np.empty(width)
     E_buf = _tile_buffer(m)
-    S = np.zeros((m, k))
-    V = np.zeros((k, k))
+    SV = np.zeros((k, m + k))
     rr = 0.0
-    for cols in column_tiles(X.shape[1], m):
-        Xt, Ct = X[:, cols], C[:, cols]
-        t = Xt.shape[1]
-        P, W, r = (P_buf[:k * t].reshape((k, t)), W_buf[:k * t].reshape((k, t)),
-                   r_buf[:t])
-        np.matmul(Bt, Xt, out=P)
+    for cols in column_tiles(Z.shape[1], m):
+        T = Z[:, cols]
+        Xt, Ct = T[:m], T[m:]
+        t = T.shape[1]
+        Q, r = Q_buf[:k * t].reshape((k, t)), r_buf[:t]
+        np.matmul(A, T, out=Q)
         for i in live:
-            np.matmul(H[i], Ct, out=r)
-            r += P[i]
+            if i == 0:
+                np.maximum(Q[0], 0.0, out=Ct[0])
+                continue
+            if i == 1:
+                # numpy runs a product over one row off BLAS and slowly
+                np.multiply(Ct[0], L[1, 0], out=r)
+            else:
+                np.matmul(L[i, :i], Ct[:i], out=r)
+            r += Q[i]
             np.maximum(r, 0.0, out=Ct[i])
-        S += Xt @ Ct.T
-        # a copied right operand keeps numpy off its syrk path, which is
-        # slower than gemm at this K
-        np.copyto(W, Ct)
-        V += Ct @ W.T
+        SV += Ct @ T.T
         rr += _tile_residual_sq(Xt, Ct, BF, E_buf)
-    return S, V, rr, k - len(live)
+    return SV[:, :m].T, SV[:, m:], rr, k - len(live)
 
 
 def b_column_partials(S, V, B, i: int) -> tuple[np.ndarray, float]:

@@ -1,11 +1,9 @@
 """Row-major dense matrix substrate shared by every solver.
 
-Matrices are plain float64 numpy arrays kept row-major (C-ordered), the
-layout of a block's C: the coordinate kernel's products and residual
-then read X and C row by row. A column range of a row-major array is
-still a copy-free view, whose rows are contiguous and one row stride
-apart (BLAS takes that stride as its leading dimension), which is what
-lets a worker own a slab of X without duplicating it.
+Matrices are plain float64 numpy arrays kept row-major (C-ordered): the
+coordinate kernel's products and residual then read X and C row by row.
+A worker holds its columns of X and C stacked in one array (see
+`ColumnBlock`), which it reads or draws its columns of X into directly.
 
 Two interchange formats are provided: a small binary one ("DMAT1", used
 both on disk and on the wire, with a column-major body) and plain CSV for
@@ -16,7 +14,6 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,33 +59,23 @@ def partition_columns(n: int, p: int) -> list[tuple[int, int]]:
     return ranges
 
 
-@dataclass
 class ColumnBlock:
-    """One worker's contiguous slab of columns of X and C.
+    """One worker's contiguous slab of columns of X and C, stacked.
 
-    `x_block` is read only: a view of the shared row-major data matrix
-    in-process (contiguous rows, one row of X apart), the rank's own
-    row-major columns in a TCP rank. `c_block` is owned (written) by
-    exactly one worker, and is kept row-major too, so each row that the C
-    sweep rewrites, and each row of X and C its products read, is
-    contiguous. A block's rank is its world's, and its width is
-    `x_block.shape[1]`.
+    The block is one row-major (M + K) x n_blk array `z` = [X; C], made
+    here and filled by the caller (see `harness._rank_setup`). `x_block`
+    = z[:M] and `c_block` = z[M:] are row views of it, each C-contiguous
+    itself. `x_block` is read only; `c_block` is owned (written) by
+    exactly one worker. The C sweep reads a column tile of X and C as one
+    operand, so a tile's products take X and C in one call (see
+    `kernels.c_rowwise_sweep`). A block's rank is its world's, and its
+    width is `z.shape[1]`.
     """
 
-    x_block: np.ndarray
-    c_block: np.ndarray
-
-
-def make_column_blocks(X, C, p: int) -> list[ColumnBlock]:
-    """Cut X (shared views) and C (per-block copies) into p worker blocks."""
-    X = as_matrix(X)
-    C = as_matrix(C)
-    if X.shape[1] != C.shape[1]:
-        raise ValueError(
-            f"X and C disagree on column count: {X.shape[1]} vs {C.shape[1]}")
-    return [ColumnBlock(x_block=X[:, start:start + size],
-                        c_block=np.array(C[:, start:start + size], order="C"))
-            for start, size in partition_columns(X.shape[1], p)]
+    def __init__(self, m: int, k: int, size: int):
+        self.z = np.empty((m + k, size))
+        self.x_block = self.z[:m]
+        self.c_block = self.z[m:]
 
 
 def dmat_encode(a) -> bytes:
@@ -142,14 +129,16 @@ def read_dmat_shape(path) -> tuple[int, int]:
         return _read_dmat_header(f)
 
 
-def read_dmat(path, start: int = 0, size: int | None = None) -> np.ndarray:
+def read_dmat(path, start: int = 0, size: int | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
     """Columns [start, start + size) of a DMAT1 file (all by default).
 
     The body is column-major, so a column range is one byte range. It is
     read READ_CHUNK_BYTES at a time into one buffer, and each chunk's
-    columns are transposed straight into the returned array, which is
-    row-major like every matrix a solver reads. Beside the result only
-    that buffer is held, never a second copy of the block.
+    columns are transposed straight into the result: `out` if given (a
+    rows x size float64 array, such as a block's `x_block`), else a new
+    row-major array, the layout of every matrix a solver reads. Beside
+    the result only that buffer is held, never a second copy of the block.
     """
     with open(path, "rb") as f:
         rows, cols = _read_dmat_header(f)
@@ -158,7 +147,11 @@ def read_dmat(path, start: int = 0, size: int | None = None) -> np.ndarray:
         if start < 0 or size < 0 or start + size > cols:
             raise ValueError(f"columns [{start}, {start + size}) are outside "
                              f"the {cols} columns of {path}")
-        out = np.empty((rows, size))
+        if out is None:
+            out = np.empty((rows, size))
+        elif out.shape != (rows, size) or out.dtype != np.float64:
+            raise ValueError(f"out is {out.dtype} {out.shape}, not float64 "
+                             f"{(rows, size)}")
         width = max(1, READ_CHUNK_BYTES // (8 * max(rows, 1)))
         buf = np.empty(rows * min(width, size), dtype="<f8")
         f.seek(_DMAT_HEADER.size + 8 * rows * start)

@@ -9,9 +9,11 @@ with one shared K x K symmetric positive semidefinite Gram matrix G and
 per-row linear terms r (the rows of R). `nnls_rows` solves all rows at
 once with block principal pivoting with the backup rule (Kim & Park,
 SIAM J. Sci. Comput. 2011), grouping rows that share a passive set so
-each K x K subsystem is factored once per group. Rows whose pivoting
-lands off the KKT tolerance by rounding get one projected-gradient
-polish. `nnls_oracle` solves small systems exactly by enumerating every
+each K x K subsystem is factored once per group (the rows are keyed by
+their passive bits packed into one integer and grouped by a 1-D sort,
+the column grouping of Van Benthem & Keenan, J. Chemometrics 2004).
+Rows whose pivoting lands off the relative KKT tolerance by rounding get
+one projected-gradient polish. `nnls_oracle` solves small systems exactly by enumerating every
 active set; it exists so the fast path can be audited against an
 independent reference.
 """
@@ -62,7 +64,16 @@ def _solve_patterns(G, R, passive):
     B = np.zeros_like(R)
     if not passive.any():
         return B
-    patterns, inverse = np.unique(passive, axis=0, return_inverse=True)
+    k = passive.shape[1]
+    if k < 63:
+        # each row's bits as one integer, column 0 the highest: a 1-D sort
+        # of the keys orders the patterns as the rows' own sort would
+        keys = passive @ (1 << np.arange(k - 1, -1, -1, dtype=np.int64))
+        _, first, inverse = np.unique(keys, return_index=True,
+                                      return_inverse=True)
+        patterns = passive[first]
+    else:
+        patterns, inverse = np.unique(passive, axis=0, return_inverse=True)
     for pid, pat in enumerate(patterns):
         if not pat.any():
             continue
@@ -78,10 +89,17 @@ def _solve_patterns(G, R, passive):
     return B
 
 
-def _kkt_violations(B, Y):
-    """Boolean row mask of KKT failures: b >= 0, gradient >= -tol, b.g <= tol."""
+def _kkt_violations(G, R, B, Y):
+    """Boolean row mask of KKT failures of the gradient rows Y = B G - R.
+
+    Each row is judged against the scale of the terms its gradient sums,
+    s = max_j (|b| |G| + |r|)_j, which bounds their rounding: b >= 0,
+    y >= -KKT_TOL s and b.y <= KKT_TOL s ||b||_1.
+    """
+    scale = (np.abs(B) @ np.abs(G) + np.abs(R)).max(axis=1)
     comp = np.einsum("ij,ij->i", B, Y)
-    return (B < 0.0).any(axis=1) | (Y < -KKT_TOL).any(axis=1) | (comp > KKT_TOL)
+    return ((B < 0.0).any(axis=1) | (Y < -KKT_TOL * scale[:, None]).any(axis=1)
+            | (comp > KKT_TOL * scale * np.abs(B).sum(axis=1)))
 
 
 def _projected_gradient(G, R, B0):
@@ -93,7 +111,7 @@ def _projected_gradient(G, R, B0):
     step = 1.0 / lam
     for _ in range(100 * G.shape[0]):
         Y = B @ G - R
-        if not _kkt_violations(B, Y).any():
+        if not _kkt_violations(G, R, B, Y).any():
             break
         B = np.maximum(B - step * Y, 0.0)
     return B
@@ -159,8 +177,9 @@ def nnls_rows(G, R) -> np.ndarray:
     cannot influence the objective through G; they are dropped and
     returned as exact zeros. Block principal pivoting with the backup
     rule (`_bpp_solve`) solves the rest. Each row must then pass the KKT
-    check at ``KKT_TOL``: the gradient g = b G - r satisfies
-    g >= -KKT_TOL and b . g <= KKT_TOL. Rows that miss it (a pivot on a
+    check at ``KKT_TOL``, relative to the scale s = max_j (|b| |G| + |r|)_j
+    of its gradient g = b G - r (see `_kkt_violations`): g >= -KKT_TOL s
+    and b . g <= KKT_TOL s ||b||_1. Rows that miss it (a pivot on a
     near-singular G can land off by rounding, or the cycle bound ran out)
     get one projected-gradient polish; if any still miss it,
     ``NnlsError`` is raised carrying the best iterate found.
@@ -173,14 +192,14 @@ def nnls_rows(G, R) -> np.ndarray:
             out[:, keep] = nnls_rows(G[np.ix_(keep, keep)], R[:, keep])
         return out
     B = _bpp_solve(G, R)
-    bad = _kkt_violations(B, B @ G - R)
+    bad = _kkt_violations(G, R, B, B @ G - R)
     if bad.any():
         idx = np.nonzero(bad)[0]
         B[idx] = _projected_gradient(G, R[idx], B[idx])
-        bad = _kkt_violations(B, B @ G - R)
+        bad = _kkt_violations(G, R, B, B @ G - R)
     if bad.any():
         raise NnlsError(
-            f"{int(bad.sum())} of {R.shape[0]} rows missed the "
+            f"{int(bad.sum())} of {R.shape[0]} rows missed the relative "
             f"{KKT_TOL:g} KKT tolerance", B)
     return B
 

@@ -23,7 +23,7 @@ from didnmf.distributed import (
 )
 from didnmf.harness import RunConfig, init_factors, run, synth_data, synth_lowrank
 from didnmf.kernels import b_column_apply, b_column_partials
-from didnmf.matrix import make_column_blocks
+from blocks import make_column_blocks
 from didnmf.nnls import nnls_oracle, nnls_rows, row_objectives
 
 

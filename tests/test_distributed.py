@@ -23,7 +23,8 @@ from didnmf.kernels import (
     residual_sq,
     tile_width,
 )
-from didnmf.matrix import frob_norm_sq, make_column_blocks
+from blocks import make_column_blocks
+from didnmf.matrix import frob_norm_sq
 
 
 def run_ranks(size, fn, timeout=10.0):
@@ -61,7 +62,9 @@ def sequential_cd(X, B, C):
     """Reference coordinate-descent sweep built from the kernel's parts with
     no collective at all: the C pass, then each basis column in order.
     Updates B and C in place and returns the skipped-update count."""
-    S, V, _, skipped = c_rowwise_sweep(X, C, B)
+    Z = np.vstack([X, C])
+    S, V, _, skipped = c_rowwise_sweep(Z, B)
+    C[...] = Z[len(X):]
     for i in range(B.shape[1]):
         y, z = b_column_partials(S, V, B, i)
         skipped += b_column_apply(B, i, y, z)

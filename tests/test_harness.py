@@ -539,10 +539,50 @@ def test_tcp_ranks_on_a_file_match_the_in_process_run(monkeypatch, tmp_path,
         assert np.array_equal(got.residuals(), ref.residuals())
 
 
+@pytest.mark.parametrize("source", ["synthetic", "dmat", "array"])
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_a_rank_block_is_one_row_major_stack_of_x_and_c(monkeypatch, tmp_path,
+                                                        transport, source):
+    # on both transports every rank's block is one C-contiguous [X; C]
+    # with x_block and c_block its row views; a DMAT1 read lands in the
+    # block's X rows, and an X the caller passes is copied, never viewed
+    X = synth_data(5, 101, 8)
+    path = tmp_path / "data.dmat"
+    write_dmat(path, X)
+    blocks, loop = [], harness._distributed_worker
+    monkeypatch.setattr(harness, "_distributed_worker",
+                        lambda config, world, block, B:
+                        blocks.append(block) or loop(config, world, block, B))
+    outs, load = [], harness.load_matrix
+    monkeypatch.setattr(harness, "load_matrix",
+                        lambda *a, **kw: outs.append(kw.get("out")) or load(*a, **kw))
+    kw = dict(algorithm="did", m=5, n=101, k=3, p=2, seed=8, max_iters=2,
+              comm_timeout=30.0, transport=transport)
+    if source == "dmat":
+        kw["input_path"] = str(path)
+    data = X if source == "array" else None
+    if transport == "tcp":
+        _, errors = _tcp_ranks(kw, data)
+        assert errors == [None, None], errors
+    else:
+        run(RunConfig(**kw), X=data)
+    blocks.sort(key=lambda b: -b.z.shape[1])
+    for (start, size), block in zip(partition_columns(101, 2), blocks):
+        assert block.z.shape == (8, size) and block.z.flags.c_contiguous
+        assert block.x_block.base is block.z and block.c_block.base is block.z
+        assert np.array_equal(block.x_block, X[:, start:start + size])
+        assert not np.shares_memory(block.z, X)
+    assert len(blocks) == 2
+    if source == "dmat":
+        assert sorted(id(o) for o in outs) == sorted(id(b.x_block) for b in blocks)
+    else:
+        assert outs == []
+
+
 def test_setup_sum_of_a_block_does_not_depend_on_its_layout():
-    # an in-process rank sums a view of the shared row-major X (rows one
-    # row of X apart), a TCP rank its own contiguous copy; the setup
-    # collective gives both the same sum, so both draw the same start.
+    # a view into a wider row-major X (rows one row of X apart) and its
+    # contiguous copy give the setup collective the same sum, so a block
+    # draws the same start whatever its row stride.
     # (with numpy 2.4, np.sum of this view and of its copy differ in the
     # last bit.)
     X = np.random.default_rng(1).random((5, 100_000))

@@ -14,7 +14,8 @@ from didnmf.kernels import (
     residual_sq,
     tile_width,
 )
-from didnmf.matrix import frob_norm_sq, make_column_blocks
+from blocks import make_column_blocks
+from didnmf.matrix import frob_norm_sq
 from didnmf.nnls import nnls_rows
 
 
@@ -64,12 +65,16 @@ def anls(X, B, C):
 # Gram-form coordinate updates (worked instances first)
 
 
+def stack(X, C):
+    """A block's stacked [X; C], row-major."""
+    return np.vstack([np.asarray(X, dtype=float), np.asarray(C, dtype=float)])
+
+
 def sweep(X, B, C):
-    """Run the C pass on copies; return (C, S, V, rr, skipped)."""
-    C = np.array(C, dtype=float, order="F")
-    S, V, rr, skipped = c_rowwise_sweep(np.asfortranarray(X, dtype=float),
-                                        C, np.asfortranarray(B, dtype=float))
-    return C, S, V, rr, skipped
+    """Run the C pass on a stacked copy; return (C, S, V, rr, skipped)."""
+    Z = stack(X, C)
+    S, V, rr, skipped = c_rowwise_sweep(Z, np.asfortranarray(B, dtype=float))
+    return Z[len(X):], S, V, rr, skipped
 
 
 def elementwise_c_pass(X, B, C):
@@ -197,8 +202,7 @@ def test_c_rowwise_sweep_takes_the_residual_of_residual_sq(tiles, dead):
     B = np.asfortranarray(rng.uniform(0.1, 1.0, size=(m, k)))
     if dead:
         B[:, 1] = 0.0
-    C = np.asfortranarray(rng.uniform(0.0, 1.0, size=(k, n)))
-    _, _, rr, skipped = c_rowwise_sweep(X, C, B)
+    C, _, _, rr, skipped = sweep(X, B, rng.uniform(0.0, 1.0, size=(k, n)))
     assert skipped == int(dead)
     assert rr == residual_sq(X, B, C)
     assert rr == pytest.approx(frob_norm_sq(X - B @ C), rel=1e-12)
@@ -220,42 +224,37 @@ def test_c_rowwise_sweep_never_writes_b_and_ignores_its_order(dead):
     C0 = rng.uniform(0.0, 1.0, size=(k, n))
     results = []
     for B in (np.ascontiguousarray(B0), np.asfortranarray(B0)):
-        C = C0.copy()
-        S, V, rr, skipped = c_rowwise_sweep(X, C, B)
+        Z = stack(X, C0)
+        S, V, rr, skipped = c_rowwise_sweep(Z, B)
+        C = Z[m:]
         assert B.tobytes() == B0.tobytes()
         assert skipped == int(dead)
         results.append((C.tobytes(), S.tobytes(), V.tobytes(), rr))
     assert results[0] == results[1]
 
 
-@pytest.mark.parametrize("dead", [False, True], ids=["live", "dead-row"])
-def test_c_rowwise_sweep_ignores_the_layout_of_x(dead):
-    # the sweep is fastest on a block's row-major X but correct on any:
-    # a Fortran X, a row-major X and a column range of a wider row-major X
-    # with the same values give C within 1e-13 of each other, the same
-    # skip count, and each an rr equal to its own `residual_sq`
-    m, k = 4, 3
-    n = 2 * tile_width(m) + 3
-    rng = np.random.default_rng(13)
-    wide = rng.uniform(0.0, 1.0, size=(m, n + 7))
-    X0 = wide[:, 5:5 + n]
+@pytest.mark.parametrize("n", [9, 2 * tile_width(5) + 3], ids=["one-tile", "three-tiles"])
+@pytest.mark.parametrize("dead", [0, 2, 4], ids=["first", "middle", "last"])
+def test_c_rowwise_sweep_matches_elementwise_with_a_dead_row(dead, n):
+    # row i reads the rows after it through Q's one product and the rows
+    # before it through L; a dead row (b_i = 0, g_ii under the floor) in
+    # either place keeps its old values, and every other row still takes
+    # the elementwise update, across tile boundaries too. rr is
+    # `residual_sq` of the updated C to the last bit
+    m, k = 5, 5
+    rng = np.random.default_rng(dead + n)
+    X = rng.uniform(0.0, 1.0, size=(m, n))
     B = np.asfortranarray(rng.uniform(0.1, 1.0, size=(m, k)))
-    if dead:
-        B[:, 1] = 0.0
+    B[:, dead] = 0.0
     C0 = rng.uniform(0.0, 1.0, size=(k, n))
-    results = []
-    for X in (np.asfortranarray(X0), np.ascontiguousarray(X0), X0):
-        C = C0.copy()
-        S, V, rr, skipped = c_rowwise_sweep(X, C, B)
-        assert skipped == int(dead)
-        assert rr == residual_sq(X, B, C)
-        results.append((C, S, V, rr))
-    C_ref, S_ref, V_ref, rr_ref = results[0]
-    for C, S, V, rr in results[1:]:
-        assert np.max(np.abs(C - C_ref)) <= 1e-13
-        assert np.allclose(S, S_ref, rtol=1e-13, atol=0.0)
-        assert np.allclose(V, V_ref, rtol=1e-13, atol=0.0)
-        assert rr == pytest.approx(rr_ref, rel=1e-12)
+    C, S, V, rr, skipped = sweep(X, B, C0)
+    C_ref, skipped_ref = elementwise_c_pass(X, B, C0)
+    assert skipped == skipped_ref == 1
+    assert np.array_equal(C[dead], C0[dead])
+    assert np.allclose(C, C_ref, rtol=1e-12, atol=1e-14)
+    assert np.allclose(S, X @ C.T, rtol=1e-12)
+    assert np.allclose(V, C @ C.T, rtol=1e-12)
+    assert rr == residual_sq(X, B, C)
 
 
 def test_bcd_coordinate_optimality_after_element_update():

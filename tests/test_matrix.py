@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from didnmf import matrix
 from didnmf.matrix import (
+    ColumnBlock,
     as_matrix,
     dmat_decode,
     dmat_encode,
     frob_norm_sq,
-    make_column_blocks,
     partition_columns,
     read_csv_matrix,
     read_dmat,
@@ -75,21 +75,20 @@ def test_as_matrix_rejects_non_2d():
         as_matrix(np.ones(4))
 
 
-def test_make_column_blocks_views_and_copies():
-    X = np.arange(12.0).reshape(2, 6)
-    C = np.asfortranarray(np.ones((2, 6)))
-    blocks = make_column_blocks(X, C, 3)
-    assert [b.x_block.shape[1] for b in blocks] == [2, 2, 2]
-    # x blocks are views into the row-major X itself (rows one row of X
-    # apart), c blocks are private copies
-    X[1, 3] = -1.0
-    for block in blocks:
-        assert np.shares_memory(block.x_block, X)
-        assert block.x_block.strides == X.strides
-    assert blocks[1].x_block[1, 1] == -1.0
-    blocks[0].c_block[0, 0] = 99.0
-    assert C[0, 0] == 1.0
-    assert np.array_equal(blocks[2].x_block, X[:, 4:6])
+def test_column_block_is_one_row_major_stack_of_x_and_c():
+    # a block is one C-contiguous (M + K) x n array [X; C]; x_block and
+    # c_block are its row views, each C-contiguous, and write through
+    block = ColumnBlock(4, 3, 7)
+    assert block.z.shape == (7, 7) and block.z.dtype == np.float64
+    assert block.z.flags.c_contiguous
+    assert block.x_block.shape == (4, 7) and block.c_block.shape == (3, 7)
+    for part in (block.x_block, block.c_block):
+        assert part.flags.c_contiguous and part.base is block.z
+    assert block.c_block.ctypes.data == block.z.ctypes.data + 4 * 7 * 8
+    block.x_block[...] = 1.0
+    block.c_block[...] = 2.0
+    assert np.array_equal(block.z, np.vstack([np.ones((4, 7)),
+                                              np.full((3, 7), 2.0)]))
 
 
 def test_dmat_roundtrip_exact():
@@ -164,6 +163,22 @@ def test_read_dmat_transposes_the_body_chunk_by_chunk(tmp_path):
         assert block.tobytes() == np.ascontiguousarray(
             cols[:, start:start + size]).tobytes(), (start, size)
     assert np.array_equal(read_dmat(path), a)
+
+
+def test_read_dmat_reads_into_a_blocks_x_rows(tmp_path):
+    # out= lands a column range in the X rows of a stacked block, leaves
+    # its C rows alone, and is refused at any other shape or dtype
+    a = np.random.default_rng(12).normal(size=(3, 50))
+    path = tmp_path / "m.dmat"
+    write_dmat(path, a)
+    block = ColumnBlock(3, 2, 20)
+    block.c_block[...] = 7.0
+    assert read_dmat(path, 10, 20, out=block.x_block) is block.x_block
+    assert np.array_equal(block.x_block, a[:, 10:30])
+    assert (block.c_block == 7.0).all()
+    for bad in (np.empty((3, 19)), np.empty((3, 20), dtype=np.float32)):
+        with pytest.raises(ValueError, match="out is"):
+            read_dmat(path, 10, 20, out=bad)
 
 
 def test_read_dmat_holds_one_chunk_beside_the_block(tmp_path):

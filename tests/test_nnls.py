@@ -8,6 +8,7 @@ from didnmf.nnls import (
     KKT_TOL,
     NnlsError,
     _kkt_violations,
+    _solve_patterns,
     nnls_oracle,
     nnls_rows,
     row_objectives,
@@ -159,7 +160,48 @@ def test_nnls_rows_meets_kkt_on_a_near_collinear_gram():
     assert np.linalg.cond(G) > 1e15
     out = nnls_rows(G, R)
     assert (out >= 0.0).all()
-    assert not _kkt_violations(out, out @ G - R).any()
+    assert not _kkt_violations(G, R, out, out @ G - R).any()
+
+
+def test_nnls_rows_judges_kkt_relative_to_the_scale_of_the_gram():
+    # A's columns are scaled by 1, 1e3 and 1e6, so G's diagonal reaches
+    # ~1e12 (cond ~1e12). One row's passive gradient entry is ~7e-5, the
+    # rounding of a ~1e6 diagonal, and b.g ~5e-8: an absolute 1e-8 test
+    # rejects it, and the gradient polish (step 1/lambda_max ~5e-13)
+    # cannot move it. Judged against |b| |G| + |r| it is a KKT point, and
+    # every row's objective is the enumeration oracle's
+    rng = np.random.default_rng(70)
+    m = int(rng.integers(3, 14))
+    a = rng.random((m, 3)) * np.logspace(0, 6, 3)
+    x = rng.random((m, 500))
+    G, R = a.T @ a, x.T @ a
+    assert np.diag(G).max() > 1e12
+    out = nnls_rows(G, R)
+    assert (out >= 0.0).all()
+    assert not _kkt_violations(G, R, out, out @ G - R).any()
+    obj, ref = row_objectives(G, R, out), row_objectives(G, R, nnls_oracle(G, R))
+    assert (obj - ref <= 1e-8 * np.abs(ref)).all()
+
+
+def test_nnls_row_keys_group_patterns_in_sorted_order():
+    # the packed integer key orders passive sets as np.unique's row sort
+    # does, so the grouped solve is the same solve, bit for bit
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 10, 30, 62, 63, 64):
+        G = random_psd(k, rng, extra_rows=k)
+        R = rng.normal(size=(200, k))
+        passive = rng.random((200, k)) < 0.6
+        passive[:5] = True
+        passive[5:8] = False
+        got = _solve_patterns(G, R, passive)
+        ref = np.zeros_like(R)
+        patterns, inverse = np.unique(passive, axis=0, return_inverse=True)
+        for pid, pat in enumerate(patterns):
+            rows, free = np.nonzero(inverse.ravel() == pid)[0], np.nonzero(pat)[0]
+            if free.size:
+                ref[np.ix_(rows, free)] = np.linalg.solve(
+                    G[np.ix_(free, free)], R[np.ix_(rows, free)].T).T
+        assert got.tobytes() == ref.tobytes(), k
 
 
 @pytest.mark.parametrize("alg,p", [("anls", 1), ("dadmm", 2)])
