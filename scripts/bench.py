@@ -5,6 +5,7 @@
     python3 scripts/bench.py --pr N --runs 10 --against M=../parent-checkout
     python3 scripts/bench.py --compare BENCH_M.json BENCH_N.json
     python3 scripts/bench.py --sweep --runs 15 --against M=../parent-checkout
+    python3 scripts/bench.py --allreduce --runs 10 --against M=../parent-checkout
 
 Each run is one `tcpbench/run.py --trace 0` call per workload listed in
 BENCHMARK.json, for the `run_seconds` it lists; the workloads alternate,
@@ -28,8 +29,13 @@ OLD's interquartile range). `--sweep` times the C sweep alone
 (`kernels.c_rowwise_sweep`) in this process on one BLAS thread, at each
 of SWEEP_SHAPES on one seeded input, and with `--against` the same sweep
 of the checkout in DIR, the two alternating sweep by sweep; it prints
-each side's median and quartiles and the pairs this checkout won. Only
-the standard library is used, but `--sweep` imports numpy.
+each side's median and quartiles and the pairs this checkout won.
+`--allreduce` times `comm.allreduce_sum` per call in the same way, for
+each payload of ALLREDUCE_DOUBLES at each world size of ALLREDUCE_SIZES,
+on the in-process and TCP transports; its ranks are threads of this one
+process, so its figures are GIL-bound. Neither writes a BENCH file. Only
+the standard library is used, but `--sweep` and `--allreduce` import
+numpy.
 """
 
 from __future__ import annotations
@@ -42,9 +48,11 @@ import inspect
 import json
 import os
 import platform
+import socket
 import statistics
 import subprocess
 import sys
+import threading
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -52,6 +60,9 @@ ROOT = os.path.dirname(HERE)
 # (M, N, K) of the inputs `--sweep` times
 SWEEP_SHAPES = ((5, 100_000, 3), (5, 1_000_000, 3), (20, 100_000, 10),
                 (40, 50_000, 30))
+# payloads (doubles) and world sizes `--allreduce` times
+ALLREDUCE_DOUBLES = (1, 23, 1_000, 100_000, 1_000_000)
+ALLREDUCE_SIZES = (2, 4)
 
 
 def steal_seconds() -> float:
@@ -231,24 +242,40 @@ def compare(old: dict, new: dict, better: dict[str, str]) -> None:
               f"{'yes' if row['gain'] else 'no'}")
 
 
-def sweep_kernel(root: str):
-    """`c_rowwise_sweep` of the checkout at root, as a call on (X, C, B)
-    that returns a function which runs the sweep once on copies made now.
-
-    The package is imported from root's src/ and dropped from
-    sys.modules again, so two checkouts can be loaded side by side. A
-    checkout whose sweep takes a block's stacked [X; C] gets one; an
-    older one, taking (X, C, B), gets X and a copy of C.
-    """
+def import_from(root: str, module: str):
+    """`didnmf.<module>` of the checkout at root. The package is imported
+    from root's src/ and dropped from sys.modules again, so two checkouts
+    can be loaded side by side."""
     sys.path.insert(0, os.path.join(root, "src"))
     try:
-        kernels = importlib.import_module("didnmf.kernels")
+        return importlib.import_module(f"didnmf.{module}")
     finally:
         sys.path.pop(0)
         for name in [m for m in sys.modules
                      if m == "didnmf" or m.startswith("didnmf.")]:
             del sys.modules[name]
-    sweep = kernels.c_rowwise_sweep
+
+
+def print_pairs(label: str, times: dict[str, list[float]], runs: int,
+                fmt: str = ".2f") -> None:
+    """One table row: each tree's median [q1, q3] and, for two trees, the
+    pairs the first won (took less time in)."""
+    cells = [f"{q2:{fmt}} [{q1:{fmt}}, {q3:{fmt}}]"
+             for q1, q2, q3 in (quartiles(t) for t in times.values())]
+    won = (f"{sum(a < b for a, b in zip(*times.values()))}/{runs}"
+           if len(times) == 2 else "-")
+    print(f"{label:22s} " + " ".join(f"{c:>30s}" for c in cells)
+          + f" {won:>7s}", flush=True)
+
+
+def sweep_kernel(root: str):
+    """`c_rowwise_sweep` of the checkout at root, as a call on (X, C, B)
+    that returns a function which runs the sweep once on copies made now.
+
+    A checkout whose sweep takes a block's stacked [X; C] gets one; an
+    older one, taking (X, C, B), gets X and a copy of C.
+    """
+    sweep = import_from(root, "kernels").c_rowwise_sweep
     stacked = len(inspect.signature(sweep).parameters) == 2
 
     def prepare(X, C, B):
@@ -286,12 +313,69 @@ def sweep_bench(trees: dict[str, str], runs: int) -> None:
                     if i:  # the first round warms the caches
                         times[name].append(1e3 * (time.perf_counter() - t0))
                     del run
-            cells = [f"{q2:.2f} [{q1:.2f}, {q3:.2f}]"
-                     for q1, q2, q3 in (quartiles(times[nm]) for nm in names)]
-            won = (f"{sum(a < b for a, b in zip(*times.values()))}/{runs}"
-                   if len(names) == 2 else "-")
-            print(f"{f'{m} x {n}, K={k}':22s} " + " ".join(f"{c:>30s}" for c in cells)
-                  + f" {won:>7s}", flush=True)
+            print_pairs(f"{m} x {n}, K={k}", times, runs)
+
+
+def allreduce_call_s(comm, transport: str, size: int, doubles: int) -> float:
+    """Seconds per `allreduce_sum` call on rank 0 of a new world of `size`
+    thread ranks over `transport`, after one call that warms the path and
+    lines the ranks up."""
+    import numpy as np
+    calls = max(3, min(200, 1_000_000 // doubles))
+    if transport == "tcp":
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            addr = ("127.0.0.1", s.getsockname()[1])
+
+        def connect(r: int):
+            return comm.make_tcp_world(r, size, addr, timeout=60.0)
+    else:
+        connect = comm.make_inprocess_worlds(size, timeout=60.0).__getitem__
+    elapsed, errors = [0.0] * size, []
+
+    def rank(r: int) -> None:
+        try:
+            with connect(r) as world:
+                buf = np.full(doubles, r + 1.0)
+                comm.allreduce_sum(world, buf)
+                t0 = time.perf_counter()
+                for _ in range(calls):
+                    comm.allreduce_sum(world, buf)
+                elapsed[r] = time.perf_counter() - t0
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=rank, args=(r,)) for r in range(size)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
+    return elapsed[0] / calls
+
+
+def allreduce_bench(trees: dict[str, str], runs: int,
+                    sizes=ALLREDUCE_SIZES, payloads=ALLREDUCE_DOUBLES) -> None:
+    """Time each tree's `allreduce_sum` per call at every transport, world
+    size and payload, the trees alternating in order run by run; print
+    medians in microseconds and pair wins."""
+    comms = {name: import_from(root, "comm") for name, root in trees.items()}
+    names = list(trees)
+    print("ranks are threads of this one process: GIL-bound figures")
+    print(f"{'transport, P, doubles':22s} "
+          + " ".join(f"{n + ' us median [q1, q3]':>30s}" for n in names)
+          + "     won")
+    for transport in ("in-process", "tcp"):
+        for size in sizes:
+            for doubles in payloads:
+                times = {name: [] for name in names}
+                for i in range(runs):
+                    for name in names[::-1 if i % 2 else 1]:
+                        times[name].append(1e6 * allreduce_call_s(
+                            comms[name], transport, size, doubles))
+                print_pairs(f"{transport}, {size}, {doubles:d}", times, runs,
+                            ".1f")
 
 
 def main(argv=None) -> int:
@@ -304,15 +388,17 @@ def main(argv=None) -> int:
                     help="OLD [NEW]: print per-metric changes")
     ap.add_argument("--sweep", action="store_true",
                     help="time the C sweep alone, in this process")
+    ap.add_argument("--allreduce", action="store_true",
+                    help="time allreduce_sum per call, in this process")
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
-    if args.sweep:
+    if args.sweep or args.allreduce:
         trees = {"this": ROOT}
         if args.against:
             base, _, root = args.against.partition("=")
             trees[f"BENCH_{base}"] = os.path.abspath(root)
-        sweep_bench(trees, args.runs)
+        (sweep_bench if args.sweep else allreduce_bench)(trees, args.runs)
         return 0
     if args.pr is None and not (args.compare and len(args.compare) == 2):
         ap.error("give --pr to run the benchmark, or --compare OLD NEW")

@@ -14,20 +14,26 @@ each star edge then moves exactly one message each way.
 Transports:
 
 * in-process: every rank is a thread in one process; messages travel
-  through one queue per direction of each star edge and are copied on
-  send so no rank ever aliases another rank's buffers. A rank that
-  closes its world leaves a departure marker behind its last message on
-  each edge it feeds, so a peer still waiting on it fails at once,
-  naming it, instead of waiting out the timeout.
+  through one queue per direction of each star edge as the payload's
+  bytes, copied on send so no rank ever aliases another rank's buffers.
+  A rank that closes its world leaves a departure marker behind its last
+  message on each edge it feeds, so a peer still waiting on it fails at
+  once, naming it, instead of waiting out the timeout.
 * tcp: one rank per process. The rendezvous is the whole topology: rank
   0 listens, accepts one registration (world size, rank) per peer and
   keeps that socket as the peer's edge; every other rank dials rank 0
   only and opens no listener. A collective's payload crosses an edge as
-  one frame, [u32 tag][u64 byte length][DMAT1 body of an n x 1 matrix],
+  one frame, [u32 tag][u64 byte length][payload as float64],
   little-endian and written with one send; the tag carries the
-  collective sequence number. Every write gets the world's timeout. A
+  collective sequence number. A frame moves the payload plus 12 bytes,
+  and the payload is copied once on each side: into the frame on send,
+  out of the socket on receive. Every write gets the world's timeout. A
   reset or broken connection raises `CommError` naming the peer; a peer
   that closes between frames has left, as in the in-process transport.
+
+On both, a message carries no shape: the receiver knows how many doubles
+it expects, and a body of any other length raises `CommError` naming
+both ranks.
 """
 
 from __future__ import annotations
@@ -42,7 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import dmat_decode, dmat_encode
+# DMAT1 is the file format only; no collective encodes with it. The names
+# stay in this module because tcpbench's trace wraps `comm.dmat_encode`
+# and `comm.dmat_decode` by name (its `comm.codec_ms` now reads 0).
+from .matrix import dmat_decode, dmat_encode  # noqa: F401
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -70,8 +79,12 @@ class CommStats:
     the initial residual, and the stopping check of solvers whose message
     cannot carry it), kept apart so communication-count assertions on the
     algorithms stay exact. `bytes_sent` is a cost model, not a wire
-    count: payload bytes times the 2 * ceil(log2 P) steps of a log-depth
-    reduce and broadcast, identical on every rank and across transports.
+    count: payload bytes times the 2 * ceil(log2 P) steps of a binomial
+    tree's reduce and broadcast, identical on every rank and across
+    transports. The star sends otherwise: each rank other than 0 sends
+    and receives one payload per collective and rank 0 P - 1 of each,
+    every TCP frame with a 12-byte header. The two agree only at P = 2,
+    where the model's 2 * payload is what the pair of frames carries.
     """
 
     allreduce_calls: int = 0
@@ -97,8 +110,7 @@ class CommWorld:
         self._seq = 0
 
     def close(self) -> None:
-        if self._endpoint is not None:
-            self._endpoint.close()
+        self._endpoint.close()
 
     def __enter__(self):
         return self
@@ -106,10 +118,6 @@ class CommWorld:
     def __exit__(self, *exc):
         self.close()
         return False
-
-
-def _ceil_log2(p: int) -> int:
-    return max(p - 1, 0).bit_length()
 
 
 def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
@@ -121,38 +129,37 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
     ``service=True`` the call is accounted under the service counters
     instead of the algorithmic ones.
     """
-    buf = np.array(buf, dtype=np.float64, order="F")
+    buf = np.array(buf, dtype="<f8", order="C")  # the wire's float64
     if buf.size == 0 or buf.ndim > 2:
         raise ValueError("an allreduce payload is a nonempty scalar, vector "
                          "or matrix")
     t0 = time.perf_counter()
-    # the wire carries 2-D DMAT1 frames: the payload rides as one column.
-    # On one rank the star sends and receives nothing and returns the
-    # (already copied) payload.
-    out = _star_allreduce(world, buf.reshape((-1, 1), order="F"))
+    # the payload travels flat; on one rank the star sends and receives
+    # nothing and returns the (already copied) payload
+    out = _star_allreduce(world, buf.reshape(-1))
     stats = world.stats
     stats.comm_wall_time += time.perf_counter() - t0
-    volume = out.nbytes * 2 * _ceil_log2(world.size)
+    volume = out.nbytes * 2 * (world.size - 1).bit_length()  # ceil(log2 P)
     if service:
         stats.service_calls += 1
         stats.service_bytes += volume
     else:
         stats.allreduce_calls += 1
         stats.bytes_sent += volume
-    return out.reshape(buf.shape, order="F")
+    return out.reshape(buf.shape)
 
 
-def _star_allreduce(world: CommWorld, col: np.ndarray) -> np.ndarray:
+def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
     seq = world._seq
     if seq >= _TAG_LIMIT:
         raise CommError("collective sequence space exhausted")
     world._seq += 1
     rank, size, ep = world.rank, world.size, world._endpoint
     if rank:
-        ep.send(0, seq, col)
-        return _checked_recv(world, 0, seq, col.shape)
-    parts = [col] + [_checked_recv(world, peer, seq, col.shape)
-                     for peer in range(1, size)]
+        ep.send(0, seq, flat)
+        return _checked_recv(world, 0, seq, flat.size)
+    parts = [flat] + [_checked_recv(world, peer, seq, flat.size)
+                      for peer in range(1, size)]
     # binomial-tree order: at step 1, 2, 4, ... part r takes in part
     # r + step, so the total is ((x0 + x1) + (x2 + x3)) + ... on every run
     step = 1
@@ -161,21 +168,22 @@ def _star_allreduce(world: CommWorld, col: np.ndarray) -> np.ndarray:
             parts[r] += parts[r + step]
         step <<= 1
     for peer in range(1, size):
-        ep.send(peer, seq, col)
-    return col
+        ep.send(peer, seq, flat)
+    return flat
 
 
-def _checked_recv(world: CommWorld, src: int, seq: int, shape) -> np.ndarray:
-    got_seq, got = world._endpoint.recv(src, world.timeout)
+def _checked_recv(world: CommWorld, src: int, seq: int, size: int) -> np.ndarray:
+    """The payload of `size` doubles that rank `src` sent for call `seq`."""
+    got_seq, body = world._endpoint.recv(src, world.timeout)
     if got_seq != seq:
         raise CommError(
             f"collective sequence mismatch: rank {world.rank} is at call "
             f"{seq} but rank {src} sent call {got_seq}")
-    if got.shape != shape:
+    if len(body) != 8 * size:
         raise CommError(
             f"payload shape mismatch in collective {seq}: rank {world.rank} "
-            f"expects {shape} but rank {src} sent {got.shape}")
-    return got
+            f"expects {size} doubles but rank {src} sent {len(body)} bytes")
+    return body.view("<f8")
 
 
 class InProcessFabric:
@@ -200,9 +208,10 @@ class _InProcessEndpoint:
         self._fabric = fabric
         self._rank = rank
 
-    def send(self, dst: int, seq: int, col: np.ndarray) -> None:
+    def send(self, dst: int, seq: int, flat: np.ndarray) -> None:
         # copy on send: the receiver must never alias the sender's buffer
-        self._fabric._boxes[(dst, self._rank)].put((seq, np.array(col)))
+        body = flat.view(np.uint8).copy()
+        self._fabric._boxes[(dst, self._rank)].put((seq, body))
 
     def recv(self, src: int, timeout: float):
         try:
@@ -228,8 +237,9 @@ def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[C
             for r in range(size)]
 
 
-def _write_frame(conn: socket.socket, tag: int, body: bytes) -> None:
-    conn.sendall(_FRAME_HEADER.pack(tag, len(body)) + body)
+def _write_frame(conn: socket.socket, tag: int, body) -> None:
+    # one send of header and body, which the join copies into one buffer
+    conn.sendall(b"".join((_FRAME_HEADER.pack(tag, len(body)), body)))
 
 
 def _left(rank: int, peer: int) -> CommError:
@@ -245,8 +255,13 @@ def _lost(rank: int, peer: int, exc: OSError) -> CommError:
 
 
 def _read_exact(conn: socket.socket, n: int, deadline: float, timeout: float,
-                rank: int, peer: int, frame_start: bool = False) -> bytes:
-    chunks = []
+                rank: int, peer: int, frame_start: bool = False) -> np.ndarray:
+    """n bytes, read straight into the one uint8 array returned."""
+    try:
+        buf = np.empty(n, dtype=np.uint8)
+    except MemoryError:  # a corrupt or foreign frame header
+        raise CommError(f"rank {rank} cannot hold the {n}-byte frame rank "
+                        f"{peer} announced") from None
     got = 0
     while got < n:
         left = deadline - time.monotonic()
@@ -254,21 +269,20 @@ def _read_exact(conn: socket.socket, n: int, deadline: float, timeout: float,
             if left <= 0:
                 raise socket.timeout
             conn.settimeout(left)
-            chunk = conn.recv(min(n - got, 1 << 20))
+            count = conn.recv_into(buf[got:])
         except socket.timeout:
             raise CommTimeoutError(
                 f"rank {rank} timed out after {timeout:.1f}s waiting for "
                 f"rank {peer}") from None
         except OSError as exc:
             raise _lost(rank, peer, exc) from exc
-        if not chunk:
+        if not count:
             if frame_start and not got:
                 raise _left(rank, peer)
             raise CommError(
                 f"rank {peer} closed its connection to rank {rank} mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += count
+    return buf
 
 
 def _read_frame(conn: socket.socket, timeout: float, rank: int, peer: int):
@@ -312,13 +326,13 @@ def _dial(addr, timeout: float):
             pause = min(2.0 * pause, _DIAL_PAUSE_MAX)
 
 
-def _registered_rank(tag: int, body: bytes, size: int, registered) -> int:
+def _registered_rank(tag: int, body: np.ndarray, size: int, registered) -> int:
     """The rank a registration frame names, checked against the world's
     size and the ranks already `registered`."""
     if tag != _TAG_REGISTER:
         raise CommError(
             f"rank 0 expected a registration frame, got tag {tag:#x}")
-    reg = json.loads(body.decode())
+    reg = json.loads(body.tobytes())
     peer_rank = int(reg["rank"])
     if int(reg["world"]) != size:
         raise CommError(
@@ -414,16 +428,13 @@ class TcpEndpoint:
         except OSError as exc:
             raise _lost(self.rank, dst, exc) from exc
 
-    def send(self, dst: int, seq: int, col: np.ndarray) -> None:
-        self._write(dst, seq, dmat_encode(col))
+    def send(self, dst: int, seq: int, flat: np.ndarray) -> None:
+        self._write(dst, seq, memoryview(flat).cast("B"))
 
     def recv(self, src: int, timeout: float):
-        tag, body = _read_frame(self._conns[src], timeout, self.rank, src)
-        if tag >= _TAG_LIMIT:
-            raise CommError(
-                f"rank {self.rank} received a control frame {tag:#x} "
-                f"from rank {src} inside a collective")
-        return tag, dmat_decode(body)
+        # a control frame's tag is no collective's sequence number, so
+        # `_checked_recv` rejects one as a sequence mismatch
+        return _read_frame(self._conns[src], timeout, self.rank, src)
 
     def close(self) -> None:
         for conn in self._conns.values():

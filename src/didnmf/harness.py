@@ -114,8 +114,10 @@ class RunConfig:
 class IterRow:
     """Metrics for one completed iteration.
 
-    `b_norm` (for parity checks) and `service_calls` (the iteration's
-    service reductions) are kept in memory but never serialized.
+    `b_norm` (for parity checks), `service_calls` (the iteration's
+    service reductions) and `skipped` (this rank's degenerate coordinate
+    updates left untouched, C rows and B columns) are kept in memory but
+    never serialized.
     """
 
     iteration: int
@@ -127,6 +129,7 @@ class IterRow:
     comm_s: float
     b_norm: float = 0.0
     service_calls: int = 0
+    skipped: int = 0
 
 
 @dataclass
@@ -557,7 +560,7 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
         tick = time.perf_counter()
         comm0, service0 = stats.comm_wall_time, stats.service_calls
         calls0, bytes0 = stats.allreduce_calls, stats.bytes_sent
-        resid, _, over = step(world, block, B, state, deadline)
+        resid, skipped, over = step(world, block, B, state, deadline)
         comm_s = stats.comm_wall_time - comm0
         compute_s = time.perf_counter() - tick - comm_s
         rows.append(IterRow(
@@ -566,7 +569,7 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
             bytes=stats.bytes_sent - bytes0,
             compute_s=compute_s, comm_s=comm_s,
             b_norm=math.sqrt(frob_norm_sq(B)),
-            service_calls=stats.service_calls - service0))
+            service_calls=stats.service_calls - service0, skipped=skipped))
         converged = stopping_check(resid, e0, config.epsilon)
         if over:
             break

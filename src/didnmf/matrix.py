@@ -5,9 +5,10 @@ coordinate kernel's products and residual then read X and C row by row.
 A worker holds its columns of X and C stacked in one array (see
 `ColumnBlock`), which it reads or draws its columns of X into directly.
 
-Two interchange formats are provided: a small binary one ("DMAT1", used
-both on disk and on the wire, with a column-major body) and plain CSV for
-small matrices.
+Two file formats are provided: a small binary one ("DMAT1", with a
+column-major body) and plain CSV for small matrices. DMAT1 is a file
+format only; collectives send their payloads as raw float64 frames (see
+`comm`).
 """
 
 from __future__ import annotations

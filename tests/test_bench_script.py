@@ -1,4 +1,5 @@
-"""`scripts/bench.py` names the tree it measured in each BENCH file."""
+"""`scripts/bench.py` names the tree it measured in each BENCH file, pairs
+the runs of two trees, and times the collective alone."""
 
 import hashlib
 import importlib.util
@@ -118,3 +119,15 @@ def test_compare_pairs_the_runs_of_one_against_run():
     [t] = [r for r in bench.paired(old, other, {}) if r["metric"] == "t"]
     assert (t["pairs"], t["won"], t["gain"]) == (None, None, False)
     assert t["new"] == (5.0, 5.0, 5.0)
+
+
+def test_allreduce_bench_times_both_transports(capsys):
+    bench = load_bench()
+    bench.allreduce_bench({"this": ROOT}, runs=1, sizes=(2,), payloads=(23,))
+    lines = capsys.readouterr().out.splitlines()
+    assert "GIL-bound" in lines[0]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[:3] for row in rows] == [["in-process,", "2,", "23"],
+                                         ["tcp,", "2,", "23"]]
+    for row in rows:
+        assert float(row[3]) > 0.0 and row[-1] == "-"

@@ -325,6 +325,76 @@ def _reset(sock):
     sock.close()
 
 
+def _free_addr():
+    """A loopback address with a port that is free now."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        return ("127.0.0.1", s.getsockname()[1])
+
+
+def test_tcp_size_mismatch_names_both_ranks_and_fails_both():
+    # rank 0 expects 4 doubles and reads a 6-double frame: it raises,
+    # naming both ranks, and closes its world, so rank 1, waiting on the
+    # total, fails at once too instead of after the 5 s timeout
+    addr = _free_addr()
+    errors = [None, None]
+
+    def rank(r):
+        try:
+            with make_tcp_world(r, 2, addr, timeout=5.0) as world:
+                allreduce_sum(world, np.ones(4 + 2 * r))
+        except Exception as exc:
+            errors[r] = exc
+
+    threads = [threading.Thread(target=rank, args=(r,), daemon=True)
+               for r in range(2)]
+    t0 = time.monotonic()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert time.monotonic() - t0 < 5.0
+    assert type(errors[0]) is CommError
+    assert "shape mismatch" in str(errors[0])
+    assert "rank 0 expects 4 doubles but rank 1 sent 48 bytes" in str(errors[0])
+    assert type(errors[1]) is CommError and "rank 0" in str(errors[1])
+
+
+@pytest.mark.parametrize("tag,length,words", [
+    # a body of 8n + 3 bytes fails as a CommError, not a numpy error
+    (0, 8 * 2 + 3, "payload shape mismatch in collective 0: rank 0 "
+                   "expects 2 doubles but rank 1 sent 19 bytes"),
+    # a control frame inside a collective carries no sequence number
+    (comm._TAG_REGISTER, 8 * 2, "collective sequence mismatch: rank 0 is "
+                                f"at call 0 but rank 1 sent call "
+                                f"{comm._TAG_REGISTER}"),
+], ids=["partial-double", "control-frame"])
+def test_a_hand_written_bad_tcp_frame_fails_the_collective(tag, length, words):
+    # rank 1 is a socket that sends one hand-written frame
+    near, far = _tcp_pair()
+    endpoint = comm.TcpEndpoint(0, 1, None)  # one rank: no rendezvous
+    endpoint._conns[1] = near
+    with far, comm.CommWorld(0, 2, endpoint, timeout=5.0) as world:
+        far.sendall(comm._FRAME_HEADER.pack(tag, length) + bytes(length))
+        with pytest.raises(CommError) as exc_info:
+            allreduce_sum(world, np.ones(2))
+    assert type(exc_info.value) is CommError
+    assert str(exc_info.value) == words
+
+
+def test_a_frame_too_large_to_hold_is_a_comm_error():
+    # a header announcing 4 EiB fails as the protocol error it is, before
+    # any of its body is read
+    near, far = _tcp_pair()
+    with near, far:
+        far.sendall(comm._FRAME_HEADER.pack(0, 1 << 62))
+        with pytest.raises(CommError) as exc_info:
+            comm._read_frame(near, 5.0, 0, 1)
+    assert type(exc_info.value) is CommError
+    assert str(exc_info.value) == (
+        f"rank 0 cannot hold the {1 << 62}-byte frame rank 1 announced")
+
+
 def test_reset_connection_on_read_names_the_peer():
     near, far = _tcp_pair()
     _reset(far)
@@ -488,9 +558,7 @@ def test_rendezvous_times_out_naming_the_ranks_that_never_registered(silent):
     # rank 1 registers; rank 2 never dials, or dials and never registers.
     # Rank 0 runs in a thread joined with a bound, so a rendezvous with no
     # deadline fails this test instead of hanging the suite
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        addr = ("127.0.0.1", s.getsockname()[1])
+    addr = _free_addr()
     errors = []
 
     def rank0():
@@ -517,9 +585,7 @@ def test_rendezvous_times_out_naming_the_ranks_that_never_registered(silent):
 def test_rendezvous_drops_a_connection_that_closes_before_registering():
     # a stray dial that closes at once is no rank: rank 0 keeps accepting
     # and the world forms when rank 1 registers
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        addr = ("127.0.0.1", s.getsockname()[1])
+    addr = _free_addr()
     worlds, errors = [], []
 
     def rank0():
@@ -536,9 +602,9 @@ def test_rendezvous_drops_a_connection_that_closes_before_registering():
     assert not host.is_alive() and errors == []
     [endpoint] = worlds
     assert sorted(endpoint._conns) == [1]
-    peer.send(0, 7, np.arange(3.0).reshape(3, 1))
-    tag, col = endpoint.recv(1, 5.0)
-    assert tag == 7 and np.array_equal(col, np.arange(3.0).reshape(3, 1))
+    peer.send(0, 7, np.arange(3.0))
+    tag, body = endpoint.recv(1, 5.0)
+    assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
     endpoint.close()
     peer.close()
 
@@ -547,9 +613,7 @@ def test_a_silent_connection_does_not_hold_the_rendezvous():
     # a dial that never sends is watched beside the registered ranks, so
     # rank 1's registration 0.1 s later forms the world at once; the
     # silent stray is then closed
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        addr = ("127.0.0.1", s.getsockname()[1])
+    addr = _free_addr()
     worlds, errors = [], []
 
     def rank0():
@@ -572,8 +636,8 @@ def test_a_silent_connection_does_not_hold_the_rendezvous():
     assert sorted(endpoint._conns) == [1]
     stray.settimeout(1.0)
     assert stray.recv(1) == b""
-    peer.send(0, 7, np.arange(3.0).reshape(3, 1))
-    tag, col = endpoint.recv(1, 5.0)
-    assert tag == 7 and np.array_equal(col, np.arange(3.0).reshape(3, 1))
+    peer.send(0, 7, np.arange(3.0))
+    tag, body = endpoint.recv(1, 5.0)
+    assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
     for sock in (endpoint, peer, stray):
         sock.close()

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from didnmf import comm, distributed
+from didnmf import comm, distributed, matrix
 from didnmf.comm import make_inprocess_worlds, make_tcp_world
 from didnmf.distributed import (
     DadmmWorkerState,
@@ -389,12 +389,13 @@ def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
 def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
                                                      doubles, size):
     # P ranks over real sockets, one iteration: every collective goes from
-    # each rank to rank 0 as one frame and comes back as one frame, a
-    # DMAT1 body (24-byte header) holding the whole flat payload. dbcd's
-    # first [y, z] also carries (rr, flag); dadmm adds a service
-    # reduction of (residual, flag)
+    # each rank to rank 0 as one frame and comes back as one frame, whose
+    # body is the whole flat payload as raw doubles, and no DMAT1 codec
+    # runs. dbcd's first [y, z] also carries (rr, flag); dadmm adds a
+    # service reduction of (residual, flag)
     frames = []
     servers = []
+    codec_calls = []
     write_frame = comm._write_frame
     create_server = comm.socket.create_server
 
@@ -407,8 +408,18 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
         servers.append(threading.current_thread().name)
         return create_server(*args, **kwargs)
 
+    def codec_spy(name, real):
+        def codec(*args):
+            codec_calls.append(name)
+            return real(*args)
+        return codec
+
     monkeypatch.setattr(comm, "_write_frame", spy)
     monkeypatch.setattr(comm.socket, "create_server", server_spy)
+    for name in ("dmat_encode", "dmat_decode"):
+        spy_codec = codec_spy(name, getattr(matrix, name))
+        for mod in (comm, matrix):
+            monkeypatch.setattr(mod, name, spy_codec)
     X, B0, C0 = random_problem(5, 30, 3, 19)
     steps = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
              "dadmm": dadmm_worker_iterate}
@@ -451,7 +462,8 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
         payloads.append(2)
     # ranks send concurrently, so the frames of consecutive collectives
     # may interleave: compare sizes as a multiset
-    assert sorted(frames) == sorted(24 + 8 * d for d in payloads
+    assert codec_calls == []
+    assert sorted(frames) == sorted(8 * d for d in payloads
                                     for _ in range(2 * (size - 1)))
     for (B, c), (B_ref, c_ref) in zip(results, expected):
         assert np.array_equal(B, B_ref) and np.array_equal(c, c_ref)

@@ -378,6 +378,42 @@ def test_bad_input_fails_fast_with_one_message_on_every_rank(case, tmp_path):
 # end-to-end sequential and in-process runs
 
 
+def test_a_killed_tcp_rank_fails_every_survivor_naming_the_lost_peer():
+    # three rank processes iterate until SIGKILL takes rank 1. Rank 0 sees
+    # the loss itself; rank 2, waiting on rank 0's total, sees it when rank
+    # 0 fails and closes its sockets. Both exit non-zero long before the
+    # 30 s comm_timeout, each naming the rank it lost
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    env = dict(os.environ, PYTHONPATH=src, NMF_WORLD="3",
+               NMF_ADDR=f"127.0.0.1:{_free_port()}")
+    args = [sys.executable, "-m", "didnmf", "run", "--alg", "did", "--p", "3",
+            "--m", "5", "--n", "3000", "--k", "3", "--eps", "1e-300",
+            "--max-iters", "100000000", "--max-time", "60",
+            "--transport", "tcp"]
+    procs = []
+    try:
+        for r in range(3):
+            procs.append(subprocess.Popen(
+                args, env=dict(env, NMF_RANK=str(r)), text=True,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
+        time.sleep(3.0)  # start-up and rendezvous take well under a second
+        assert [p.poll() for p in procs] == [None] * 3
+        procs[1].kill()
+        killed = time.monotonic()
+        errs = {r: procs[r].communicate(timeout=20)[1] for r in (0, 2)}
+        elapsed = time.monotonic() - killed
+    finally:
+        for p in procs:
+            p.kill()
+            p.wait()
+    assert elapsed < 10.0
+    for r, lost in ((0, 1), (2, 0)):
+        assert procs[r].returncode != 0
+        last = errs[r].strip().splitlines()[-1]
+        assert last.startswith("didnmf.comm.CommError: "), errs[r][-2000:]
+        assert f"rank {lost} " in last, last
+
+
 def lowrank_config(alg, **kw):
     base = dict(algorithm=alg, m=5, n=100, k=3, seed=3, epsilon=1e-6,
                 max_iters=1000)
@@ -453,6 +489,28 @@ def test_run_metrics_row_accounting():
             assert r.objective == 0.5 * r.residual_sq
             assert r.allreduce_calls == calls and r.bytes == 0
             assert r.b_norm > 0.0
+
+
+def test_run_rows_count_the_skipped_updates(monkeypatch):
+    # B[:, 0] = 0 and C[0] = 0: row 0 of C (g_00 = 0) and column 0 of B
+    # (v_00 = 0) are dead, so each did and dbcd iteration skips two
+    # updates on every rank; a healthy start skips none
+    X = synth_lowrank(5, 100, 3, 3)
+    for alg in ("did", "dbcd"):
+        config = lowrank_config(alg, p=2, max_iters=5, epsilon=1e-30)
+        assert [r.skipped for r in run(config, X=X).rows] == [0] * 5
+    init = harness.init_factors
+
+    def dead_start(*args, **kwargs):
+        B, C = init(*args, **kwargs)
+        B[:, 0] = 0.0
+        C[0] = 0.0
+        return B, C
+
+    monkeypatch.setattr(harness, "init_factors", dead_start)
+    for alg in ("did", "dbcd"):
+        config = lowrank_config(alg, p=2, max_iters=5, epsilon=1e-30)
+        assert [r.skipped for r in run(config, X=X).rows] == [2] * 5
 
 
 def test_run_epsilon_one_converges_before_first_iteration():
