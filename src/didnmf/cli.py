@@ -9,7 +9,6 @@ import sys
 from .blas import limit_blas_threads
 from .harness import (
     ALGORITHMS,
-    INIT_METHODS,
     TRANSPORTS,
     RunConfig,
     load_matrix,
@@ -41,9 +40,10 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="splitting penalty (dadmm)")
     runp.add_argument("--seed", type=int, default=0)
     runp.add_argument("--transport", choices=TRANSPORTS, default="in-process")
-    runp.add_argument("--init", choices=INIT_METHODS, default="scaled-random")
     runp.add_argument("--input", default=None,
-                      help="data matrix file (.csv or DMAT1); overrides --m/--n")
+                      help="DMAT1 data matrix file, of which each worker reads "
+                           "only its own columns (convert a .csv first with "
+                           "`nmf convert`); overrides --m/--n")
     runp.add_argument("--out", default=None, help="metrics CSV path")
 
     synthp = sub.add_parser("synth", help="write a synthetic data matrix")
@@ -67,7 +67,7 @@ def _cmd_run(args) -> int:
         algorithm=args.alg, m=args.m, n=args.n, k=args.k, p=args.p,
         epsilon=args.eps, max_iters=args.max_iters, max_time=args.max_time,
         rho=args.rho, seed=args.seed, transport=args.transport,
-        init=args.init, input_path=args.input, out_path=args.out)
+        input_path=args.input, out_path=args.out)
     if args.transport == "tcp":
         # this process is one rank for the rest of its life: its BLAS pool
         # keeps one thread after the run, not just during it

@@ -11,7 +11,9 @@ algorithms run on a one-rank world (bcd is dbcd there), distributed ones
 on P ranks. Ranks share the in-process fabric (threads) or, for every
 algorithm alike, run one per process over TCP (driven by `run_tcp_rank`
 or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). On both transports a rank
-starts in `_rank_setup`, which gives it only its own columns of X and C.
+starts in `_rank_setup`, which reads or draws only its own columns of X
+and C: no rank ever holds the whole matrix (a CSV file is converted to
+DMAT1 first, with `nmf convert`).
 Every stop decision is made from allreduced quantities so all ranks
 always take the same branch.
 """
@@ -55,7 +57,9 @@ SEQUENTIAL_ALGS = ("bcd", "anls")
 DISTRIBUTED_ALGS = ("dadmm", "dbcd", "did")
 ALGORITHMS = SEQUENTIAL_ALGS + DISTRIBUTED_ALGS
 TRANSPORTS = ("in-process", "tcp")
-INIT_METHODS = ("scaled-random", "kmeans")
+# the longest collective wait in seconds, within what every wait accepts
+# (a selector refuses more than 2**31 - 1 ms)
+MAX_COMM_TIMEOUT = 1e6
 
 CSV_HEADER = ("iter", "objective", "residual_sq", "allreduce_calls",
               "bytes", "compute_s", "comm_s")
@@ -76,7 +80,6 @@ class RunConfig:
     rho: float = 1.0
     seed: int = 0
     transport: str = "in-process"
-    init: str = "scaled-random"
     input_path: str | None = None
     out_path: str | None = None
     tcp_address: tuple[str, int] = ("127.0.0.1", 29500)
@@ -88,10 +91,12 @@ class RunConfig:
                              f"choose one of {ALGORITHMS}")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"unknown transport {self.transport!r}")
-        if self.init not in INIT_METHODS:
-            raise ValueError(f"unknown init method {self.init!r}")
         if self.input_path is None and (self.m < 1 or self.n < 1):
             raise ValueError("need positive m and n (or an input file)")
+        if self.input_path is not None and self.input_path.endswith(".csv"):
+            raise ValueError(
+                f"{self.input_path} is CSV, which a rank cannot read by "
+                "columns; write it as DMAT1 first with `nmf convert`")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.p < 1:
@@ -104,10 +109,13 @@ class RunConfig:
             raise ValueError("max_iters must be nonnegative")
         if not self.max_time > 0.0:
             raise ValueError("max_time must be positive")
-        if not self.rho > 0.0:
-            raise ValueError("rho must be positive")
-        if not self.comm_timeout > 0.0:
-            raise ValueError("comm_timeout must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, not {self.rho!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed!r}")
+        if not 0.0 < self.comm_timeout <= MAX_COMM_TIMEOUT:
+            raise ValueError(f"comm_timeout must be positive and at most "
+                             f"{MAX_COMM_TIMEOUT:g} s, not {self.comm_timeout!r}")
 
 
 @dataclass
@@ -258,72 +266,34 @@ def random_init_scale(X, k: int, mean: float | None = None) -> float:
     return math.sqrt(mean / k)
 
 
-def init_factors(X, k: int, seed: int, method: str = "scaled-random", *,
-                 start: int = 0, n: int | None = None,
-                 mean: float | None = None, out: np.ndarray | None = None):
+def init_factors(X, k: int, seed: int, *, start: int = 0,
+                 n: int | None = None, mean: float | None = None,
+                 out: np.ndarray | None = None):
     """Deterministic starting factors, shared by every algorithm.
 
-    scaled-random draws both factors uniform on [0, s) with
-    s = sqrt(mean(X) / k), which keeps the initial product safely below
-    the data scale so early residuals stay sign-mixed; kmeans runs
-    Lloyd's method on the columns of X, takes centroids as B, and seeds C
-    with smoothed one-hot assignment columns. The stream is Philox keyed
-    with SeedSequence([seed, 1]); B is drawn before C, both row-major.
-    C is returned row-major in memory, as a block's C is kept (see
+    Both factors are drawn uniform on [0, s) with s = sqrt(mean(X) / k),
+    which keeps the initial product safely below the data scale so early
+    residuals stay sign-mixed. The stream is Philox keyed with
+    SeedSequence([seed, 1]); B is drawn before C, both row-major. C is
+    returned row-major in memory, as a block's C is kept (see
     `ColumnBlock`); B column-major.
 
-    For scaled-random, X may be the column block [start, start + size) of
-    an n-column matrix whose mean is `mean`: B and that block of C then
-    equal the whole draw's B and C slice bit for bit. kmeans reads every
-    column, so it takes the whole X and no block. scaled-random draws C
-    into `out` (a block's `c_block`) if given.
+    X may be the column block [start, start + size) of an n-column matrix
+    whose mean is `mean`: B and that block of C then equal the whole
+    draw's B and C slice bit for bit. C is drawn into `out` (a block's
+    `c_block`) if given.
     """
     X = np.asarray(X)
     m, size = X.shape
     n = size if n is None else n
     if k > min(m, n):
         raise ValueError(f"k={k} exceeds min(m, n)={min(m, n)}")
-    if method == "scaled-random":
-        s = random_init_scale(X, k, mean)
-        B = np.asfortranarray(_philox_rows([seed, 1], m, k, 0, k))
-        C = _philox_rows([seed, 1], k, n, start, size, base=m * k, out=out)
-        B *= s
-        C *= s
-    elif method == "kmeans":
-        if (start, n) != (0, size):
-            raise ValueError("kmeans init needs the whole data matrix")
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence([seed, 1])))
-        B, C = _kmeans_init(X, k, rng)
-    else:
-        raise ValueError(f"unknown init method {method!r}")
+    s = random_init_scale(X, k, mean)
+    B = np.asfortranarray(_philox_rows([seed, 1], m, k, 0, k))
+    C = _philox_rows([seed, 1], k, n, start, size, base=m * k, out=out)
+    B *= s
+    C *= s
     return B, C
-
-
-def _kmeans_init(X, k: int, rng, sweeps: int = 50, smoothing: float = 0.1):
-    """Lloyd's method on columns; dead centroids re-seed from the farthest point."""
-    n = X.shape[1]
-    centroids = np.array(X[:, rng.choice(n, size=k, replace=False)])
-    assign = np.full(n, -1)
-    for _ in range(sweeps):
-        d2 = (np.sum(X * X, axis=0)[None, :]
-              - 2.0 * (centroids.T @ X)
-              + np.sum(centroids * centroids, axis=0)[:, None])
-        new_assign = np.argmin(d2, axis=0)
-        for c in range(k):
-            members = new_assign == c
-            if members.any():
-                centroids[:, c] = X[:, members].mean(axis=1)
-            else:
-                farthest = int(np.argmax(np.min(d2, axis=0)))
-                centroids[:, c] = X[:, farthest]
-                new_assign[farthest] = c
-        if np.array_equal(new_assign, assign):
-            break
-        assign = new_assign
-    C = np.full((k, n), smoothing)
-    C[assign, np.arange(n)] += 1.0
-    return np.asfortranarray(np.maximum(centroids, 0.0)), C
 
 
 def stopping_check(e_t_sq: float, e_0_sq: float, epsilon: float) -> bool:
@@ -342,19 +312,14 @@ def load_matrix(path, start: int = 0, size: int | None = None,
                 out: np.ndarray | None = None) -> np.ndarray:
     """Columns [start, start + size) of a data matrix file (all by default).
 
-    .csv is text, read whole and sliced; anything else is DMAT1, of which
-    only the requested columns are read, straight into `out` if given.
+    .csv is text, read whole and sliced (for `nmf convert`; `run` takes
+    no CSV); anything else is DMAT1, of which only the requested columns
+    are read, straight into `out` if given.
     """
     if str(path).endswith(".csv"):
         stop = None if size is None else start + size
         return read_csv_matrix(path)[:, start:stop]
     return read_dmat(path, start, size, out)
-
-
-def _get_data(config: RunConfig) -> np.ndarray:
-    if config.input_path is not None:
-        return as_matrix(load_matrix(config.input_path))
-    return synth_data(config.m, config.n, config.seed)
 
 
 def check_shape(m: int, n: int, k: int, p: int) -> None:
@@ -392,13 +357,7 @@ def _check_values(world, x_block) -> float:
     return float(out[0])
 
 
-def _whole_input(config: RunConfig) -> bool:
-    """CSV input and kmeans init read every column of X."""
-    return config.init == "kmeans" or (
-        config.input_path is not None and config.input_path.endswith(".csv"))
-
-
-def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
+def _rank_setup(config: RunConfig, rank: int, X, connect):
     """One rank's prologue, on either transport: (world, block, B).
 
     The rank takes only its column block [a, a + size), into the stacked
@@ -407,13 +366,8 @@ def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
     a draw of those synth_data columns, each made straight into the
     block. The shape is checked before `connect()` makes the world; the
     values and the init scale ride one setup collective after it; then
-    the rank draws B and its block of C. CSV input and kmeans init need
-    the whole matrix: the rank loads it unless the caller passed it;
-    `kmeans` stands in for `init_factors` there, so the ranks of one
-    process can share one start.
+    the rank draws B and its block of C.
     """
-    if X is None and _whole_input(config):
-        X = _get_data(config)
     if X is not None:
         X = as_matrix(X)
         m, n = X.shape
@@ -433,24 +387,18 @@ def _rank_setup(config: RunConfig, rank: int, X, connect, kmeans=None):
     world = connect()
     try:
         total = _check_values(world, block.x_block)
-        if config.init == "kmeans":
-            B, C = (kmeans or init_factors)(X, config.k, config.seed, "kmeans")
-            B = B.copy(order="F")
-            block.c_block[...] = C[:, start:start + size]
-        else:
-            B, _ = init_factors(block.x_block, config.k, config.seed,
-                                start=start, n=n, mean=total / (m * n),
-                                out=block.c_block)
+        B, _ = init_factors(block.x_block, config.k, config.seed,
+                            start=start, n=n, mean=total / (m * n),
+                            out=block.c_block)
     except BaseException:
         world.close()
         raise
     return world, block, B
 
 
-def _rank_run(config: RunConfig, rank: int, X, connect,
-              kmeans=None) -> RunMetrics:
+def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
     """One rank from its data to its last iteration (see `_rank_setup`)."""
-    world, block, B = _rank_setup(config, rank, X, connect, kmeans)
+    world, block, B = _rank_setup(config, rank, X, connect)
     try:
         return _distributed_worker(config, world, block, B)
     finally:
@@ -462,19 +410,18 @@ def run(config: RunConfig, X=None) -> RunMetrics:
 
     `X` overrides data loading (used by tests and scripts); each rank
     copies its block of it. Otherwise in-process ranks (a sequential
-    algorithm is one rank) read or draw their own blocks as TCP ranks do,
-    and only CSV input or kmeans init loads the whole matrix, once for
-    all of them. With the tcp transport this process is the one rank
-    named by the NMF_RANK environment variable (see `run_tcp_rank`),
-    whatever the algorithm: a sequential one is a one-rank TCP world.
-    Rank 0 writes the CSV.
+    algorithm is one rank) read or draw their own blocks as TCP ranks do:
+    a byte range of the DMAT1 input or a slice of the synth_data draw.
+    With the tcp transport this process is the one rank named by the
+    NMF_RANK environment variable (see `run_tcp_rank`), whatever the
+    algorithm: a sequential one is a one-rank TCP world. Rank 0 writes
+    the CSV.
     """
     config.validate()
     if config.transport == "tcp":
         return run_tcp_rank(config, _env_rank(config), X=X)
-    if X is not None or _whole_input(config):
-        X = as_matrix(_get_data(config) if X is None else X)
-    metrics = _run_inprocess(config, X)
+    # one row-major copy, if the caller's X needs one, for all the ranks
+    metrics = _run_inprocess(config, None if X is None else as_matrix(X))
     if config.out_path:
         metrics.write_csv(config.out_path)
     return metrics
@@ -583,19 +530,10 @@ def _run_inprocess(config: RunConfig, X) -> RunMetrics:
     worlds = make_inprocess_worlds(config.p, timeout=config.comm_timeout)
     results: list[RunMetrics | None] = [None] * config.p
     errors: list[BaseException | None] = [None] * config.p
-    lock, start = threading.Lock(), []
-
-    def kmeans(*args):
-        # the first rank here, its data checked, runs Lloyd's method for all
-        with lock:
-            if not start:
-                start.append(init_factors(*args))
-        return start[0]
 
     def work(rank: int) -> None:
         try:
-            results[rank] = _rank_run(config, rank, X, lambda: worlds[rank],
-                                      kmeans)
+            results[rank] = _rank_run(config, rank, X, lambda: worlds[rank])
         except BaseException as exc:
             errors[rank] = exc
 

@@ -98,8 +98,6 @@ def test_init_factors_blocks_equal_slices_of_the_whole_draw():
                               n=BLOCK_N, mean=mean)
         assert np.array_equal(Bb, B)
         assert np.array_equal(Cb, C[:, start:start + size])
-    with pytest.raises(ValueError, match="whole data matrix"):
-        init_factors(X[:, :100], 3, 21, "kmeans", start=0, n=BLOCK_N)
 
 
 def test_init_factors_draws_b_then_c_row_major_from_one_stream():
@@ -151,24 +149,6 @@ def test_init_seed_is_independent_of_data_seed():
     assert not np.array_equal(Ba, Bb)
 
 
-def test_kmeans_init_structure():
-    X = synth_data(4, 30, 11)
-    B, C = init_factors(X, 3, 11, method="kmeans")
-    assert B.shape == (4, 3) and C.shape == (3, 30)
-    assert (B >= 0.0).all()
-    # each assignment column is a smoothed one-hot: one 1.1, rest 0.1
-    assert np.allclose(np.sort(C, axis=0)[:-1], 0.1)
-    assert np.allclose(C.max(axis=0), 1.1)
-
-
-def test_kmeans_init_survives_duplicate_columns():
-    # every column identical: all but one centroid go empty and re-seed
-    X = np.ones((3, 6), order="F")
-    B, C = init_factors(X, 2, 0, method="kmeans")
-    assert np.allclose(B, 1.0)
-    assert C.shape == (2, 6)
-
-
 # stopping rule
 
 
@@ -188,25 +168,29 @@ def test_stopping_zero_initial_residual_is_converged():
 def test_config_validation_rejects_bad_values():
     good = dict(algorithm="bcd", m=4, n=6, k=2)
     RunConfig(**good).validate()
+    # each message names what is wrong
     bad = [
-        dict(good, algorithm="sgd"),
-        dict(good, algorithm="bcd", p=2),  # sequential with several workers
-        dict(good, k=0),
-        dict(good, p=0),
-        dict(good, epsilon=0.0),
-        dict(good, max_iters=-1),
-        dict(good, max_time=0.0),
-        dict(good, rho=0.0),
-        dict(good, transport="carrier-pigeon"),
-        dict(good, init="zeros"),
-        dict(good, m=0, input_path=None),
-        dict(good, comm_timeout=float("nan")),
-        dict(good, comm_timeout=-1.0),
-        dict(good, comm_timeout=0.0),
+        (dict(good, algorithm="sgd"), "unknown algorithm"),
+        (dict(good, algorithm="bcd", p=2), "sequential"),
+        (dict(good, k=0), "k must"),
+        (dict(good, p=0), "p must"),
+        (dict(good, epsilon=0.0), "epsilon"),
+        (dict(good, max_iters=-1), "max_iters"),
+        (dict(good, max_time=0.0), "max_time"),
+        (dict(good, rho=0.0), "rho"),
+        (dict(good, rho=float("inf")), "rho must be positive and finite"),
+        (dict(good, seed=-1), "seed must be nonnegative"),
+        (dict(good, transport="carrier-pigeon"), "unknown transport"),
+        (dict(good, input_path="data.csv"), "nmf convert"),
+        (dict(good, m=0, input_path=None), "positive m and n"),
     ]
-    for kwargs in bad:
-        with pytest.raises(ValueError):
+    # a collective waits at most MAX_COMM_TIMEOUT, which every wait accepts
+    bad += [(dict(good, comm_timeout=t), r"comm_timeout .* at most 1e\+06 s")
+            for t in (float("nan"), -1.0, 0.0, float("inf"), 1e300)]
+    for kwargs, pattern in bad:
+        with pytest.raises(ValueError, match=pattern):
             RunConfig(**kwargs).validate()
+    RunConfig(**good, comm_timeout=harness.MAX_COMM_TIMEOUT).validate()
 
 
 def test_tcp_transport_requires_rank_env(monkeypatch):
@@ -550,18 +534,6 @@ def test_run_residual_rows_monotone(alg):
         assert (np.diff(resid) <= 1e-10).all()
 
 
-def test_run_from_csv_input_file(tmp_path):
-    X = synth_lowrank(4, 40, 2, 6)
-    path = tmp_path / "data.csv"
-    write_csv_matrix(path, X)
-    config = RunConfig(algorithm="bcd", k=2, seed=6, max_iters=30,
-                       input_path=str(path))
-    metrics = run(config)
-    direct = run(RunConfig(algorithm="bcd", k=2, seed=6, max_iters=30,
-                           m=4, n=40), X=X)
-    assert np.array_equal(metrics.objectives(), direct.objectives())
-
-
 def test_run_from_dmat_input_file(tmp_path):
     X = synth_lowrank(4, 40, 2, 6)
     path = tmp_path / "data.dmat"
@@ -571,26 +543,42 @@ def test_run_from_dmat_input_file(tmp_path):
     assert run(config).iterations == 10
 
 
-@pytest.mark.parametrize("suffix,init", [(".dmat", "scaled-random"),
-                                         (".csv", "scaled-random"),
-                                         (".dmat", "kmeans")])
-def test_tcp_ranks_on_a_file_match_the_in_process_run(monkeypatch, tmp_path,
-                                                      suffix, init):
-    # each TCP rank reads its own columns of a DMAT1 file (CSV and kmeans
-    # load it all) and reaches the in-process trajectory bit for bit
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+def test_run_refuses_csv_input_before_any_rank_connects(monkeypatch, tmp_path,
+                                                        transport):
+    # text cannot be read by columns, so a rank would have to load all of
+    # it: every rank names the conversion to DMAT1 and fails before it
+    # reads the file or makes a world
+    path = tmp_path / "data.csv"
+    write_csv_matrix(path, synth_lowrank(4, 8, 2, 0))
+    calls = [_spy(monkeypatch, name, lambda a: a) for name in
+             ("load_matrix", "make_tcp_world", "make_inprocess_worlds")]
+    kw = dict(algorithm="did", k=2, p=2, input_path=str(path),
+              transport=transport, comm_timeout=30.0)
+    t0 = time.monotonic()
+    if transport == "tcp":
+        for rank in (0, 1):
+            with pytest.raises(ValueError, match="nmf convert"):
+                run_tcp_rank(RunConfig(**kw), rank)
+    else:
+        with pytest.raises(ValueError, match="nmf convert"):
+            run(RunConfig(**kw))
+    assert time.monotonic() - t0 < 0.5 and calls == [[], [], []]
+
+
+def test_tcp_ranks_on_a_file_match_the_in_process_run(monkeypatch, tmp_path):
+    # each TCP rank reads its own columns of a DMAT1 file and reaches the
+    # in-process trajectory bit for bit
     X = synth_lowrank(5, 101, 3, 8)
-    path = tmp_path / f"data{suffix}"
-    (write_csv_matrix if suffix == ".csv" else write_dmat)(path, X)
+    path = tmp_path / "data.dmat"
+    write_dmat(path, X)
     reads = _spy(monkeypatch, "load_matrix", lambda a: a[1:])
     kw = dict(algorithm="did", k=3, p=2, seed=8, max_iters=40,
-              epsilon=1e-30, init=init, input_path=str(path),
-              transport="tcp", comm_timeout=30.0)
+              epsilon=1e-30, input_path=str(path), transport="tcp",
+              comm_timeout=30.0)
     results, errors = _tcp_ranks(kw)
     assert errors == [None, None], errors
-    if suffix == ".dmat" and init == "scaled-random":
-        assert sorted(reads) == [(0, 51), (51, 50)]
-    else:
-        assert reads == [(), ()]
+    assert sorted(reads) == [(0, 51), (51, 50)]
     ref = run(RunConfig(**dict(kw, transport="in-process")))
     for got in results:
         assert got.iterations == ref.iterations == 40
@@ -652,22 +640,6 @@ def test_setup_sum_of_a_block_does_not_depend_on_its_layout():
             sums.append(harness._check_values(world, block))
     assert sums[0] == sums[1]
     assert sums[0] == pytest.approx(float(np.sum(view)), rel=1e-12)
-
-
-def test_in_process_ranks_share_one_kmeans_start(monkeypatch):
-    # four in-process ranks run Lloyd's method once between them; four TCP
-    # ranks, each with its own, reach the same trajectory bit for bit
-    X = synth_lowrank(5, 400, 3, 4)
-    kw = dict(algorithm="did", m=5, n=400, k=3, p=4, seed=4, max_iters=40,
-              epsilon=1e-30, init="kmeans", comm_timeout=30.0)
-    calls = _spy(monkeypatch, "_kmeans_init", lambda a: ())
-    ref = run(RunConfig(**kw), X=X)
-    assert len(calls) == 1 and ref.iterations == 40
-    results, errors = _tcp_ranks(dict(kw, transport="tcp"), X)
-    assert errors == [None] * 4, errors
-    assert len(calls) == 5
-    for got in results:
-        assert got.residuals().tobytes() == ref.residuals().tobytes()
 
 
 _RANK_HWM = """
