@@ -6,17 +6,11 @@ coordinate descent with K messages per iteration, the one-message did
 worker, and splitting) over an allreduce layer with in-process and TCP
 transports. Every solver is one step function driven by one run loop,
 on either transport; see `harness.run`.
-"""
 
-from .harness import (
-    RunConfig,
-    RunMetrics,
-    load_matrix,
-    run,
-    run_tcp_rank,
-    synth_data,
-    synth_lowrank,
-)
+Importing the package loads no numpy: the names below resolve from
+`harness` on first use, so `nmf` can start numpy's BLAS pool at one
+thread before anything loads it (see `blas`).
+"""
 
 __all__ = [
     "RunConfig",
@@ -27,3 +21,10 @@ __all__ = [
     "synth_data",
     "synth_lowrank",
 ]
+
+
+def __getattr__(name):
+    if name in __all__:
+        from . import harness
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

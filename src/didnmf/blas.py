@@ -1,18 +1,25 @@
-"""One BLAS thread per rank while a distributed run is in progress.
+"""One BLAS thread per rank: from numpy's load under `nmf`, and for the
+length of a run under any caller.
 
 Every rank already runs on its own core (a process over TCP, a thread in
 process), so a BLAS pool with one thread per core on top of that runs
-P x cores threads on the cores and slows every kernel. The pool is
-reached through the library's own `*_set_num_threads`, found with ctypes
-among the OpenBLAS builds this process has loaded. A thread count the
-user chose with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS
-is left alone.
+P x cores threads on the cores and slows every kernel. OpenBLAS sizes
+its pool once, when numpy loads it, and a pool started at the core count
+spins its extra thread through the rank's imports and setup before it
+sleeps. So every `nmf` process (`run` on either transport, `synth`,
+`convert`) loads numpy through `import_numpy_on_one_thread`. A library
+caller that loaded numpy first keeps its pool; `one_blas_thread` holds
+it at one thread while a run is in progress, through the library's own
+`*_set_num_threads`, found with ctypes among the OpenBLAS builds this
+process has loaded. A thread count the user chose with
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is left alone.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -65,27 +72,34 @@ def _user_chose_threads() -> bool:
     return any(os.environ.get(name) for name in BLAS_ENV_VARS)
 
 
-def limit_blas_threads() -> list[tuple]:
-    """Set every loaded pool to one thread unless the user chose a count.
+def import_numpy_on_one_thread() -> None:
+    """Import numpy with its OpenBLAS pool sized at one thread.
 
-    Returns (set, previous count) for each pool changed.
+    OPENBLAS_NUM_THREADS=1 is set for the import only, so child processes
+    and later readers of the environment do not see it. Does nothing if
+    numpy is already loaded or the user chose a thread count.
     """
-    if _user_chose_threads():
-        return []
-    changed = []
-    for get, put in _pools():
-        changed.append((put, get()))
-        put(1)
-    return changed
+    if "numpy" in sys.modules or _user_chose_threads():
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 
 @contextmanager
 def one_blas_thread():
-    """Hold the BLAS pools at one thread inside the block, then restore them."""
+    """Hold the BLAS pools at one thread inside the block, then restore them.
+
+    Does nothing to the pools if the user chose a thread count.
+    """
     global _holders, _saved
     with _lock:
-        if _holders == 0:
-            _saved = limit_blas_threads()
+        if _holders == 0 and not _user_chose_threads():
+            _saved = [(put, get()) for get, put in _pools()]
+            for put, _ in _saved:
+                put(1)
         _holders += 1
     try:
         yield

@@ -6,8 +6,13 @@ import argparse
 import os
 import sys
 
-from .blas import limit_blas_threads
-from .harness import (
+from .blas import import_numpy_on_one_thread
+
+# before anything loads numpy: every `nmf` process starts its BLAS pool at
+# one thread, so no idle pool thread spins through imports and setup
+import_numpy_on_one_thread()
+
+from .harness import (  # noqa: E402
     ALGORITHMS,
     TRANSPORTS,
     RunConfig,
@@ -16,7 +21,7 @@ from .harness import (
     synth_data,
     synth_lowrank,
 )
-from .matrix import write_csv_matrix, write_dmat
+from .matrix import write_csv_matrix, write_dmat  # noqa: E402
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,10 +73,6 @@ def _cmd_run(args) -> int:
         epsilon=args.eps, max_iters=args.max_iters, max_time=args.max_time,
         rho=args.rho, seed=args.seed, transport=args.transport,
         input_path=args.input, out_path=args.out)
-    if args.transport == "tcp":
-        # this process is one rank for the rest of its life: its BLAS pool
-        # keeps one thread after the run, not just during it
-        limit_blas_threads()
     metrics = run(config)
     rank = int(os.environ.get("NMF_RANK", "0")) if args.transport == "tcp" else 0
     if rank == 0:
@@ -110,12 +111,15 @@ def _cmd_convert(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "synth":
-        return _cmd_synth(args)
-    return _cmd_convert(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    command = {"run": _cmd_run, "synth": _cmd_synth, "convert": _cmd_convert}
+    try:
+        return command[args.command](args)
+    except ValueError as exc:
+        # refused input (a bad configuration, matrix or file) reads like a
+        # refused option: one line on stderr, exit status 2
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -28,16 +28,22 @@ def _free_port():
         return s.getsockname()[1]
 
 
-def tcp_rank_threads(**env_extra) -> str:
+def fresh_python(code: str, *args: str, **env_extra) -> str:
+    """Last line that `python -c code args` prints, run in a fresh
+    interpreter with no BLAS thread variable set unless given."""
     env = {k: v for k, v in os.environ.items() if k not in blas.BLAS_ENV_VARS}
-    env.update(NMF_ADDR=f"127.0.0.1:{_free_port()}", NMF_RANK="0",
-               NMF_WORLD="1", **env_extra)
-    out = subprocess.run(
-        [sys.executable, "-c", RANK_SCRIPT, "run", "--alg", "did", "--p", "1",
-         "--m", "5", "--n", "60", "--k", "2", "--max-iters", "3",
-         "--transport", "tcp"],
-        env=env, capture_output=True, text=True, timeout=60, check=True)
+    env.update(env_extra)
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
     return out.stdout.splitlines()[-1]
+
+
+def tcp_rank_threads(**env_extra) -> str:
+    return fresh_python(
+        RANK_SCRIPT, "run", "--alg", "did", "--p", "1", "--m", "5", "--n",
+        "60", "--k", "2", "--max-iters", "3", "--transport", "tcp",
+        NMF_ADDR=f"127.0.0.1:{_free_port()}", NMF_RANK="0", NMF_WORLD="1",
+        **env_extra)
 
 
 @pytest.fixture
@@ -62,6 +68,47 @@ def test_tcp_rank_runs_one_blas_thread():
 @needs_openblas
 def test_tcp_rank_honors_explicit_thread_count():
     assert tcp_rank_threads(OPENBLAS_NUM_THREADS="2") == "blas_threads 2"
+
+
+@needs_openblas
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs Linux /proc for a process's thread count")
+def test_cli_import_starts_the_pool_at_one_thread():
+    # OpenBLAS sizes its pool when numpy loads it; a pool started at the
+    # core count runs an extra OS thread that spins through setup
+    got = fresh_python("""
+import os
+import didnmf.cli
+from didnmf import blas
+with open("/proc/self/status") as f:
+    threads = next(line.split()[1] for line in f if line.startswith("Threads:"))
+print(threads, blas.blas_threads(), "OPENBLAS_NUM_THREADS" in os.environ)
+""")
+    assert got == "1 1 False"
+
+
+def test_package_import_loads_no_numpy():
+    got = fresh_python("""
+import sys
+import didnmf
+loaded = "numpy" in sys.modules
+from didnmf import RunConfig, run, synth_lowrank
+print(loaded, RunConfig.__module__, run.__name__, synth_lowrank(2, 3, 1, 0).shape)
+""")
+    assert got == "False didnmf.harness run (2, 3)"
+
+
+@needs_openblas
+def test_cli_import_keeps_the_pool_of_a_caller_that_loaded_numpy_first():
+    got = fresh_python("""
+import numpy
+from didnmf import blas
+before = blas.blas_threads()
+import didnmf.cli
+print(before, blas.blas_threads())
+""")
+    before, after = got.split()
+    assert after == before
 
 
 @needs_openblas

@@ -1,5 +1,8 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -71,24 +74,47 @@ def test_run_rejects_bad_flag_combinations(capsys):
         main(["run", "--alg", "sgd", "--m", "4", "--n", "4"])
     with pytest.raises(SystemExit):  # deleted solvers are gone from --alg
         main(["run", "--alg", "admm", "--m", "4", "--n", "4"])
-    with pytest.raises(ValueError):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--alg", "bcd", "--m", "4", "--n", "8", "--p", "2"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "nmf: error: bcd is sequential; use p=1\n"
 
 
 @pytest.mark.parametrize("flag,alg", [("--eps", "did"), ("--max-time", "did"),
                                       ("--rho", "dadmm")])
 @pytest.mark.parametrize("value", ["nan", "0", "-1"])
-def test_run_rejects_a_setting_that_is_not_positive(flag, alg, value):
+def test_run_rejects_a_setting_that_is_not_positive(flag, alg, value, capsys):
     # NaN compares False both ways, so it is refused like 0 and -1
     # instead of running to the iteration cap, dropping the time cap or
     # failing inside dadmm
-    with pytest.raises(ValueError, match="must be positive"):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--alg", alg, "--m", "5", "--n", "50", flag, value])
+    assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
     field = {"--eps": "epsilon", "--max-time": "max_time",
              "--rho": "rho"}[flag]
     config = RunConfig(alg, m=5, n=50, **{field: float(value)})
     with pytest.raises(ValueError, match="must be positive"):
         config.validate()
+
+
+def test_nmf_run_refuses_a_csv_input_in_one_line(tmp_path):
+    # the user's path: a refused configuration prints argparse's one-line
+    # error and exit status, not a traceback
+    data = tmp_path / "s.csv"
+    main(["synth", "--m", "4", "--n", "6", "--out", str(data)])
+    src = str(pathlib.Path(didnmf.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "didnmf", "run", "--alg", "bcd", "--k", "2",
+         "--input", str(data)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith("nmf: error: ")
+    assert "nmf convert" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert "Traceback" not in out.stderr
 
 
 def test_parser_requires_a_subcommand():
