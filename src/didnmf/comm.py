@@ -19,17 +19,20 @@ Transports:
   A rank that closes its world leaves a departure marker behind its last
   message on each edge it feeds, so a peer still waiting on it fails at
   once, naming it, instead of waiting out the timeout.
-* tcp: one rank per process. The rendezvous is the whole topology: rank
-  0 listens, accepts one registration (world size, rank) per peer and
-  keeps that socket as the peer's edge; every other rank dials rank 0
-  only and opens no listener. A collective's payload crosses an edge as
-  one frame, [u32 tag][u64 byte length][payload as float64],
-  little-endian and written with one send; the tag carries the
-  collective sequence number. A frame moves the payload plus 12 bytes,
-  and the payload is copied once on each side: into the frame on send,
-  out of the socket on receive. Every write gets the world's timeout. A
-  reset or broken connection raises `CommError` naming the peer; a peer
-  that closes between frames has left, as in the in-process transport.
+* tcp: one rank per process. Every message is one frame,
+  [u32 tag][u64 byte length][payload as float64], little-endian and
+  written with one send. The rendezvous is the whole topology: rank 0
+  listens and keeps each peer's socket as that peer's edge; every other
+  rank dials rank 0 only, retrying a refused dial after one fixed short
+  pause, opens no listener, and registers with a frame whose payload is
+  the two doubles [world size, rank]. Rank 0 checks that payload's
+  length, then the world size and the rank, and raises `CommError`
+  naming what is wrong. A collective's frame carries its sequence
+  number in the tag and moves the payload plus 12 bytes, and the
+  payload is copied once on each side: into the frame on send, out of
+  the socket on receive. Every write gets the world's timeout. A reset
+  or broken connection raises `CommError` naming the peer; a peer that
+  closes between frames has left, as in the in-process transport.
 
 On both, a message carries no shape: the receiver knows how many doubles
 it expects, and a body of any other length raises `CommError` naming
@@ -38,7 +41,6 @@ both ranks.
 
 from __future__ import annotations
 
-import json
 import queue
 import selectors
 import socket
@@ -56,6 +58,7 @@ from .matrix import dmat_decode, dmat_encode  # noqa: F401
 DEFAULT_TIMEOUT = 30.0
 
 _FRAME_HEADER = struct.Struct("<IQ")
+_REGISTRATION = struct.Struct("<2d")  # a peer's [world size, rank]
 _TAG_REGISTER = 0xFFFF0001
 _TAG_LIMIT = 0xFFFF0000  # collective sequence numbers stay below this
 
@@ -186,36 +189,24 @@ def _checked_recv(world: CommWorld, src: int, seq: int, size: int) -> np.ndarray
     return body.view("<f8")
 
 
-class InProcessFabric:
-    """Shared mailbox fabric for P ranks living in one process."""
-
-    def __init__(self, size: int):
-        self.size = size
-        # the star's only edges: rank 0 to and from every other rank
-        self._boxes = {box: queue.Queue()
-                       for r in range(1, size) for box in ((0, r), (r, 0))}
-
-    def endpoint(self, rank: int) -> "_InProcessEndpoint":
-        return _InProcessEndpoint(self, rank)
-
-
 # queued by a closing endpoint after its last message on each edge
 _DEPARTED = None
 
 
 class _InProcessEndpoint:
-    def __init__(self, fabric: InProcessFabric, rank: int):
-        self._fabric = fabric
+    def __init__(self, boxes: dict, rank: int, size: int):
+        self._boxes = boxes
         self._rank = rank
+        self._feeds = range(1, size) if rank == 0 else (0,)
 
     def send(self, dst: int, seq: int, flat: np.ndarray) -> None:
         # copy on send: the receiver must never alias the sender's buffer
         body = flat.view(np.uint8).copy()
-        self._fabric._boxes[(dst, self._rank)].put((seq, body))
+        self._boxes[(dst, self._rank)].put((seq, body))
 
     def recv(self, src: int, timeout: float):
         try:
-            got = self._fabric._boxes[(self._rank, src)].get(timeout=timeout)
+            got = self._boxes[(self._rank, src)].get(timeout=timeout)
         except queue.Empty:
             raise CommTimeoutError(
                 f"rank {self._rank} timed out after {timeout:.1f}s waiting "
@@ -226,14 +217,16 @@ class _InProcessEndpoint:
 
     def close(self) -> None:
         # the queues are FIFO: a peer reads every message sent before this
-        for dst in (range(1, self._fabric.size) if self._rank == 0 else (0,)):
-            self._fabric._boxes[(dst, self._rank)].put(_DEPARTED)
+        for dst in self._feeds:
+            self._boxes[(dst, self._rank)].put(_DEPARTED)
 
 
 def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[CommWorld]:
-    """Build P thread-side CommWorlds sharing one in-process fabric."""
-    fabric = InProcessFabric(size)
-    return [CommWorld(r, size, fabric.endpoint(r), timeout=timeout)
+    """Build P thread-side CommWorlds sharing one in-process fabric, a
+    queue for each direction of the star's edges: rank 0 to and from
+    every other rank."""
+    boxes = {box: queue.Queue() for r in range(1, size) for box in ((0, r), (r, 0))}
+    return [CommWorld(r, size, _InProcessEndpoint(boxes, r, size), timeout=timeout)
             for r in range(size)]
 
 
@@ -301,19 +294,19 @@ def _nodelay(conn: socket.socket) -> socket.socket:
     return conn
 
 
-_DIAL_PAUSE_MIN = 0.001
-_DIAL_PAUSE_MAX = 0.05
+# short beside a rank's startup, so a dial lands within 2 ms of rank 0
+# listening, at the cost of at most 500 refused connects a second
+_DIAL_PAUSE = 0.002
 
 
 def _dial(addr, timeout: float):
     """Connect to `addr`, retrying refused attempts until `timeout`.
 
-    A peer that is still starting up refuses the connection; the pause
-    between attempts starts at 1 ms and doubles up to 50 ms, so a peer
-    that listens a moment later is reached a moment later.
+    A peer that is still starting up refuses the connection; each refused
+    attempt is followed by one fixed `_DIAL_PAUSE`, so a peer that listens
+    a moment later is reached within that pause.
     """
     deadline = time.monotonic() + timeout
-    pause = _DIAL_PAUSE_MIN
     while True:
         try:
             return _nodelay(socket.create_connection(addr, timeout=min(1.0, timeout)))
@@ -322,26 +315,26 @@ def _dial(addr, timeout: float):
                 raise CommTimeoutError(
                     f"could not reach {addr[0]}:{addr[1]} within "
                     f"{timeout:.1f}s") from None
-            time.sleep(pause)
-            pause = min(2.0 * pause, _DIAL_PAUSE_MAX)
+            time.sleep(_DIAL_PAUSE)
 
 
 def _registered_rank(tag: int, body: np.ndarray, size: int, registered) -> int:
     """The rank a registration frame names, checked against the world's
     size and the ranks already `registered`."""
-    if tag != _TAG_REGISTER:
+    if tag != _TAG_REGISTER or len(body) != _REGISTRATION.size:
         raise CommError(
-            f"rank 0 expected a registration frame, got tag {tag:#x}")
-    reg = json.loads(body.tobytes())
-    peer_rank = int(reg["rank"])
-    if int(reg["world"]) != size:
-        raise CommError(
-            f"world size mismatch: rank 0 expects {size} but "
-            f"rank {peer_rank} announced {reg['world']}")
-    if not 1 <= peer_rank < size or peer_rank in registered:
-        raise CommError(f"invalid or duplicate rank {peer_rank} "
-                        f"at the rendezvous")
-    return peer_rank
+            f"rank 0 expected a {_REGISTRATION.size}-byte registration "
+            f"frame, got tag {tag:#x} with {len(body)} bytes")
+    world, rank = _REGISTRATION.unpack(body)
+    if world != size:
+        raise CommError(f"world size mismatch: rank 0 expects {size} but "
+                        f"a peer registering as rank {rank:g} announced {world:g}")
+    if rank not in range(1, size):  # a fraction or NaN equals no rank
+        raise CommError(f"a peer registered as rank {rank:g}, outside the "
+                        f"ranks 1..{size - 1} that rank 0 awaits")
+    if rank in registered:
+        raise CommError(f"rank {rank:g} registered twice at the rendezvous")
+    return int(rank)
 
 
 class TcpEndpoint:
@@ -358,8 +351,7 @@ class TcpEndpoint:
                 self._rendezvous(size, address, timeout)
             else:
                 self._conns[0] = _dial(address, timeout)
-                self._write(0, _TAG_REGISTER, json.dumps(
-                    {"world": size, "rank": rank}).encode())
+                self._write(0, _TAG_REGISTER, _REGISTRATION.pack(size, rank))
         except BaseException:
             self.close()
             raise

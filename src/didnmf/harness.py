@@ -195,7 +195,8 @@ def read_metrics_csv(path) -> list[dict]:
 def _philox_rows(key, rows: int, width: int, start: int, size: int,
                  base: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Columns [start, start + size) of a rows x width matrix drawn row-major,
-    into `out` (a rows x size float64 array) if given.
+    drawn straight into the rows of `out` (a row-major rows x size float64
+    array) if given.
 
     The matrix is the Philox 4x64-10 stream keyed with SeedSequence(key),
     from draw `base` on, one float64 per draw. Philox is counter-based, so
@@ -216,7 +217,7 @@ def _philox_rows(key, rows: int, width: int, start: int, size: int,
         bits.advance(offset // 4)
         rng = np.random.Generator(bits)
         rng.random(offset % 4)
-        out[i] = rng.random(size)
+        rng.random(out=out[i])
     return out
 
 

@@ -99,17 +99,17 @@ def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
         L[i, :i] = G[i, :i] / -gii
     # per-tile operands are slices of buffers made once per call; Q and
     # each row's product write a C-contiguous `out`, which keeps numpy on
-    # its gemm/gemv path
+    # its gemm/gemv path. Q is dead before the tile's residual E is
+    # formed, so both sit at the head of one buffer
     width = tile_width(m)
-    Q_buf, r_buf = np.empty(k * width), np.empty(width)
-    E_buf = _tile_buffer(m)
+    buf, r_buf = np.empty(max(k, m) * width), np.empty(width)
     SV = np.zeros((k, m + k))
     rr = 0.0
     for cols in column_tiles(Z.shape[1], m):
         T = Z[:, cols]
         Xt, Ct = T[:m], T[m:]
         t = T.shape[1]
-        Q, r = Q_buf[:k * t].reshape((k, t)), r_buf[:t]
+        Q, r = buf[:k * t].reshape((k, t)), r_buf[:t]
         np.matmul(A, T, out=Q)
         for i in live:
             if i == 0:
@@ -123,7 +123,7 @@ def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
             r += Q[i]
             np.maximum(r, 0.0, out=Ct[i])
         SV += Ct @ T.T
-        rr += _tile_residual_sq(Xt, Ct, BF, E_buf)
+        rr += _tile_residual_sq(Xt, Ct, BF, buf)
     return SV[:, :m].T, SV[:, m:], rr, k - len(live)
 
 
@@ -152,15 +152,11 @@ def b_column_apply(B, i: int, y, z: float) -> int:
     return 0
 
 
-def _tile_buffer(m: int) -> np.ndarray:
-    """Flat scratch of m * `tile_width(m)` doubles for `_tile_residual_sq`."""
-    return np.empty(m * tile_width(m))
-
-
 def _tile_residual_sq(Xt, Ct, BF, buf) -> float:
     """||X_t - B C_t||^2 of one column tile, with BF a Fortran B and buf a
-    `_tile_buffer`; the one expression both `residual_sq` and
-    `c_rowwise_sweep` sum, so their totals agree bit for bit.
+    flat scratch of at least m * `tile_width(m)` doubles; the one
+    expression both `residual_sq` and `c_rowwise_sweep` sum, so their
+    totals agree bit for bit.
 
     The tile's residual E is the row-major head of buf, so on a row-major
     X_t the subtract reads and writes contiguous rows and the dot product
@@ -178,7 +174,7 @@ def _tile_residual_sq(Xt, Ct, BF, buf) -> float:
 def residual_sq(X, B, C) -> float:
     """Exact ||X - B C||_F^2, summed tile by tile with no M x N temporary."""
     m = B.shape[0]
-    BF, buf = np.asfortranarray(B), _tile_buffer(m)
+    BF, buf = np.asfortranarray(B), np.empty(m * tile_width(m))
     total = 0.0
     for cols in column_tiles(X.shape[1], m):
         total += _tile_residual_sq(X[:, cols], C[:, cols], BF, buf)

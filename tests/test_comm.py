@@ -193,6 +193,15 @@ def test_vector_and_scalar_payload_shapes_survive():
         assert float(so) == 6.0
 
 
+def test_comm_world_refuses_an_empty_world_and_a_rank_outside_it():
+    with pytest.raises(ValueError, match="world size must be at least 1"):
+        comm.CommWorld(0, 0, None)
+    for rank in (-1, 2):
+        with pytest.raises(ValueError,
+                           match=f"rank {rank} outside world of size 2"):
+            comm.CommWorld(rank, 2, None)
+
+
 def test_rejects_empty_and_high_rank_payloads():
     def body(world):
         with pytest.raises(ValueError):
@@ -527,8 +536,8 @@ def test_comm_time_accumulates():
 # rendezvous
 
 
-def test_dial_pause_doubles_to_its_cap_and_gives_up_at_the_deadline(monkeypatch):
-    # a refused connect pauses 1, 2, 4 ... ms up to 50 ms; the clock is
+def test_dial_pauses_one_fixed_interval_and_gives_up_at_the_deadline(monkeypatch):
+    # every refused connect pauses the same `_DIAL_PAUSE`; the clock is
     # virtual, advanced only by the pauses, so the sequence is exact
     clock = [0.0]
     pauses = []
@@ -546,11 +555,10 @@ def test_dial_pause_doubles_to_its_cap_and_gives_up_at_the_deadline(monkeypatch)
     with pytest.raises(CommTimeoutError,
                        match=r"could not reach 127\.0\.0\.1:9 within 0\.5s"):
         comm._dial(("127.0.0.1", 9), 0.5)
-    ramp = [0.001, 0.002, 0.004, 0.008, 0.016, 0.032]
-    assert pauses[:6] == pytest.approx(ramp)
-    assert pauses[6:] == [0.05] * (len(pauses) - 6)
+    assert comm._DIAL_PAUSE == 0.002
+    assert pauses == [comm._DIAL_PAUSE] * len(pauses)
     # it stops at the first attempt at or past the deadline
-    assert 0.5 <= clock[0] < 0.5 + 0.05
+    assert 0.5 <= clock[0] < 0.5 + comm._DIAL_PAUSE
 
 
 @pytest.mark.parametrize("silent", [False, True], ids=["absent", "silent"])
@@ -641,3 +649,79 @@ def test_a_silent_connection_does_not_hold_the_rendezvous():
     assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
     for sock in (endpoint, peer, stray):
         sock.close()
+
+
+def test_a_peer_registers_with_one_frame_of_two_doubles():
+    # the registration is an ordinary frame: the register tag, then the
+    # peer's [world size, rank] as two little-endian doubles
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        peer = comm.TcpEndpoint(2, 3, listener.getsockname(), timeout=5.0)
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            got = conn.recv(comm._FRAME_HEADER.size + 16, socket.MSG_WAITALL)
+        peer.close()
+    assert got == (comm._FRAME_HEADER.pack(comm._TAG_REGISTER, 16)
+                   + struct.pack("<2d", 3.0, 2.0))
+
+
+def _registration(body, tag=comm._TAG_REGISTER):
+    return comm._FRAME_HEADER.pack(tag, len(body)) + body
+
+
+@pytest.mark.parametrize("size,frames,words", [
+    (2, [_registration(struct.pack("<2d", 3, 1))],
+     "world size mismatch: rank 0 expects 2 but a peer registering as "
+     "rank 1 announced 3"),
+    (3, [_registration(struct.pack("<2d", 3, 1))] * 2,
+     "rank 1 registered twice at the rendezvous"),
+    (2, [_registration(struct.pack("<2d", 2, 2))],
+     "a peer registered as rank 2, outside the ranks 1..1 that rank 0 "
+     "awaits"),
+    (3, [_registration(struct.pack("<2d", 3, 0))],
+     "a peer registered as rank 0, outside the ranks 1..2 that rank 0 "
+     "awaits"),
+    (2, [_registration(struct.pack("<2d", 2, 1.5))],
+     "a peer registered as rank 1.5, outside the ranks 1..1 that rank 0 "
+     "awaits"),
+    (2, [_registration(struct.pack("<3d", 2, 1, 0))],
+     "rank 0 expected a 16-byte registration frame, got tag 0xffff0001 "
+     "with 24 bytes"),
+    # the registration body of an older peer, which named no rank
+    (2, [_registration(b'{"world": 2}')],
+     "rank 0 expected a 16-byte registration frame, got tag 0xffff0001 "
+     "with 12 bytes"),
+    (2, [_registration(b"\xff" * 16)],
+     "world size mismatch: rank 0 expects 2 but a peer registering as "
+     "rank nan announced nan"),
+    (2, [_registration(struct.pack("<2d", 2, 1), tag=0)],
+     "rank 0 expected a 16-byte registration frame, got tag 0x0 with 16 "
+     "bytes"),
+], ids=["world-mismatch", "duplicate-rank", "rank-past-the-world",
+        "rank-zero", "fractional-rank", "long-body", "json-body",
+        "junk-body", "collective-tag"])
+def test_rendezvous_refuses_a_malformed_registration(size, frames, words):
+    # each frame comes from its own hand-written peer; rank 0 fails with
+    # a CommError naming the fault, never a KeyError or ValueError
+    addr = _free_addr()
+    errors = []
+
+    def rank0():
+        try:
+            comm.TcpEndpoint(0, size, addr, timeout=5.0).close()
+        except Exception as exc:
+            errors.append(exc)
+
+    host = threading.Thread(target=rank0, daemon=True)
+    host.start()
+    peers = []
+    for frame in frames:
+        peers.append(comm._dial(addr, 5.0))
+        peers[-1].sendall(frame)
+    host.join(timeout=5.0)
+    for peer in peers:
+        peer.close()
+    assert not host.is_alive()
+    [exc] = errors
+    assert type(exc) is CommError
+    assert str(exc) == words

@@ -62,6 +62,12 @@ def test_synth_lowrank_has_exact_rank():
     assert float(X.min()) >= 0.0
 
 
+
+@pytest.mark.parametrize("m,n,k", [(0, 30, 3), (8, 0, 3), (8, 30, 0)])
+def test_synth_lowrank_rejects_a_zero_dimension(m, n, k):
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        synth_lowrank(m, n, k, 5)
+
 # a rank draws only its own columns: blocks equal slices of the whole, for
 # every partition up to P=4, at every start offset mod 4 (Philox makes 4
 # draws per counter step) and across the coordinate kernel's column tiles

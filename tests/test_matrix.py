@@ -113,6 +113,17 @@ def test_dmat_rejects_corrupt_input():
         dmat_decode(buf[:10])
 
 
+
+def test_dmat_refuses_an_unknown_version(tmp_path):
+    buf = dmat_encode(np.ones((2, 2)))
+    v2 = buf[:4] + (2).to_bytes(4, "little") + buf[8:]
+    with pytest.raises(ValueError, match="unsupported DMAT1 version 2"):
+        dmat_decode(v2)
+    path = tmp_path / "v2.dmat"
+    path.write_bytes(v2)
+    with pytest.raises(ValueError, match="unsupported DMAT1 version 2"):
+        read_dmat(path)
+
 def test_dmat_file_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     a = rng.normal(size=(4, 9))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from didnmf import nnls
 from didnmf.harness import RunConfig, run, synth_lowrank
 from didnmf.nnls import (
     KKT_TOL,
@@ -182,6 +183,61 @@ def test_nnls_rows_judges_kkt_relative_to_the_scale_of_the_gram():
     obj, ref = row_objectives(G, R, out), row_objectives(G, R, nnls_oracle(G, R))
     assert (obj - ref <= 1e-8 * np.abs(ref)).all()
 
+
+
+def _dependent_gram(seed, near, scaled):
+    # A's last column copies its first, plus 1e-7 noise if `near`, and
+    # with `scaled` the columns are scaled by 1 .. 1e6
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 9))
+    m = int(rng.integers(k, 4 * k + 2))
+    a = rng.random((m, k))
+    a[:, -1] = a[:, 0] + (1e-7 * rng.random(m) if near else 0.0)
+    if scaled:
+        a *= np.logspace(0, 6, k)
+    x = rng.random((m, 200)) - 0.3
+    return a.T @ a, x.T @ a
+
+
+def _count_polishes(monkeypatch):
+    rows = []
+    polish = nnls._projected_gradient
+
+    def counted(G, R, B0):
+        rows.append(R.shape[0])
+        return polish(G, R, B0)
+
+    monkeypatch.setattr(nnls, "_projected_gradient", counted)
+    return rows
+
+
+def test_nnls_rows_polishes_the_rows_pivoting_leaves_off_kkt(monkeypatch):
+    # K = 4, cond(G) ~1e16: pivoting leaves 15 of 200 rows off the KKT
+    # bar, and the gradient polish brings every one of them onto it
+    polished = _count_polishes(monkeypatch)
+    G, R = _dependent_gram(126, near=True, scaled=False)
+    assert np.linalg.cond(G) > 1e15
+    out = nnls_rows(G, R)
+    assert polished == [15]
+    assert (out >= 0.0).all()
+    assert not _kkt_violations(G, R, out, out @ G - R).any()
+    # on this Gram the oracle's objective is only near the polished rows'
+    obj, ref = row_objectives(G, R, out), row_objectives(G, R, nnls_oracle(G, R))
+    assert (obj - ref <= 1e-7 * np.abs(ref)).all()
+
+
+def test_nnls_rows_raises_with_the_best_iterate_when_the_polish_fails(monkeypatch):
+    # K = 3, the last column an exact copy of the first and the columns
+    # scaled by 1, 1e3 and 1e6: 14 rows stay off the KKT bar after the
+    # polish, and the error carries the whole nonnegative iterate
+    polished = _count_polishes(monkeypatch)
+    G, R = _dependent_gram(11, near=False, scaled=True)
+    with pytest.raises(NnlsError, match="14 of 200 rows missed") as exc_info:
+        nnls_rows(G, R)
+    assert polished == [14]
+    best = exc_info.value.best
+    assert best.shape == R.shape and (best >= 0.0).all()
+    assert _kkt_violations(G, R, best, best @ G - R).sum() == 14
 
 def test_nnls_row_keys_group_patterns_in_sorted_order():
     # the packed integer key orders passive sets as np.unique's row sort
