@@ -116,9 +116,10 @@ def main(argv=None) -> int:
     command = {"run": _cmd_run, "synth": _cmd_synth, "convert": _cmd_convert}
     try:
         return command[args.command](args)
-    except ValueError as exc:
-        # refused input (a bad configuration, matrix or file) reads like a
-        # refused option: one line on stderr, exit status 2
+    except (ValueError, OSError) as exc:
+        # refused input (a bad configuration, matrix or file, or a file
+        # that cannot be read) reads like a refused option: one line on
+        # stderr, exit status 2
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

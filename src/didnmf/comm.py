@@ -25,7 +25,7 @@ Transports:
   listens and keeps each peer's socket as that peer's edge; every other
   rank dials rank 0 only, retrying a refused dial after one fixed short
   pause, opens no listener, and registers with a frame whose payload is
-  the two doubles [world size, rank]. Rank 0 checks that payload's
+  the two doubles [world size, rank]. Rank 0 checks the frame's tag and
   length, then the world size and the rank, and raises `CommError`
   naming what is wrong. A collective's frame carries its sequence
   number in the tag and moves the payload plus 12 bytes, and the
@@ -59,6 +59,7 @@ DEFAULT_TIMEOUT = 30.0
 
 _FRAME_HEADER = struct.Struct("<IQ")
 _REGISTRATION = struct.Struct("<2d")  # a peer's [world size, rank]
+_REGISTERED = _FRAME_HEADER.size + _REGISTRATION.size  # a whole registration
 _TAG_REGISTER = 0xFFFF0001
 _TAG_LIMIT = 0xFFFF0000  # collective sequence numbers stay below this
 
@@ -318,14 +319,20 @@ def _dial(addr, timeout: float):
             time.sleep(_DIAL_PAUSE)
 
 
-def _registered_rank(tag: int, body: np.ndarray, size: int, registered) -> int:
+def _registered_rank(frame: bytearray, size: int, registered) -> int | None:
     """The rank a registration frame names, checked against the world's
-    size and the ranks already `registered`."""
-    if tag != _TAG_REGISTER or len(body) != _REGISTRATION.size:
+    size and the ranks already `registered`; None while `frame` holds
+    only part of it. Its header is checked as soon as it is in."""
+    if len(frame) < _FRAME_HEADER.size:
+        return None
+    tag, length = _FRAME_HEADER.unpack_from(frame)
+    if tag != _TAG_REGISTER or length != _REGISTRATION.size:
         raise CommError(
             f"rank 0 expected a {_REGISTRATION.size}-byte registration "
-            f"frame, got tag {tag:#x} with {len(body)} bytes")
-    world, rank = _REGISTRATION.unpack(body)
+            f"frame, got tag {tag:#x} with {length} bytes")
+    if len(frame) < _REGISTERED:
+        return None
+    world, rank = _REGISTRATION.unpack_from(frame, _FRAME_HEADER.size)
     if world != size:
         raise CommError(f"world size mismatch: rank 0 expects {size} but "
                         f"a peer registering as rank {rank:g} announced {world:g}")
@@ -360,20 +367,15 @@ class TcpEndpoint:
         """Accept the P-1 registrations, all within one `timeout`.
 
         The listener and every connection that has not registered yet are
-        watched at once, and a connection's frame is read only once it
-        has bytes ready, so a dial that stays silent holds no rank behind
-        it. A connection that closes or resets before its registration
-        frame is whole is dropped; the silent ones left once P-1 ranks
-        have registered are closed.
+        watched at once. Each such connection keeps the bytes of its
+        registration frame received so far, and a ready one receives only
+        what is ready, so a dial that stays silent, or sends part of a
+        frame and stalls, holds no rank behind it. A frame's header is
+        checked as soon as it is in. A connection that closes or resets
+        before its registration frame is whole is dropped; the strays left
+        once P-1 ranks have registered are closed.
         """
         deadline = time.monotonic() + timeout
-
-        def never_registered() -> CommTimeoutError:
-            missing = sorted(set(range(1, size)) - set(self._conns))
-            return CommTimeoutError(
-                f"rank 0 timed out after {timeout:.1f}s at the "
-                f"rendezvous: rank(s) {missing} never registered")
-
         with socket.create_server(address, backlog=size) as listener, \
                 selectors.DefaultSelector() as watch:
             watch.register(listener, selectors.EVENT_READ)
@@ -382,27 +384,31 @@ class TcpEndpoint:
                     left = deadline - time.monotonic()
                     ready = watch.select(left) if left > 0 else []
                     if not ready:
-                        raise never_registered()
+                        missing = sorted(set(range(1, size)) - set(self._conns))
+                        raise CommTimeoutError(
+                            f"rank 0 timed out after {timeout:.1f}s at the "
+                            f"rendezvous: rank(s) {missing} never registered")
                     for key, _ in ready:
-                        conn = key.fileobj
+                        conn, frame = key.fileobj, key.data
                         if conn is listener:
                             watch.register(_nodelay(listener.accept()[0]),
-                                           selectors.EVENT_READ)
+                                           selectors.EVENT_READ, bytearray())
                             continue
                         try:
-                            tag, body = _read_frame(
-                                conn, deadline - time.monotonic(), 0, -1)
-                        except CommTimeoutError:
-                            raise never_registered() from None
-                        except CommError:
+                            chunk = conn.recv(_REGISTERED - len(frame))
+                        except OSError:
+                            chunk = b""
+                        if not chunk:
                             # closed or reset before its frame was whole:
                             # it never named a rank, so drop it
                             watch.unregister(conn)
                             conn.close()
                             continue
-                        peer = _registered_rank(tag, body, size, self._conns)
-                        watch.unregister(conn)
-                        self._conns[peer] = conn
+                        frame += chunk
+                        peer = _registered_rank(frame, size, self._conns)
+                        if peer is not None:
+                            watch.unregister(conn)
+                            self._conns[peer] = conn
             finally:
                 for key in list(watch.get_map().values()):
                     if key.fileobj is not listener:

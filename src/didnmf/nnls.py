@@ -12,8 +12,9 @@ SIAM J. Sci. Comput. 2011), grouping rows that share a passive set so
 each K x K subsystem is factored once per group (the rows are keyed by
 their passive bits packed into one integer and grouped by a 1-D sort,
 the column grouping of Van Benthem & Keenan, J. Chemometrics 2004).
-Rows whose pivoting lands off the relative KKT tolerance by rounding get
-one projected-gradient polish. `nnls_oracle` solves small systems exactly by enumerating every
+Rows whose pivoting lands off the relative KKT tolerance are pivoted
+again under Jacobi scaling, a change of variables that maps solutions to
+solutions. `nnls_oracle` solves small systems exactly by enumerating every
 active set; it exists so the fast path can be audited against an
 independent reference.
 """
@@ -102,21 +103,6 @@ def _kkt_violations(G, R, B, Y):
             | (comp > KKT_TOL * scale * np.abs(B).sum(axis=1)))
 
 
-def _projected_gradient(G, R, B0):
-    """Fixed-step polish; step 1/lambda_max(G) keeps every row monotone."""
-    lam = float(np.linalg.eigvalsh(G)[-1])
-    B = np.maximum(B0, 0.0)
-    if lam <= 0.0:
-        return B
-    step = 1.0 / lam
-    for _ in range(100 * G.shape[0]):
-        Y = B @ G - R
-        if not _kkt_violations(G, R, B, Y).any():
-            break
-        B = np.maximum(B - step * Y, 0.0)
-    return B
-
-
 def _bpp_solve(G, R):
     """Block principal pivoting with full exchange and the backup rule.
 
@@ -181,8 +167,13 @@ def nnls_rows(G, R) -> np.ndarray:
     of its gradient g = b G - r (see `_kkt_violations`): g >= -KKT_TOL s
     and b . g <= KKT_TOL s ||b||_1. Rows that miss it (a pivot on a
     near-singular G can land off by rounding, or the cycle bound ran out)
-    get one projected-gradient polish; if any still miss it,
-    ``NnlsError`` is raised carrying the best iterate found.
+    are solved again by the same pivoting on D G D and R D, with
+    D = diag(G)^-1/2, and mapped back as b = c D. That positive diagonal
+    change of variables maps the scaled problem's solutions onto the
+    original's, and its Gram has a unit diagonal, so columns of very
+    different norms no longer round each other's pivots away. The KKT
+    check is then repeated in the original variables; if any row still
+    misses it, ``NnlsError`` is raised carrying the best iterate found.
     """
     G, R = _check_gram(G, R)
     keep = np.diag(G) > DEGENERATE_NORM_TOL
@@ -195,7 +186,8 @@ def nnls_rows(G, R) -> np.ndarray:
     bad = _kkt_violations(G, R, B, B @ G - R)
     if bad.any():
         idx = np.nonzero(bad)[0]
-        B[idx] = _projected_gradient(G, R[idx], B[idx])
+        d = 1.0 / np.sqrt(np.diag(G))
+        B[idx] = _bpp_solve(G * np.outer(d, d), R[idx] * d) * d
         bad = _kkt_violations(G, R, B, B @ G - R)
     if bad.any():
         raise NnlsError(

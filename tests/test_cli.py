@@ -117,6 +117,26 @@ def test_nmf_run_refuses_a_csv_input_in_one_line(tmp_path):
     assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--alg", "bcd", "--k", "2", "--input", "missing.dmat"],
+    ["convert", "missing.csv", "x.dmat"],
+], ids=["run", "convert"])
+def test_nmf_refuses_a_missing_file_in_one_line(tmp_path, argv):
+    # a file that cannot be read is refused input too: one line naming
+    # it and exit status 2, not a FileNotFoundError traceback
+    src = str(pathlib.Path(didnmf.__file__).parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-m", "didnmf", *argv], cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert out.returncode == 2
+    assert out.stderr.startswith("nmf: error: ")
+    assert "missing." in out.stderr
+    assert len(out.stderr.splitlines()) == 1
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "x.dmat").exists()
+
+
 def test_parser_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -617,16 +617,17 @@ def test_rendezvous_drops_a_connection_that_closes_before_registering():
     peer.close()
 
 
-def test_a_silent_connection_does_not_hold_the_rendezvous():
-    # a dial that never sends is watched beside the registered ranks, so
-    # rank 1's registration 0.1 s later forms the world at once; the
-    # silent stray is then closed
+def _form_world_beside_a_stray(sent, timeout):
+    """Rank 0 of a two-rank world with `timeout`, a stray that dials and
+    sends the bytes `sent` and no more, and rank 1 registering 0.1 s
+    later: the world forms in under 1 s, without the stray, and the
+    stray is closed."""
     addr = _free_addr()
     worlds, errors = [], []
 
     def rank0():
         try:
-            worlds.append(comm.TcpEndpoint(0, 2, addr, timeout=2.0))
+            worlds.append(comm.TcpEndpoint(0, 2, addr, timeout=timeout))
         except Exception as exc:
             errors.append(exc)
 
@@ -634,6 +635,7 @@ def test_a_silent_connection_does_not_hold_the_rendezvous():
     start = time.monotonic()
     host.start()
     stray = comm._dial(addr, 5.0)
+    stray.sendall(sent)
     time.sleep(0.1)
     peer = comm.TcpEndpoint(1, 2, addr, timeout=5.0)
     host.join(timeout=5.0)
@@ -649,6 +651,18 @@ def test_a_silent_connection_does_not_hold_the_rendezvous():
     assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
     for sock in (endpoint, peer, stray):
         sock.close()
+
+
+def test_a_silent_connection_does_not_hold_the_rendezvous():
+    # a dial that never sends is watched beside the registered ranks
+    _form_world_beside_a_stray(b"", timeout=2.0)
+
+
+def test_a_partial_frame_does_not_hold_the_rendezvous():
+    # a stray that sends 3 bytes of a frame and stalls keeps them as its
+    # own, so it holds no rank behind it either
+    _form_world_beside_a_stray(
+        _registration(struct.pack("<2d", 2, 1))[:3], timeout=3.0)
 
 
 def test_a_peer_registers_with_one_frame_of_two_doubles():

@@ -168,8 +168,7 @@ def test_nnls_rows_judges_kkt_relative_to_the_scale_of_the_gram():
     # A's columns are scaled by 1, 1e3 and 1e6, so G's diagonal reaches
     # ~1e12 (cond ~1e12). One row's passive gradient entry is ~7e-5, the
     # rounding of a ~1e6 diagonal, and b.g ~5e-8: an absolute 1e-8 test
-    # rejects it, and the gradient polish (step 1/lambda_max ~5e-13)
-    # cannot move it. Judged against |b| |G| + |r| it is a KKT point, and
+    # rejects it. Judged against |b| |G| + |r| it is a KKT point, and
     # every row's objective is the enumeration oracle's
     rng = np.random.default_rng(70)
     m = int(rng.integers(3, 14))
@@ -199,45 +198,75 @@ def _dependent_gram(seed, near, scaled):
     return a.T @ a, x.T @ a
 
 
-def _count_polishes(monkeypatch):
+def _count_pivots(monkeypatch):
     rows = []
-    polish = nnls._projected_gradient
+    pivot = nnls._bpp_solve
 
-    def counted(G, R, B0):
+    def counted(G, R):
         rows.append(R.shape[0])
-        return polish(G, R, B0)
+        return pivot(G, R)
 
-    monkeypatch.setattr(nnls, "_projected_gradient", counted)
+    monkeypatch.setattr(nnls, "_bpp_solve", counted)
     return rows
 
 
-def test_nnls_rows_polishes_the_rows_pivoting_leaves_off_kkt(monkeypatch):
-    # K = 4, cond(G) ~1e16: pivoting leaves 15 of 200 rows off the KKT
-    # bar, and the gradient polish brings every one of them onto it
-    polished = _count_polishes(monkeypatch)
+def _oracle_gap(G, R, out):
+    """Largest relative excess of a row's objective over the oracle's."""
+    obj, ref = row_objectives(G, R, out), row_objectives(G, R, nnls_oracle(G, R))
+    return float(np.max((obj - ref) / np.maximum(np.abs(ref), 1e-300)))
+
+
+def test_nnls_rows_re_pivots_the_rows_left_off_kkt_under_jacobi_scaling(monkeypatch):
+    # K = 4, cond(G) ~1e16: the plain pivoting leaves 15 of 200 rows off
+    # the KKT bar, and the same pivoting on D G D, D = diag(G)^-1/2,
+    # brings every one of them onto it, near the oracle's objective
+    pivoted = _count_pivots(monkeypatch)
     G, R = _dependent_gram(126, near=True, scaled=False)
     assert np.linalg.cond(G) > 1e15
     out = nnls_rows(G, R)
-    assert polished == [15]
+    assert pivoted == [200, 15]
     assert (out >= 0.0).all()
     assert not _kkt_violations(G, R, out, out @ G - R).any()
-    # on this Gram the oracle's objective is only near the polished rows'
-    obj, ref = row_objectives(G, R, out), row_objectives(G, R, nnls_oracle(G, R))
-    assert (obj - ref <= 1e-7 * np.abs(ref)).all()
+    assert _oracle_gap(G, R, out) <= 1e-7
 
 
-def test_nnls_rows_raises_with_the_best_iterate_when_the_polish_fails(monkeypatch):
+def test_nnls_rows_solves_a_scaled_gram_with_an_exact_copy(monkeypatch):
     # K = 3, the last column an exact copy of the first and the columns
-    # scaled by 1, 1e3 and 1e6: 14 rows stay off the KKT bar after the
-    # polish, and the error carries the whole nonnegative iterate
-    polished = _count_polishes(monkeypatch)
+    # scaled by 1, 1e3 and 1e6: 14 rows miss the KKT bar after the plain
+    # pivoting, and the scaled re-pivot solves them to the oracle's
+    # objective
+    pivoted = _count_pivots(monkeypatch)
     G, R = _dependent_gram(11, near=False, scaled=True)
-    with pytest.raises(NnlsError, match="14 of 200 rows missed") as exc_info:
+    out = nnls_rows(G, R)
+    assert pivoted == [200, 14]
+    assert (out >= 0.0).all()
+    assert not _kkt_violations(G, R, out, out @ G - R).any()
+    assert _oracle_gap(G, R, out) <= 1e-8
+
+
+def test_nnls_rows_solves_the_first_ten_exact_scaled_grams():
+    # seeds 1-6 and 9 of this family each left rows off the KKT bar when
+    # a gradient polish followed the pivoting
+    for seed in range(10):
+        G, R = _dependent_gram(seed, near=False, scaled=True)
+        out = nnls_rows(G, R)
+        assert (out >= 0.0).all(), seed
+        assert not _kkt_violations(G, R, out, out @ G - R).any(), seed
+
+
+def test_nnls_rows_raises_with_the_best_iterate_when_the_re_pivot_fails(monkeypatch):
+    # K = 4, the last column the first plus 1e-7 noise: 52 rows stay off
+    # the KKT bar after the scaled re-pivot, and the error carries the
+    # whole nonnegative iterate
+    pivoted = _count_pivots(monkeypatch)
+    G, R = _dependent_gram(113, near=True, scaled=False)
+    with pytest.raises(NnlsError, match="52 of 200 rows missed") as exc_info:
         nnls_rows(G, R)
-    assert polished == [14]
+    assert pivoted == [200, 52]
     best = exc_info.value.best
     assert best.shape == R.shape and (best >= 0.0).all()
-    assert _kkt_violations(G, R, best, best @ G - R).sum() == 14
+    assert _kkt_violations(G, R, best, best @ G - R).sum() == 52
+
 
 def test_nnls_row_keys_group_patterns_in_sorted_order():
     # the packed integer key orders passive sets as np.unique's row sort
