@@ -44,7 +44,6 @@ import argparse
 import hashlib
 import importlib
 import importlib.metadata
-import inspect
 import json
 import os
 import platform
@@ -270,21 +269,14 @@ def print_pairs(label: str, times: dict[str, list[float]], runs: int,
 
 def sweep_kernel(root: str):
     """`c_rowwise_sweep` of the checkout at root, as a call on (X, C, B)
-    that returns a function which runs the sweep once on copies made now.
-
-    A checkout whose sweep takes a block's stacked [X; C] gets one; an
-    older one, taking (X, C, B), gets X and a copy of C.
-    """
+    that returns a function which runs the sweep once on a stacked
+    [X; C] copy made now."""
     sweep = import_from(root, "kernels").c_rowwise_sweep
-    stacked = len(inspect.signature(sweep).parameters) == 2
 
     def prepare(X, C, B):
         import numpy as np
-        if stacked:
-            Z = np.vstack([X, C])
-            return lambda: sweep(Z, B)
-        C = C.copy()
-        return lambda: sweep(X, C, B)
+        Z = np.vstack([X, C])
+        return lambda: sweep(Z, B)
     return prepare
 
 

@@ -9,7 +9,8 @@ spins its extra thread through the rank's imports and setup before it
 sleeps. So every `nmf` process (`run` on either transport, `synth`,
 `convert`) loads numpy through `import_numpy_on_one_thread`. A library
 caller that loaded numpy first keeps its pool; `one_blas_thread` holds
-it at one thread while a run is in progress, through the library's own
+it at one thread while any rank runs (from its connect to its last
+iteration, see `harness._rank_run`), through the library's own
 `*_set_num_threads`, found with ctypes among the OpenBLAS builds this
 process has loaded. A thread count the user chose with
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS is left alone.

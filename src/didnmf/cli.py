@@ -30,26 +30,28 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Nonnegative matrix factorization, sequential and distributed.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="run one solver to the stopping criterion")
-    runp.add_argument("--alg", required=True, choices=ALGORITHMS)
-    runp.add_argument("--m", type=int, default=0, help="rows of synthetic data")
-    runp.add_argument("--n", type=int, default=0, help="columns of synthetic data")
-    runp.add_argument("--k", type=int, default=1, help="factorization rank")
-    runp.add_argument("--p", type=int, default=1, help="number of workers")
-    runp.add_argument("--eps", type=float, default=1e-6,
+    # every default is RunConfig's: a flag not given leaves its field out
+    runp = sub.add_parser("run", help="run one solver to the stopping criterion",
+                          argument_default=argparse.SUPPRESS)
+    runp.add_argument("--alg", dest="algorithm", required=True,
+                      choices=ALGORITHMS)
+    runp.add_argument("--m", type=int, help="rows of synthetic data")
+    runp.add_argument("--n", type=int, help="columns of synthetic data")
+    runp.add_argument("--k", type=int, help="factorization rank")
+    runp.add_argument("--p", type=int, help="number of workers")
+    runp.add_argument("--eps", dest="epsilon", type=float,
                       help="relative squared-residual stopping threshold")
-    runp.add_argument("--max-iters", type=int, default=1000)
-    runp.add_argument("--max-time", type=float, default=600.0,
+    runp.add_argument("--max-iters", type=int)
+    runp.add_argument("--max-time", type=float,
                       help="wall-clock cap in seconds")
-    runp.add_argument("--rho", type=float, default=1.0,
-                      help="splitting penalty (dadmm)")
-    runp.add_argument("--seed", type=int, default=0)
-    runp.add_argument("--transport", choices=TRANSPORTS, default="in-process")
-    runp.add_argument("--input", default=None,
+    runp.add_argument("--rho", type=float, help="splitting penalty (dadmm)")
+    runp.add_argument("--seed", type=int)
+    runp.add_argument("--transport", choices=TRANSPORTS)
+    runp.add_argument("--input", dest="input_path",
                       help="DMAT1 data matrix file, of which each worker reads "
                            "only its own columns (convert a .csv first with "
                            "`nmf convert`); overrides --m/--n")
-    runp.add_argument("--out", default=None, help="metrics CSV path")
+    runp.add_argument("--out", dest="out_path", help="metrics CSV path")
 
     synthp = sub.add_parser("synth", help="write a synthetic data matrix")
     synthp.add_argument("--m", type=int, required=True)
@@ -68,20 +70,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    config = RunConfig(
-        algorithm=args.alg, m=args.m, n=args.n, k=args.k, p=args.p,
-        epsilon=args.eps, max_iters=args.max_iters, max_time=args.max_time,
-        rho=args.rho, seed=args.seed, transport=args.transport,
-        input_path=args.input, out_path=args.out)
+    del args.command
+    config = RunConfig(**vars(args))
     metrics = run(config)
-    rank = int(os.environ.get("NMF_RANK", "0")) if args.transport == "tcp" else 0
+    tcp = config.transport == "tcp"
+    rank = int(os.environ.get("NMF_RANK", "0")) if tcp else 0
     if rank == 0:
         final = metrics.rows[-1].objective if metrics.rows else float("nan")
-        print(f"{args.alg}: iterations={metrics.iterations} "
+        print(f"{config.algorithm}: iterations={metrics.iterations} "
               f"converged={metrics.converged} final_objective={final!r} "
               f"wall_s={metrics.total_time:.3f}")
-        if args.out:
-            print(f"metrics written to {args.out}")
+        if config.out_path:
+            print(f"metrics written to {config.out_path}")
     else:
         print(f"rank {rank} finished {metrics.iterations} iterations")
     return 0

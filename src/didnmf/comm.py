@@ -30,13 +30,14 @@ Transports:
   naming what is wrong. A collective's frame carries its sequence
   number in the tag and moves the payload plus 12 bytes, and the
   payload is copied once on each side: into the frame on send, out of
-  the socket on receive. Every write gets the world's timeout. A reset
-  or broken connection raises `CommError` naming the peer; a peer that
-  closes between frames has left, as in the in-process transport.
+  the socket on receive. A reset or broken connection raises
+  `CommError` naming the peer; a peer that closes between frames has
+  left, as in the in-process transport.
 
-On both, a message carries no shape: the receiver knows how many doubles
-it expects, and a body of any other length raises `CommError` naming
-both ranks.
+On both, each endpoint owns its timeout and gives it to every wait (a
+write, too, over TCP). A message carries no shape: the receiver knows
+how many doubles it expects, and a body of any other length raises
+`CommError` naming both ranks.
 """
 
 from __future__ import annotations
@@ -101,14 +102,13 @@ class CommStats:
 class CommWorld:
     """One rank's handle on the collective fabric."""
 
-    def __init__(self, rank: int, size: int, endpoint, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, rank: int, size: int, endpoint):
         if size < 1:
             raise ValueError("world size must be at least 1")
         if not 0 <= rank < size:
             raise ValueError(f"rank {rank} outside world of size {size}")
         self.rank = rank
         self.size = size
-        self.timeout = timeout
         self.stats = CommStats()
         self._endpoint = endpoint
         self._seq = 0
@@ -178,7 +178,7 @@ def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
 
 def _checked_recv(world: CommWorld, src: int, seq: int, size: int) -> np.ndarray:
     """The payload of `size` doubles that rank `src` sent for call `seq`."""
-    got_seq, body = world._endpoint.recv(src, world.timeout)
+    got_seq, body = world._endpoint.recv(src)
     if got_seq != seq:
         raise CommError(
             f"collective sequence mismatch: rank {world.rank} is at call "
@@ -195,9 +195,10 @@ _DEPARTED = None
 
 
 class _InProcessEndpoint:
-    def __init__(self, boxes: dict, rank: int, size: int):
+    def __init__(self, boxes: dict, rank: int, size: int, timeout: float):
         self._boxes = boxes
         self._rank = rank
+        self._timeout = timeout
         self._feeds = range(1, size) if rank == 0 else (0,)
 
     def send(self, dst: int, seq: int, flat: np.ndarray) -> None:
@@ -205,13 +206,13 @@ class _InProcessEndpoint:
         body = flat.view(np.uint8).copy()
         self._boxes[(dst, self._rank)].put((seq, body))
 
-    def recv(self, src: int, timeout: float):
+    def recv(self, src: int):
         try:
-            got = self._boxes[(self._rank, src)].get(timeout=timeout)
+            got = self._boxes[(self._rank, src)].get(timeout=self._timeout)
         except queue.Empty:
             raise CommTimeoutError(
-                f"rank {self._rank} timed out after {timeout:.1f}s waiting "
-                f"for rank {src}") from None
+                f"rank {self._rank} timed out after {self._timeout:.1f}s "
+                f"waiting for rank {src}") from None
         if got is _DEPARTED:
             raise _left(self._rank, src)
         return got
@@ -227,7 +228,7 @@ def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[C
     queue for each direction of the star's edges: rank 0 to and from
     every other rank."""
     boxes = {box: queue.Queue() for r in range(1, size) for box in ((0, r), (r, 0))}
-    return [CommWorld(r, size, _InProcessEndpoint(boxes, r, size), timeout=timeout)
+    return [CommWorld(r, size, _InProcessEndpoint(boxes, r, size, timeout))
             for r in range(size)]
 
 
@@ -429,10 +430,10 @@ class TcpEndpoint:
     def send(self, dst: int, seq: int, flat: np.ndarray) -> None:
         self._write(dst, seq, memoryview(flat).cast("B"))
 
-    def recv(self, src: int, timeout: float):
+    def recv(self, src: int):
         # a control frame's tag is no collective's sequence number, so
         # `_checked_recv` rejects one as a sequence mismatch
-        return _read_frame(self._conns[src], timeout, self.rank, src)
+        return _read_frame(self._conns[src], self._timeout, self.rank, src)
 
     def close(self) -> None:
         for conn in self._conns.values():
@@ -446,5 +447,4 @@ class TcpEndpoint:
 def make_tcp_world(rank: int, size: int, address,
                    timeout: float = DEFAULT_TIMEOUT) -> CommWorld:
     """Join (or host, for rank 0) a TCP world at `address` = (host, port)."""
-    return CommWorld(rank, size, TcpEndpoint(rank, size, address, timeout),
-                     timeout=timeout)
+    return CommWorld(rank, size, TcpEndpoint(rank, size, address, timeout))

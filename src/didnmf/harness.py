@@ -10,10 +10,13 @@ rank, so the loop makes no collective of its own after e0. Sequential
 algorithms run on a one-rank world (bcd is dbcd there), distributed ones
 on P ranks. Ranks share the in-process fabric (threads) or, for every
 algorithm alike, run one per process over TCP (driven by `run_tcp_rank`
-or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). On both transports a rank
-starts in `_rank_setup`, which reads or draws only its own columns of X
-and C: no rank ever holds the whole matrix (a CSV file is converted to
-DMAT1 first, with `nmf convert`).
+or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). On both transports a
+rank's whole life is `_rank_run`: it reads or draws only its own columns
+of X and C (no rank ever holds the whole matrix; a CSV file is converted
+to DMAT1 first, with `nmf convert`), holds its world and the BLAS pool
+from connect to its last iteration, and on rank 0 writes the CSV. `run`,
+`run_tcp_rank` and `_run_inprocess` only validate, choose the connection
+and start the ranks.
 Every stop decision is made from allreduced quantities so all ranks
 always take the same branch.
 """
@@ -25,7 +28,7 @@ import math
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -61,6 +64,7 @@ TRANSPORTS = ("in-process", "tcp")
 # (a selector refuses more than 2**31 - 1 ms)
 MAX_COMM_TIMEOUT = 1e6
 
+# the metrics CSV's column names, for IterRow's first fields in order
 CSV_HEADER = ("iter", "objective", "residual_sq", "allreduce_calls",
               "bytes", "compute_s", "comm_s")
 
@@ -140,6 +144,11 @@ class IterRow:
     skipped: int = 0
 
 
+# (IterRow field, int or float) of each CSV column
+_CSV_FIELDS = tuple((f.name, int if f.type == "int" else float)
+                    for f in fields(IterRow)[:len(CSV_HEADER)])
+
+
 @dataclass
 class RunMetrics:
     """Per-iteration rows plus run-level outcome flags."""
@@ -165,11 +174,8 @@ class RunMetrics:
             writer = csv.writer(f)
             writer.writerow(CSV_HEADER)
             for r in self.rows:
-                writer.writerow([
-                    r.iteration, repr(r.objective), repr(r.residual_sq),
-                    r.allreduce_calls, r.bytes,
-                    repr(r.compute_s), repr(r.comm_s),
-                ])
+                writer.writerow([repr(kind(getattr(r, name)))
+                                 for name, kind in _CSV_FIELDS])
 
 
 def read_metrics_csv(path) -> list[dict]:
@@ -178,18 +184,9 @@ def read_metrics_csv(path) -> list[dict]:
         reader = csv.DictReader(f)
         if tuple(reader.fieldnames or ()) != CSV_HEADER:
             raise ValueError(f"unexpected metrics header in {path}")
-        out = []
-        for rec in reader:
-            out.append({
-                "iter": int(rec["iter"]),
-                "objective": float(rec["objective"]),
-                "residual_sq": float(rec["residual_sq"]),
-                "allreduce_calls": int(rec["allreduce_calls"]),
-                "bytes": int(rec["bytes"]),
-                "compute_s": float(rec["compute_s"]),
-                "comm_s": float(rec["comm_s"]),
-            })
-    return out
+        return [{col: kind(rec[col])
+                 for col, (_, kind) in zip(CSV_HEADER, _CSV_FIELDS)}
+                for rec in reader]
 
 
 def _philox_rows(key, rows: int, width: int, start: int, size: int,
@@ -358,16 +355,18 @@ def _check_values(world, x_block) -> float:
     return float(out[0])
 
 
-def _rank_setup(config: RunConfig, rank: int, X, connect):
-    """One rank's prologue, on either transport: (world, block, B).
+def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
+    """One rank from its data to its CSV, on either transport.
 
     The rank takes only its column block [a, a + size), into the stacked
     `ColumnBlock` it allocates: a copy of those columns of `X` when the
     caller holds the matrix, else a byte-range read of the DMAT1 input or
     a draw of those synth_data columns, each made straight into the
-    block. The shape is checked before `connect()` makes the world; the
-    values and the init scale ride one setup collective after it; then
-    the rank draws B and its block of C.
+    block. The shape is checked before `connect()` makes the world. From
+    there to its last iteration the rank holds the world and the BLAS
+    pool at one thread (see `blas`): the values and the init scale ride
+    one setup collective, the rank draws B and its block of C, and the
+    run loop takes it to the stop. Rank 0 then writes the CSV if asked.
     """
     if X is not None:
         X = as_matrix(X)
@@ -385,25 +384,15 @@ def _rank_setup(config: RunConfig, rank: int, X, connect):
         load_matrix(config.input_path, start, size, out=block.x_block)
     else:
         synth_data(m, n, config.seed, start, size, out=block.x_block)
-    world = connect()
-    try:
+    with connect() as world, one_blas_thread():
         total = _check_values(world, block.x_block)
         B, _ = init_factors(block.x_block, config.k, config.seed,
                             start=start, n=n, mean=total / (m * n),
                             out=block.c_block)
-    except BaseException:
-        world.close()
-        raise
-    return world, block, B
-
-
-def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
-    """One rank from its data to its last iteration (see `_rank_setup`)."""
-    world, block, B = _rank_setup(config, rank, X, connect)
-    try:
-        return _distributed_worker(config, world, block, B)
-    finally:
-        world.close()
+        metrics = _distributed_worker(config, world, block, B)
+    if rank == 0 and config.out_path:
+        metrics.write_csv(config.out_path)
+    return metrics
 
 
 def run(config: RunConfig, X=None) -> RunMetrics:
@@ -415,17 +404,14 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     a byte range of the DMAT1 input or a slice of the synth_data draw.
     With the tcp transport this process is the one rank named by the
     NMF_RANK environment variable (see `run_tcp_rank`), whatever the
-    algorithm: a sequential one is a one-rank TCP world. Rank 0 writes
-    the CSV.
+    algorithm: a sequential one is a one-rank TCP world. Each rank's
+    life, the CSV included, is `_rank_run`.
     """
     config.validate()
     if config.transport == "tcp":
         return run_tcp_rank(config, _env_rank(config), X=X)
     # one row-major copy, if the caller's X needs one, for all the ranks
-    metrics = _run_inprocess(config, None if X is None else as_matrix(X))
-    if config.out_path:
-        metrics.write_csv(config.out_path)
-    return metrics
+    return _run_inprocess(config, None if X is None else as_matrix(X))
 
 
 def _env_int(name: str, default: str | None = None) -> int:
@@ -448,30 +434,26 @@ def _env_rank(config: RunConfig) -> int:
     addr = os.environ.get("NMF_ADDR")
     if addr:
         host, _, port = addr.rpartition(":")
-        if not port.isdecimal() or int(port) > 65535:
+        if not port.isdecimal() or not 0 < int(port) <= 65535:
             raise ValueError(f"NMF_ADDR={addr!r} is not host:port with a "
-                             "port in 0..65535")
+                             "port in 1..65535")
         config.tcp_address = (host or "127.0.0.1", int(port))
     return rank
 
 
 def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
-    """Run one TCP rank to completion; rank 0 writes the CSV if requested.
+    """Run one TCP rank to completion (see `_rank_run`); rank 0 writes
+    the CSV if requested.
 
     The rank reads (or synthesizes) only its own column block and draws
-    only its block of the starting C (see `_rank_setup`). The BLAS pool
-    runs one thread for the length of the run (see `blas`).
+    only its block of the starting C.
     """
     config.validate()
     if not 0 <= rank < config.p:
         raise ValueError(f"rank {rank} is outside a world of p={config.p} "
                          f"ranks (0..{config.p - 1})")
-    with one_blas_thread():
-        metrics = _rank_run(config, rank, X, lambda: make_tcp_world(
-            rank, config.p, config.tcp_address, timeout=config.comm_timeout))
-    if rank == 0 and config.out_path:
-        metrics.write_csv(config.out_path)
-    return metrics
+    return _rank_run(config, rank, X, lambda: make_tcp_world(
+        rank, config.p, config.tcp_address, timeout=config.comm_timeout))
 
 
 # the e0 reduction, looked up under this name (tcpbench's probes read e0
@@ -540,11 +522,10 @@ def _run_inprocess(config: RunConfig, X) -> RunMetrics:
 
     threads = [threading.Thread(target=work, args=(r,), name=f"nmf-rank{r}")
                for r in range(config.p)]
-    with one_blas_thread():
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
     failed = [exc for exc in errors if exc is not None]
     if failed:
         # a rank that fails makes its peers time out waiting for it:

@@ -64,7 +64,7 @@ class ColumnBlock:
     """One worker's contiguous slab of columns of X and C, stacked.
 
     The block is one row-major (M + K) x n_blk array `z` = [X; C], made
-    here and filled by the caller (see `harness._rank_setup`). `x_block`
+    here and filled by the caller (see `harness._rank_run`). `x_block`
     = z[:M] and `c_block` = z[M:] are row views of it, each C-contiguous
     itself. `x_block` is read only; `c_block` is owned (written) by
     exactly one worker. The C sweep reads a column tile of X and C as one

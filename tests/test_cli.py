@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import didnmf
+from didnmf import cli
 from didnmf.cli import main
 from didnmf.harness import (
     RunConfig,
+    RunMetrics,
     read_metrics_csv,
     synth_data,
     synth_lowrank,
@@ -60,6 +62,43 @@ def test_run_end_to_end_with_metrics_file(tmp_path, capsys):
     rows = read_metrics_csv(out)
     assert rows, "run produced no iterations"
     assert rows[-1]["objective"] <= rows[0]["objective"]
+
+
+@pytest.fixture
+def run_spy(monkeypatch):
+    """Replace cli.run; the returned list gets each config it is given."""
+    configs = []
+
+    def spy(config):
+        configs.append(config)
+        return RunMetrics()
+
+    monkeypatch.setattr(cli, "run", spy)
+    return configs
+
+
+def test_run_flags_leave_every_default_to_runconfig(run_spy, capsys):
+    assert main(["run", "--alg", "dbcd", "--m", "4", "--n", "9",
+                 "--k", "2"]) == 0
+    assert run_spy == [RunConfig(algorithm="dbcd", m=4, n=9, k=2)]
+
+
+@pytest.mark.parametrize("flag,text,name,value", [
+    ("--p", "3", "p", 3),
+    ("--eps", "0.25", "epsilon", 0.25),
+    ("--max-iters", "7", "max_iters", 7),
+    ("--max-time", "9.5", "max_time", 9.5),
+    ("--rho", "2.5", "rho", 2.5),
+    ("--seed", "11", "seed", 11),
+    ("--transport", "tcp", "transport", "tcp"),
+    ("--input", "x.dmat", "input_path", "x.dmat"),
+    ("--out", "m.csv", "out_path", "m.csv"),
+])
+def test_each_run_flag_reaches_its_own_field(run_spy, capsys, monkeypatch,
+                                             flag, text, name, value):
+    monkeypatch.delenv("NMF_RANK", raising=False)
+    assert main(["run", "--alg", "did", flag, text]) == 0
+    assert run_spy == [RunConfig(algorithm="did", **{name: value})]
 
 
 def test_run_distributed_in_process(tmp_path, capsys):

@@ -381,9 +381,10 @@ def test_tcp_size_mismatch_names_both_ranks_and_fails_both():
 def test_a_hand_written_bad_tcp_frame_fails_the_collective(tag, length, words):
     # rank 1 is a socket that sends one hand-written frame
     near, far = _tcp_pair()
-    endpoint = comm.TcpEndpoint(0, 1, None)  # one rank: no rendezvous
+    # one rank: no rendezvous
+    endpoint = comm.TcpEndpoint(0, 1, None, timeout=5.0)
     endpoint._conns[1] = near
-    with far, comm.CommWorld(0, 2, endpoint, timeout=5.0) as world:
+    with far, comm.CommWorld(0, 2, endpoint) as world:
         far.sendall(comm._FRAME_HEADER.pack(tag, length) + bytes(length))
         with pytest.raises(CommError) as exc_info:
             allreduce_sum(world, np.ones(2))
@@ -611,7 +612,7 @@ def test_rendezvous_drops_a_connection_that_closes_before_registering():
     [endpoint] = worlds
     assert sorted(endpoint._conns) == [1]
     peer.send(0, 7, np.arange(3.0))
-    tag, body = endpoint.recv(1, 5.0)
+    tag, body = endpoint.recv(1)
     assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
     endpoint.close()
     peer.close()
@@ -647,7 +648,7 @@ def _form_world_beside_a_stray(sent, timeout):
     stray.settimeout(1.0)
     assert stray.recv(1) == b""
     peer.send(0, 7, np.arange(3.0))
-    tag, body = endpoint.recv(1, 5.0)
+    tag, body = endpoint.recv(1)
     assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
     for sock in (endpoint, peer, stray):
         sock.close()

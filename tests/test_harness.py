@@ -217,6 +217,7 @@ def test_tcp_world_size_env_must_match(monkeypatch):
 @pytest.mark.parametrize("name,value", [("NMF_RANK", "one"), ("NMF_WORLD", "2.0"),
                                         ("NMF_ADDR", "127.0.0.1"),
                                         ("NMF_ADDR", "127.0.0.1:99999"),
+                                        ("NMF_ADDR", "127.0.0.1:0"),
                                         ("NMF_ADDR", "127.0.0.1:\u00b2")])
 def test_tcp_env_names_the_bad_variable(monkeypatch, name, value):
     for key, text in {"NMF_RANK": "0", "NMF_WORLD": "2", name: value}.items():
@@ -709,12 +710,17 @@ def test_metrics_csv_header_and_roundtrip(tmp_path):
     assert ",".join(CSV_HEADER) == first_line
     rows = read_metrics_csv(out)
     assert len(rows) == metrics.iterations == 12
+    ints = {"iter", "allreduce_calls", "bytes"}
     for rec, row in zip(rows, metrics.rows):
-        assert rec["iter"] == row.iteration
-        assert rec["objective"] == row.objective  # repr() text round-trips
-        assert rec["residual_sq"] == row.residual_sq
-        assert rec["allreduce_calls"] == row.allreduce_calls
-        assert rec["bytes"] == row.bytes
+        assert list(rec) == list(CSV_HEADER)
+        assert {col for col, v in rec.items() if type(v) is int} == ints
+        assert all(type(rec[col]) is float for col in set(CSV_HEADER) - ints)
+        # repr() text round-trips every float
+        assert rec == {"iter": row.iteration, "objective": row.objective,
+                       "residual_sq": row.residual_sq,
+                       "allreduce_calls": row.allreduce_calls,
+                       "bytes": row.bytes, "compute_s": row.compute_s,
+                       "comm_s": row.comm_s}
 
 
 # sequential vs distributed parity at the harness level
