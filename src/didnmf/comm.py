@@ -11,38 +11,37 @@ to keep replicated state exactly synchronized.
 A caller packs everything one collective carries into a single array;
 each star edge then moves exactly one message each way.
 
-Transports:
+Transports: one endpoint, `TcpEndpoint`, carries every message of both
+over stream sockets; they differ only in how its sockets are connected.
 
-* in-process: every rank is a thread in one process; messages travel
-  through one queue per direction of each star edge as the payload's
-  bytes, copied on send so no rank ever aliases another rank's buffers.
-  A rank that closes its world leaves a departure marker behind its last
-  message on each edge it feeds, so a peer still waiting on it fails at
-  once, naming it, instead of waiting out the timeout.
-* tcp: one rank per process. Every message is one frame,
-  [u32 tag][u64 byte length][payload as float64], little-endian and
-  written with one send. The rendezvous is the whole topology: rank 0
-  listens and keeps each peer's socket as that peer's edge; every other
-  rank dials rank 0 only, retrying a refused dial after one fixed short
-  pause, opens no listener, and registers with a frame whose payload is
-  the two doubles [world size, rank]. Rank 0 checks the frame's tag and
-  length, then the world size and the rank, and raises `CommError`
-  naming what is wrong. A collective's frame carries its sequence
-  number in the tag and moves the payload plus 12 bytes, and the
-  payload is copied once on each side: into the frame on send, out of
-  the socket on receive. A reset or broken connection raises
-  `CommError` naming the peer; a peer that closes between frames has
-  left, as in the in-process transport.
+* in-process: every rank is a thread in one process, and
+  `make_inprocess_worlds` gives rank 0 and each other rank the two ends
+  of one `socket.socketpair()`.
+* tcp: one rank per process. The rendezvous is the whole topology: rank
+  0 listens and keeps each peer's socket as that peer's edge; every
+  other rank dials rank 0 only, retrying a refused dial after one fixed
+  short pause, opens no listener, and registers with a frame whose
+  payload is the two doubles [world size, rank]. Rank 0 checks the
+  frame's tag and length, then the world size and the rank, and raises
+  `CommError` naming what is wrong.
 
-On both, each endpoint owns its timeout and gives it to every wait (a
-write, too, over TCP). A message carries no shape: the receiver knows
-how many doubles it expects, and a body of any other length raises
-`CommError` naming both ranks.
+On both, every message is one frame, [u32 tag][u64 byte length][payload
+as float64], little-endian and written with one send. A collective's
+frame carries its sequence number in the tag and moves the payload plus
+12 bytes, and the payload is copied once on each side: into the frame on
+send, out of the socket on receive, so no rank ever aliases another
+rank's buffers. Each endpoint owns its timeout and gives it to every
+read and write. A message carries no shape: the receiver knows how many
+doubles it expects, and a body of any other length raises `CommError`
+naming both ranks. A peer that closes at a frame boundary with nothing
+unread has left the world, and a rank still waiting on it fails at once,
+naming it. A close with frames unread resets the connection, on a socket
+pair as over TCP, and the rank that sees a reset or broken connection
+raises `CommError` naming the peer it lost.
 """
 
 from __future__ import annotations
 
-import queue
 import selectors
 import socket
 import struct
@@ -190,48 +189,6 @@ def _checked_recv(world: CommWorld, src: int, seq: int, size: int) -> np.ndarray
     return body.view("<f8")
 
 
-# queued by a closing endpoint after its last message on each edge
-_DEPARTED = None
-
-
-class _InProcessEndpoint:
-    def __init__(self, boxes: dict, rank: int, size: int, timeout: float):
-        self._boxes = boxes
-        self._rank = rank
-        self._timeout = timeout
-        self._feeds = range(1, size) if rank == 0 else (0,)
-
-    def send(self, dst: int, seq: int, flat: np.ndarray) -> None:
-        # copy on send: the receiver must never alias the sender's buffer
-        body = flat.view(np.uint8).copy()
-        self._boxes[(dst, self._rank)].put((seq, body))
-
-    def recv(self, src: int):
-        try:
-            got = self._boxes[(self._rank, src)].get(timeout=self._timeout)
-        except queue.Empty:
-            raise CommTimeoutError(
-                f"rank {self._rank} timed out after {self._timeout:.1f}s "
-                f"waiting for rank {src}") from None
-        if got is _DEPARTED:
-            raise _left(self._rank, src)
-        return got
-
-    def close(self) -> None:
-        # the queues are FIFO: a peer reads every message sent before this
-        for dst in self._feeds:
-            self._boxes[(dst, self._rank)].put(_DEPARTED)
-
-
-def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[CommWorld]:
-    """Build P thread-side CommWorlds sharing one in-process fabric, a
-    queue for each direction of the star's edges: rank 0 to and from
-    every other rank."""
-    boxes = {box: queue.Queue() for r in range(1, size) for box in ((0, r), (r, 0))}
-    return [CommWorld(r, size, _InProcessEndpoint(boxes, r, size, timeout))
-            for r in range(size)]
-
-
 def _write_frame(conn: socket.socket, tag: int, body) -> None:
     # one send of header and body, which the join copies into one buffer
     conn.sendall(b"".join((_FRAME_HEADER.pack(tag, len(body)), body)))
@@ -346,7 +303,8 @@ def _registered_rank(frame: bytearray, size: int, registered) -> int | None:
 
 
 class TcpEndpoint:
-    """One rank's sockets: rank 0 holds one per peer, a peer one to rank 0."""
+    """One rank's stream sockets, TCP connections or socket-pair ends:
+    rank 0 holds one per peer, a peer one to rank 0."""
 
     def __init__(self, rank: int, size: int, address, timeout: float = DEFAULT_TIMEOUT):
         self.rank = rank
@@ -448,3 +406,14 @@ def make_tcp_world(rank: int, size: int, address,
                    timeout: float = DEFAULT_TIMEOUT) -> CommWorld:
     """Join (or host, for rank 0) a TCP world at `address` = (host, port)."""
     return CommWorld(rank, size, TcpEndpoint(rank, size, address, timeout))
+
+
+def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[CommWorld]:
+    """Build P thread-side CommWorlds joined by one socket pair per star
+    edge, rank 0 to each other rank; a one-rank world opens no socket."""
+    # an endpoint of a one-rank world makes no rendezvous: the pairs are
+    # its edges
+    endpoints = [TcpEndpoint(r, 1, None, timeout) for r in range(size)]
+    for r in range(1, size):
+        endpoints[0]._conns[r], endpoints[r]._conns[0] = socket.socketpair()
+    return [CommWorld(r, size, ep) for r, ep in enumerate(endpoints)]

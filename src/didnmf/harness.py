@@ -8,15 +8,16 @@ over_time)` driven by the one loop in `_distributed_worker`; the step
 returns the residual summed over all ranks and the time-cap flag of any
 rank, so the loop makes no collective of its own after e0. Sequential
 algorithms run on a one-rank world (bcd is dbcd there), distributed ones
-on P ranks. Ranks share the in-process fabric (threads) or, for every
-algorithm alike, run one per process over TCP (driven by `run_tcp_rank`
-or the NMF_RANK/NMF_WORLD/NMF_ADDR environment). On both transports a
-rank's whole life is `_rank_run`: it reads or draws only its own columns
-of X and C (no rank ever holds the whole matrix; a CSV file is converted
-to DMAT1 first, with `nmf convert`), holds its world and the BLAS pool
-from connect to its last iteration, and on rank 0 writes the CSV. `run`,
-`run_tcp_rank` and `_run_inprocess` only validate, choose the connection
-and start the ranks.
+on P ranks. Ranks run as threads of one process, joined by socket
+pairs, or, for every algorithm alike, one per process over TCP (driven
+by `run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment); both
+send the same frames through the same `comm.TcpEndpoint`. On both
+transports a rank's whole life is `_rank_run`: it reads or draws only
+its own columns of X and C (no rank ever holds the whole matrix; a CSV
+file is converted to DMAT1 first, with `nmf convert`), holds its world
+and the BLAS pool from connect to its last iteration, and on rank 0
+writes the CSV. `run`, `run_tcp_rank` and `_run_inprocess` only
+validate, choose the connection and start the ranks.
 Every stop decision is made from allreduced quantities so all ranks
 always take the same branch.
 """
@@ -509,7 +510,11 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
 
 
 def _run_inprocess(config: RunConfig, X) -> RunMetrics:
-    """Run P ranks as threads over the in-process fabric (P=1 included)."""
+    """Run P ranks as threads joined by socket pairs (P=1 included).
+
+    Each rank's world is closed when its thread ends, also when the rank
+    was refused before it connected, so no socket outlives the run.
+    """
     worlds = make_inprocess_worlds(config.p, timeout=config.comm_timeout)
     results: list[RunMetrics | None] = [None] * config.p
     errors: list[BaseException | None] = [None] * config.p
@@ -519,6 +524,8 @@ def _run_inprocess(config: RunConfig, X) -> RunMetrics:
             results[rank] = _rank_run(config, rank, X, lambda: worlds[rank])
         except BaseException as exc:
             errors[rank] = exc
+        finally:
+            worlds[rank].close()
 
     threads = [threading.Thread(target=work, args=(r,), name=f"nmf-rank{r}")
                for r in range(config.p)]

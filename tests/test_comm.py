@@ -62,6 +62,8 @@ def test_single_rank_is_identity_and_free():
     assert np.array_equal(out, [[1.25, -0.5], [3.0, 7.0]])
     assert stats.allreduce_calls == 1
     assert stats.bytes_sent == 0  # no wire traffic with one rank
+    [world] = make_inprocess_worlds(1)
+    assert world._endpoint._conns == {}  # and no socket
 
 
 def test_single_rank_result_does_not_alias_the_input():
@@ -280,9 +282,9 @@ def test_missing_peer_times_out():
 
 
 def test_departed_peer_fails_its_waiting_peers_at_once():
-    # rank 2 leaves without joining: rank 0 fails on its departure marker,
-    # naming it, and rank 1 (waiting on rank 0's total) on rank 0's; no
-    # rank waits out the 30 s timeout
+    # rank 2 leaves without joining: rank 0 reads its close at a frame
+    # boundary, naming it, and rank 1 (waiting on rank 0's total) rank
+    # 0's; no rank waits out the 30 s timeout
     worlds = make_inprocess_worlds(3, timeout=30.0)
     errors = [None] * 3
 
@@ -309,14 +311,52 @@ def test_departed_peer_fails_its_waiting_peers_at_once():
 
 
 def test_messages_sent_before_a_departure_are_still_delivered():
-    # a rank that closes right after its last collective leaves its
-    # marker behind that collective's messages
+    # a rank that closes right after its last collective closes behind
+    # that collective's frames
     def body(world):
         return allreduce_sum(world, np.full(2, world.rank + 1.0))
 
     for size in (2, 3, 4):
         for out in run_world(size, body):
             assert np.array_equal(out, np.full(2, size * (size + 1) / 2))
+
+
+@pytest.mark.parametrize("transport", ["inprocess", "tcp"])
+def test_a_rank_leaving_with_frames_unread_is_lost_to_every_peer(transport):
+    # rank 0 raises before it reads its peers' frames: a close with bytes
+    # unread resets the connection, on a socket pair as over TCP, so
+    # ranks 1 and 2 fail at once, each naming rank 0 as lost, not as left
+    if transport == "inprocess":
+        connect = make_inprocess_worlds(3, timeout=30.0).__getitem__
+    else:
+        connect = functools.partial(make_tcp_world, size=3,
+                                    address=_free_addr(), timeout=30.0)
+    errors = [None] * 3
+    failed_at = [None] * 3
+
+    def rank(r):
+        try:
+            with connect(r) as world:
+                if r == 0:
+                    time.sleep(0.2)
+                    raise RuntimeError("rank 0 gives up")
+                allreduce_sum(world, np.ones(3))
+        except Exception as exc:
+            errors[r] = exc
+        failed_at[r] = time.monotonic()
+
+    threads = [threading.Thread(target=rank, args=(r,), daemon=True)
+               for r in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert str(errors[0]) == "rank 0 gives up"
+    for r in (1, 2):
+        assert type(errors[r]) is CommError
+        assert str(errors[r]).startswith(
+            f"rank {r} lost its connection to rank 0 (ConnectionResetError")
+        assert failed_at[r] - failed_at[0] < 1.0
 
 
 def _tcp_pair():
@@ -433,8 +473,8 @@ def test_reset_connection_on_write_names_the_peer():
 
 
 def test_peer_closing_between_frames_has_left_the_world():
-    # a clean close at a frame boundary is a departure, named in the
-    # in-process transport's words; a close inside a frame is not
+    # a close at a frame boundary, with nothing unread, is a departure,
+    # the same on a socket pair as over TCP; a close inside a frame is not
     near, far = _tcp_pair()
     far.close()
     with near, pytest.raises(CommError) as exc_info:

@@ -392,7 +392,8 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
     # each rank to rank 0 as one frame and comes back as one frame, whose
     # body is the whole flat payload as raw doubles, and no DMAT1 codec
     # runs. dbcd's first [y, z] also carries (rr, flag); dadmm adds a
-    # service reduction of (residual, flag)
+    # service reduction of (residual, flag). The in-process reference run
+    # writes the same frames over its socket pairs
     frames = []
     servers = []
     codec_calls = []
@@ -432,6 +433,7 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
 
     blocks = make_column_blocks(X, C0, size)
     expected = run_ranks(size, lambda world, r: step(world, blocks[r]))
+    inprocess_frames, frames[:] = frames[:], []
     blocks = make_column_blocks(X, C0, size)  # the step updated c_block
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
@@ -463,8 +465,9 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
     # ranks send concurrently, so the frames of consecutive collectives
     # may interleave: compare sizes as a multiset
     assert codec_calls == []
-    assert sorted(frames) == sorted(8 * d for d in payloads
-                                    for _ in range(2 * (size - 1)))
+    for sent in (frames, inprocess_frames):
+        assert sorted(sent) == sorted(8 * d for d in payloads
+                                      for _ in range(2 * (size - 1)))
     for (B, c), (B_ref, c_ref) in zip(results, expected):
         assert np.array_equal(B, B_ref) and np.array_equal(c, c_ref)
 

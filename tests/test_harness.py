@@ -1,3 +1,4 @@
+import gc
 import os
 import re
 import socket
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -396,7 +398,7 @@ def test_a_killed_tcp_rank_fails_every_survivor_naming_the_lost_peer():
     finally:
         for p in procs:
             p.kill()
-            p.wait()
+            p.communicate()  # waits, and closes the stderr pipe
     assert elapsed < 10.0
     for r, lost in ((0, 1), (2, 0)):
         assert procs[r].returncode != 0
@@ -410,6 +412,19 @@ def lowrank_config(alg, **kw):
                 max_iters=1000)
     base.update(kw)
     return RunConfig(**base)
+
+
+def test_a_refused_in_process_run_leaves_no_socket_open():
+    # every rank is refused before it connects, so none enters its world;
+    # the run still closes each rank's socket pairs
+    config = RunConfig(algorithm="did", m=4, n=3, k=2, p=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="p=4 workers exceed the n=3 "
+                           "columns"):
+            run(config)
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 def test_in_process_run_raises_the_failing_rank_not_its_waiting_peer(
