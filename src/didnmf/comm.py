@@ -30,14 +30,20 @@ as float64], little-endian and written with one send. A collective's
 frame carries its sequence number in the tag and moves the payload plus
 12 bytes, and the payload is copied once on each side: into the frame on
 send, out of the socket on receive, so no rank ever aliases another
-rank's buffers. Each endpoint owns its timeout and gives it to every
-read and write. A message carries no shape: the receiver knows how many
-doubles it expects, and a body of any other length raises `CommError`
-naming both ranks. A peer that closes at a frame boundary with nothing
-unread has left the world, and a rank still waiting on it fails at once,
-naming it. A close with frames unread resets the connection, on a socket
-pair as over TCP, and the rank that sees a reset or broken connection
-raises `CommError` naming the peer it lost.
+rank's buffers. Each frame moves through one endpoint method each way,
+`TcpEndpoint.send` and `TcpEndpoint.recv`, and each raises every error
+its frame can meet; a write gets the endpoint's timeout, and a frame's
+reads share one. A message carries no shape: the receiver knows which
+collective it is in and how many doubles it expects, and it checks the
+header against both before it reads any of the body, so a frame of
+another collective or another length raises `CommError` naming both
+ranks at once, with no wait and no buffer of the announced length. A
+peer that closes at a frame boundary with nothing unread has left the
+world, and a rank still waiting on it fails at once, naming it; one
+that closes inside a frame has cut it short, and the rank reading it
+fails at once too. A close with frames unread resets the connection, on
+a socket pair as over TCP, and the rank that sees a reset or broken
+connection raises `CommError` naming the peer it lost.
 """
 
 from __future__ import annotations
@@ -160,9 +166,8 @@ def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
     rank, size, ep = world.rank, world.size, world._endpoint
     if rank:
         ep.send(0, seq, flat)
-        return _checked_recv(world, 0, seq, flat.size)
-    parts = [flat] + [_checked_recv(world, peer, seq, flat.size)
-                      for peer in range(1, size)]
+        return ep.recv(0, seq, flat.size)
+    parts = [flat] + [ep.recv(peer, seq, flat.size) for peer in range(1, size)]
     # binomial-tree order: at step 1, 2, 4, ... part r takes in part
     # r + step, so the total is ((x0 + x1) + (x2 + x3)) + ... on every run
     step = 1
@@ -175,76 +180,15 @@ def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _checked_recv(world: CommWorld, src: int, seq: int, size: int) -> np.ndarray:
-    """The payload of `size` doubles that rank `src` sent for call `seq`."""
-    got_seq, body = world._endpoint.recv(src)
-    if got_seq != seq:
-        raise CommError(
-            f"collective sequence mismatch: rank {world.rank} is at call "
-            f"{seq} but rank {src} sent call {got_seq}")
-    if len(body) != 8 * size:
-        raise CommError(
-            f"payload shape mismatch in collective {seq}: rank {world.rank} "
-            f"expects {size} doubles but rank {src} sent {len(body)} bytes")
-    return body.view("<f8")
-
-
 def _write_frame(conn: socket.socket, tag: int, body) -> None:
     # one send of header and body, which the join copies into one buffer
     conn.sendall(b"".join((_FRAME_HEADER.pack(tag, len(body)), body)))
-
-
-def _left(rank: int, peer: int) -> CommError:
-    """The error for a peer that closed its end between messages."""
-    return CommError(f"rank {peer} left the world while rank {rank} was "
-                     f"waiting for it")
 
 
 def _lost(rank: int, peer: int, exc: OSError) -> CommError:
     """The error for a connection that reset or broke under a read or write."""
     return CommError(f"rank {rank} lost its connection to rank {peer} "
                      f"({type(exc).__name__}: {exc})")
-
-
-def _read_exact(conn: socket.socket, n: int, deadline: float, timeout: float,
-                rank: int, peer: int, frame_start: bool = False) -> np.ndarray:
-    """n bytes, read straight into the one uint8 array returned."""
-    try:
-        buf = np.empty(n, dtype=np.uint8)
-    except MemoryError:  # a corrupt or foreign frame header
-        raise CommError(f"rank {rank} cannot hold the {n}-byte frame rank "
-                        f"{peer} announced") from None
-    got = 0
-    while got < n:
-        left = deadline - time.monotonic()
-        try:
-            if left <= 0:
-                raise socket.timeout
-            conn.settimeout(left)
-            count = conn.recv_into(buf[got:])
-        except socket.timeout:
-            raise CommTimeoutError(
-                f"rank {rank} timed out after {timeout:.1f}s waiting for "
-                f"rank {peer}") from None
-        except OSError as exc:
-            raise _lost(rank, peer, exc) from exc
-        if not count:
-            if frame_start and not got:
-                raise _left(rank, peer)
-            raise CommError(
-                f"rank {peer} closed its connection to rank {rank} mid-frame")
-        got += count
-    return buf
-
-
-def _read_frame(conn: socket.socket, timeout: float, rank: int, peer: int):
-    """One whole frame, header and body, within one `timeout`."""
-    deadline = time.monotonic() + timeout
-    head = _read_exact(conn, _FRAME_HEADER.size, deadline, timeout, rank,
-                       peer, True)
-    tag, length = _FRAME_HEADER.unpack(head)
-    body = _read_exact(conn, length, deadline, timeout, rank, peer)
-    return tag, body
 
 
 def _nodelay(conn: socket.socket) -> socket.socket:
@@ -317,7 +261,8 @@ class TcpEndpoint:
                 self._rendezvous(size, address, timeout)
             else:
                 self._conns[0] = _dial(address, timeout)
-                self._write(0, _TAG_REGISTER, _REGISTRATION.pack(size, rank))
+                # the same 16 bytes as `_REGISTRATION.pack(size, rank)`
+                self.send(0, _TAG_REGISTER, np.array([size, rank], "<f8"))
         except BaseException:
             self.close()
             raise
@@ -373,11 +318,15 @@ class TcpEndpoint:
                     if key.fileobj is not listener:
                         key.fileobj.close()
 
-    def _write(self, dst: int, tag: int, body: bytes) -> None:
+    def send(self, dst: int, tag: int, flat: np.ndarray) -> None:
+        """Write the float64 array `flat` to rank `dst` as one frame tagged
+        `tag`, within the endpoint's timeout. A timeout, a reset or a
+        broken connection raises `CommError` naming `dst`."""
+        conn = self._conns[dst]
         # a read or a dial leaves its own timeout on the socket
-        self._conns[dst].settimeout(self._timeout)
+        conn.settimeout(self._timeout)
         try:
-            _write_frame(self._conns[dst], tag, body)
+            _write_frame(conn, tag, memoryview(flat).cast("B"))
         except socket.timeout:
             raise CommTimeoutError(
                 f"rank {self.rank} timed out after {self._timeout:.1f}s "
@@ -385,13 +334,56 @@ class TcpEndpoint:
         except OSError as exc:
             raise _lost(self.rank, dst, exc) from exc
 
-    def send(self, dst: int, seq: int, flat: np.ndarray) -> None:
-        self._write(dst, seq, memoryview(flat).cast("B"))
+    def recv(self, src: int, seq: int, size: int) -> np.ndarray:
+        """The `size` doubles rank `src` sent for collective `seq`, the
+        whole frame read within one timeout.
 
-    def recv(self, src: int):
-        # a control frame's tag is no collective's sequence number, so
-        # `_checked_recv` rejects one as a sequence mismatch
-        return _read_frame(self._conns[src], self._timeout, self.rank, src)
+        The header is checked before any of the body is read: a tag other
+        than `seq` (another collective's, or a control frame's) or a
+        length other than `8 * size` raises `CommError` naming both ranks
+        at once. Only then is the body read, straight into the float64
+        array returned. A timeout, a reset, a broken connection or a close
+        raises `CommError` naming `src`.
+        """
+        deadline = time.monotonic() + self._timeout
+        tag, length = _FRAME_HEADER.unpack(self._read_exact(
+            src, bytearray(_FRAME_HEADER.size), deadline, frame_start=True))
+        if tag != seq:
+            raise CommError(f"collective sequence mismatch: rank {self.rank} "
+                            f"is at call {seq} but rank {src} sent call {tag}")
+        if length != 8 * size:
+            raise CommError(f"payload shape mismatch in collective {seq}: "
+                            f"rank {self.rank} expects {size} doubles but "
+                            f"rank {src} sent {length} bytes")
+        return self._read_exact(src, np.empty(size, dtype="<f8"), deadline)
+
+    def _read_exact(self, src: int, buf, deadline: float, frame_start=False):
+        """Fill the buffer `buf` from rank `src` by `deadline` and return
+        it. A close before the first byte of a frame is a departure; any
+        other is mid-frame."""
+        conn, view = self._conns[src], memoryview(buf).cast("B")
+        got = 0
+        while got < len(view):
+            left = deadline - time.monotonic()
+            try:
+                if left <= 0:
+                    raise socket.timeout
+                conn.settimeout(left)
+                count = conn.recv_into(view[got:])
+            except socket.timeout:
+                raise CommTimeoutError(
+                    f"rank {self.rank} timed out after {self._timeout:.1f}s "
+                    f"waiting for rank {src}") from None
+            except OSError as exc:
+                raise _lost(self.rank, src, exc) from exc
+            if not count:
+                if frame_start and not got:
+                    raise CommError(f"rank {src} left the world while rank "
+                                    f"{self.rank} was waiting for it")
+                raise CommError(f"rank {src} closed its connection to rank "
+                                f"{self.rank} mid-frame")
+            got += count
+        return buf
 
     def close(self) -> None:
         for conn in self._conns.values():

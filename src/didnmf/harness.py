@@ -35,6 +35,7 @@ import numpy as np
 
 from .blas import one_blas_thread
 from .comm import (
+    DEFAULT_TIMEOUT,
     CommError,
     allreduce_sum,
     make_inprocess_worlds,
@@ -88,7 +89,7 @@ class RunConfig:
     input_path: str | None = None
     out_path: str | None = None
     tcp_address: tuple[str, int] = ("127.0.0.1", 29500)
-    comm_timeout: float = 30.0
+    comm_timeout: float = DEFAULT_TIMEOUT
 
     def validate(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -363,11 +364,12 @@ def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
     `ColumnBlock` it allocates: a copy of those columns of `X` when the
     caller holds the matrix, else a byte-range read of the DMAT1 input or
     a draw of those synth_data columns, each made straight into the
-    block. The shape is checked before `connect()` makes the world. From
-    there to its last iteration the rank holds the world and the BLAS
-    pool at one thread (see `blas`): the values and the init scale ride
-    one setup collective, the rank draws B and its block of C, and the
-    run loop takes it to the stop. Rank 0 then writes the CSV if asked.
+    block. The shape, and on rank 0 the CSV's directory, are checked
+    before `connect()` makes the world. From there to its last iteration
+    the rank holds the world and the BLAS pool at one thread (see
+    `blas`): the values and the init scale ride one setup collective,
+    the rank draws B and its block of C, and the run loop takes it to
+    the stop. Rank 0 then writes the CSV if asked.
     """
     if X is not None:
         X = as_matrix(X)
@@ -377,6 +379,12 @@ def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
     else:
         m, n = config.m, config.n
     check_shape(m, n, config.k, config.p)
+    # the CSV is written after the last iteration: refuse a path that
+    # cannot take it now, without creating or truncating the file
+    if rank == 0 and config.out_path and not os.access(
+            os.path.dirname(os.path.abspath(config.out_path)), os.W_OK | os.X_OK):
+        raise ValueError(f"cannot write the metrics CSV {config.out_path}: its "
+                         "directory is missing or not writable")
     start, size = partition_columns(n, config.p)[rank]
     block = ColumnBlock(m, config.k, size)
     if X is not None:

@@ -3,6 +3,7 @@ import socket
 import struct
 import threading
 import time
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -409,6 +410,14 @@ def test_tcp_size_mismatch_names_both_ranks_and_fails_both():
     assert type(errors[1]) is CommError and "rank 0" in str(errors[1])
 
 
+def _receiver(conn, rank=0, peer=1, timeout=5.0):
+    """A one-rank endpoint of `rank` (so no rendezvous) whose edge to
+    `peer` is the socket `conn`."""
+    endpoint = comm.TcpEndpoint(rank, 1, None, timeout=timeout)
+    endpoint._conns[peer] = conn
+    return endpoint
+
+
 @pytest.mark.parametrize("tag,length,words", [
     # a body of 8n + 3 bytes fails as a CommError, not a numpy error
     (0, 8 * 2 + 3, "payload shape mismatch in collective 0: rank 0 "
@@ -421,10 +430,7 @@ def test_tcp_size_mismatch_names_both_ranks_and_fails_both():
 def test_a_hand_written_bad_tcp_frame_fails_the_collective(tag, length, words):
     # rank 1 is a socket that sends one hand-written frame
     near, far = _tcp_pair()
-    # one rank: no rendezvous
-    endpoint = comm.TcpEndpoint(0, 1, None, timeout=5.0)
-    endpoint._conns[1] = near
-    with far, comm.CommWorld(0, 2, endpoint) as world:
+    with far, comm.CommWorld(0, 2, _receiver(near)) as world:
         far.sendall(comm._FRAME_HEADER.pack(tag, length) + bytes(length))
         with pytest.raises(CommError) as exc_info:
             allreduce_sum(world, np.ones(2))
@@ -434,22 +440,59 @@ def test_a_hand_written_bad_tcp_frame_fails_the_collective(tag, length, words):
 
 def test_a_frame_too_large_to_hold_is_a_comm_error():
     # a header announcing 4 EiB fails as the protocol error it is, before
-    # any of its body is read
+    # any of its body is read or a buffer of that length is allocated
     near, far = _tcp_pair()
-    with near, far:
+    with far, closing(_receiver(near)) as endpoint:
         far.sendall(comm._FRAME_HEADER.pack(0, 1 << 62))
         with pytest.raises(CommError) as exc_info:
-            comm._read_frame(near, 5.0, 0, 1)
+            endpoint.recv(1, 0, 2)
     assert type(exc_info.value) is CommError
     assert str(exc_info.value) == (
-        f"rank 0 cannot hold the {1 << 62}-byte frame rank 1 announced")
+        f"payload shape mismatch in collective 0: rank 0 expects 2 doubles "
+        f"but rank 1 sent {1 << 62} bytes")
+
+
+@pytest.mark.parametrize("connect", [socket.socketpair, _tcp_pair],
+                         ids=["socketpair", "tcp"])
+@pytest.mark.parametrize("tag,length,body,words", [
+    (0, 1 << 30, bytes(8), "payload shape mismatch in collective 0: rank 0 "
+                           "expects 2 doubles but rank 1 sent 1073741824 "
+                           "bytes"),
+    (0, 8 * 2 + 3, bytes(8 * 2 + 3), "payload shape mismatch in collective "
+                                     "0: rank 0 expects 2 doubles but rank "
+                                     "1 sent 19 bytes"),
+    (7, 8 * 2, b"", "collective sequence mismatch: rank 0 is at call 0 but "
+                    "rank 1 sent call 7"),
+], ids=["one-gib", "partial-double", "other-collective"])
+def test_a_bad_header_fails_the_collective_before_its_body_is_read(
+        connect, tag, length, body, words):
+    # rank 1 is a socket that sends one hand-written frame, or only its
+    # header: rank 0 judges the header against its collective at once,
+    # with no wait for a body and none of it read, under a 5 s timeout
+    near, far = connect()
+    with far, comm.CommWorld(0, 2, _receiver(near)) as world:
+        far.sendall(comm._FRAME_HEADER.pack(tag, length) + body)
+        t0 = time.monotonic()
+        with pytest.raises(CommError) as exc_info:
+            allreduce_sum(world, np.ones(2))
+        elapsed = time.monotonic() - t0
+        near.setblocking(False)
+        try:
+            unread = near.recv(64)
+        except BlockingIOError:  # nothing is left to read
+            unread = b""
+    assert elapsed < 1.0
+    assert type(exc_info.value) is CommError
+    assert str(exc_info.value) == words
+    assert unread == body
 
 
 def test_reset_connection_on_read_names_the_peer():
     near, far = _tcp_pair()
     _reset(far)
-    with near, pytest.raises(CommError) as exc_info:
-        comm._read_frame(near, 5.0, 0, 1)
+    with closing(_receiver(near)) as endpoint, \
+            pytest.raises(CommError) as exc_info:
+        endpoint.recv(1, 0, 1)
     assert type(exc_info.value) is CommError
     assert "rank 0 lost its connection to rank 1" in str(exc_info.value)
     assert isinstance(exc_info.value.__cause__, ConnectionResetError)
@@ -457,8 +500,7 @@ def test_reset_connection_on_read_names_the_peer():
 
 def test_reset_connection_on_write_names_the_peer():
     near, far = _tcp_pair()
-    endpoint = comm.TcpEndpoint(2, 1, None)  # one rank: no rendezvous
-    endpoint._conns[0] = near
+    endpoint = _receiver(near, rank=2, peer=0)
     _reset(far)
     with pytest.raises(CommError) as exc_info:
         # the reset may land after the first frame has gone out
@@ -477,17 +519,22 @@ def test_peer_closing_between_frames_has_left_the_world():
     # the same on a socket pair as over TCP; a close inside a frame is not
     near, far = _tcp_pair()
     far.close()
-    with near, pytest.raises(CommError) as exc_info:
-        comm._read_frame(near, 5.0, 0, 1)
+    with closing(_receiver(near)) as endpoint, \
+            pytest.raises(CommError) as exc_info:
+        endpoint.recv(1, 0, 1)
     assert type(exc_info.value) is CommError
     assert str(exc_info.value) == ("rank 1 left the world while rank 0 "
                                    "was waiting for it")
-    near, far = _tcp_pair()
-    with far:
-        far.sendall(comm._FRAME_HEADER.pack(0, 8)[:5])
-    with near, pytest.raises(CommError, match="rank 1 closed its connection "
-                             "to rank 0 mid-frame"):
-        comm._read_frame(near, 5.0, 0, 1)
+    # cut short in the header, then in the body
+    for sent in (comm._FRAME_HEADER.pack(0, 8)[:5],
+                 comm._FRAME_HEADER.pack(0, 8) + bytes(3)):
+        near, far = _tcp_pair()
+        with far:
+            far.sendall(sent)
+        with closing(_receiver(near)) as endpoint, pytest.raises(
+                CommError, match="rank 1 closed its connection to rank 0 "
+                "mid-frame"):
+            endpoint.recv(1, 0, 1)
 
 
 def test_a_frame_arrives_within_one_timeout_not_one_per_read():
@@ -502,12 +549,12 @@ def test_a_frame_arrives_within_one_timeout_not_one_per_read():
         far.sendall(bytes(8))
 
     sender = threading.Thread(target=slow_sender, daemon=True)
-    with near, far:
+    with closing(_receiver(near, timeout=1.0)) as endpoint, far:
         sender.start()
         t0 = time.monotonic()
         with pytest.raises(CommTimeoutError, match="rank 0 timed out after "
                            "1.0s waiting for rank 1"):
-            comm._read_frame(near, 1.0, 0, 1)
+            endpoint.recv(1, 0, 1)
         elapsed = time.monotonic() - t0
         sender.join(timeout=5.0)
     assert 0.95 <= elapsed < 1.4
@@ -518,11 +565,12 @@ def test_send_to_a_peer_that_never_reads_times_out_after_the_world_timeout():
     # the write waits the world's timeout, not the 0.2 s a read left on
     # the socket, and then names the peer
     near, far = socket.socketpair()
-    endpoint = comm.TcpEndpoint(2, 1, None, timeout=1.0)  # no rendezvous
-    endpoint._conns[0] = near
+    endpoint = _receiver(near, rank=2, peer=0, timeout=1.0)
+    # a second endpoint reads the same socket with a 0.2 s timeout
+    reader = _receiver(near, rank=2, peer=0, timeout=0.2)
     with far:
         with pytest.raises(CommTimeoutError):
-            comm._read_frame(near, 0.2, 2, 0)
+            reader.recv(0, 0, 1)
         t0 = time.monotonic()
         with pytest.raises(CommTimeoutError) as exc_info:
             endpoint.send(0, 0, np.zeros((2_000_000, 1)))
@@ -652,8 +700,7 @@ def test_rendezvous_drops_a_connection_that_closes_before_registering():
     [endpoint] = worlds
     assert sorted(endpoint._conns) == [1]
     peer.send(0, 7, np.arange(3.0))
-    tag, body = endpoint.recv(1)
-    assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
+    assert endpoint.recv(1, 7, 3).tobytes() == np.arange(3.0).tobytes()
     endpoint.close()
     peer.close()
 
@@ -688,8 +735,7 @@ def _form_world_beside_a_stray(sent, timeout):
     stray.settimeout(1.0)
     assert stray.recv(1) == b""
     peer.send(0, 7, np.arange(3.0))
-    tag, body = endpoint.recv(1)
-    assert tag == 7 and body.tobytes() == np.arange(3.0).tobytes()
+    assert endpoint.recv(1, 7, 3).tobytes() == np.arange(3.0).tobytes()
     for sock in (endpoint, peer, stray):
         sock.close()
 

@@ -427,6 +427,39 @@ def test_a_refused_in_process_run_leaves_no_socket_open():
     assert [w for w in caught if w.category is ResourceWarning] == []
 
 
+def test_an_unwritable_out_path_is_refused_before_any_step(monkeypatch,
+                                                         tmp_path):
+    # rank 0 checks the CSV's directory before it connects, so a run that
+    # could never write its CSV is refused before its first iteration,
+    # not after the last one; the check creates no file
+    steps = []
+    step = harness.did_worker_iterate
+
+    def spy(world, *args):
+        steps.append(world.rank)
+        return step(world, *args)
+
+    monkeypatch.setattr(harness, "did_worker_iterate", spy)
+    out = tmp_path / "missing" / "m.csv"
+    config = RunConfig(algorithm="did", m=5, n=200, k=3, p=2, epsilon=1e-9,
+                       max_iters=300, out_path=str(out))
+    with pytest.raises(ValueError) as exc_info:
+        run(config)
+    assert str(exc_info.value) == (f"cannot write the metrics CSV {out}: its "
+                                   "directory is missing or not writable")
+    assert steps == []
+    assert not out.parent.exists()
+    # a writable directory passes the check, which leaves the file as it
+    # was: a run refused later, at the setup collective, truncates nothing
+    kept = tmp_path / "m.csv"
+    kept.write_text("kept\n")
+    config.out_path = str(kept)
+    with pytest.raises(ValueError, match="negative entries"):
+        run(config, X=-np.ones((5, 200)))
+    assert kept.read_text() == "kept\n"
+    assert steps == []
+
+
 def test_in_process_run_raises_the_failing_rank_not_its_waiting_peer(
         monkeypatch):
     # rank 1 fails in its first step and rank 0 then times out waiting for
@@ -445,8 +478,8 @@ def test_in_process_run_raises_the_failing_rank_not_its_waiting_peer(
 
 
 def test_in_process_peers_of_a_failed_rank_fail_at_once(monkeypatch):
-    # rank 1 fails in its first step: rank 0 finds its departure marker and
-    # fails, and rank 2 finds rank 0's, all long before comm_timeout
+    # rank 1 fails in its first step: rank 0 finds that it left and
+    # fails, and rank 2 finds that rank 0 did, all long before comm_timeout
     step = harness.did_worker_iterate
 
     def failing(world, *args):
