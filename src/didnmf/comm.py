@@ -11,29 +11,33 @@ to keep replicated state exactly synchronized.
 A caller packs everything one collective carries into a single array;
 each star edge then moves exactly one message each way.
 
-Transports: one endpoint, `TcpEndpoint`, carries every message of both
-over stream sockets; they differ only in how its sockets are connected.
+Each rank holds one object, its `CommWorld`: its rank, its counters and
+its stream sockets, by peer rank. A world checks its rank, size and
+timeout when it is built, before any socket opens, and it opens none
+itself. Both transports send every message over a world's sockets; they
+differ only in how those sockets are connected.
 
 * in-process: every rank is a thread in one process, and
   `make_inprocess_worlds` gives rank 0 and each other rank the two ends
   of one `socket.socketpair()`.
-* tcp: one rank per process. The rendezvous is the whole topology: rank
-  0 listens and keeps each peer's socket as that peer's edge; every
-  other rank dials rank 0 only, retrying a refused dial after one fixed
-  short pause, opens no listener, and registers with a frame whose
-  payload is the two doubles [world size, rank]. Rank 0 checks the
-  frame's tag and length, then the world size and the rank, and raises
-  `CommError` naming what is wrong.
+* tcp: one rank per process, connected by `make_tcp_world`. The
+  rendezvous is the whole topology: rank 0 listens and keeps each
+  peer's socket as that peer's edge; every other rank dials rank 0
+  only, retrying a refused dial after one fixed short pause, opens no
+  listener, and registers with a frame whose payload is the two doubles
+  [world size, rank]. Rank 0 checks the frame's tag and length, then
+  the world size and the rank, and raises `CommError` naming what is
+  wrong.
 
 On both, every message is one frame, [u32 tag][u64 byte length][payload
 as float64], little-endian and written with one send. A collective's
 frame carries its sequence number in the tag and moves the payload plus
 12 bytes, and the payload is copied once on each side: into the frame on
 send, out of the socket on receive, so no rank ever aliases another
-rank's buffers. Each frame moves through one endpoint method each way,
-`TcpEndpoint.send` and `TcpEndpoint.recv`, and each raises every error
-its frame can meet; a write gets the endpoint's timeout, and a frame's
-reads share one. A message carries no shape: the receiver knows which
+rank's buffers. Each frame moves through one world method each way,
+`CommWorld.send` and `CommWorld.recv`, and each raises every error its
+frame can meet; a write gets the world's timeout, and a frame's reads
+share one. A message carries no shape: the receiver knows which
 collective it is in and how many doubles it expects, and it checks the
 header against both before it reads any of the body, so a frame of
 another collective or another length raises `CommError` naming both
@@ -62,6 +66,9 @@ import numpy as np
 from .matrix import dmat_decode, dmat_encode  # noqa: F401
 
 DEFAULT_TIMEOUT = 30.0
+# the longest collective wait in seconds, within what every wait accepts
+# (a selector refuses more than 2**31 - 1 ms)
+MAX_TIMEOUT = 1e6
 
 _FRAME_HEADER = struct.Struct("<IQ")
 _REGISTRATION = struct.Struct("<2d")  # a peer's [world size, rank]
@@ -104,31 +111,6 @@ class CommStats:
     service_bytes: int = 0
 
 
-class CommWorld:
-    """One rank's handle on the collective fabric."""
-
-    def __init__(self, rank: int, size: int, endpoint):
-        if size < 1:
-            raise ValueError("world size must be at least 1")
-        if not 0 <= rank < size:
-            raise ValueError(f"rank {rank} outside world of size {size}")
-        self.rank = rank
-        self.size = size
-        self.stats = CommStats()
-        self._endpoint = endpoint
-        self._seq = 0
-
-    def close(self) -> None:
-        self._endpoint.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
 def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
     """Entrywise sum of every rank's float64 array, delivered to every rank.
 
@@ -163,11 +145,11 @@ def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
     if seq >= _TAG_LIMIT:
         raise CommError("collective sequence space exhausted")
     world._seq += 1
-    rank, size, ep = world.rank, world.size, world._endpoint
+    rank, size = world.rank, world.size
     if rank:
-        ep.send(0, seq, flat)
-        return ep.recv(0, seq, flat.size)
-    parts = [flat] + [ep.recv(peer, seq, flat.size) for peer in range(1, size)]
+        world.send(0, seq, flat)
+        return world.recv(0, seq, flat.size)
+    parts = [flat] + [world.recv(peer, seq, flat.size) for peer in range(1, size)]
     # binomial-tree order: at step 1, 2, 4, ... part r takes in part
     # r + step, so the total is ((x0 + x1) + (x2 + x3)) + ... on every run
     step = 1
@@ -176,7 +158,7 @@ def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
             parts[r] += parts[r + step]
         step <<= 1
     for peer in range(1, size):
-        ep.send(peer, seq, flat)
+        world.send(peer, seq, flat)
     return flat
 
 
@@ -246,29 +228,31 @@ def _registered_rank(frame: bytearray, size: int, registered) -> int | None:
     return int(rank)
 
 
-class TcpEndpoint:
-    """One rank's stream sockets, TCP connections or socket-pair ends:
-    rank 0 holds one per peer, a peer one to rank 0."""
+class CommWorld:
+    """One rank's handle on the collective fabric: its rank in a world of
+    `size`, its stream sockets by peer rank (TCP connections or
+    socket-pair ends; rank 0 holds one per peer, a peer one to rank 0),
+    the timeout every frame gets, and its counters. It opens no socket;
+    `make_tcp_world` and `make_inprocess_worlds` connect it."""
 
-    def __init__(self, rank: int, size: int, address, timeout: float = DEFAULT_TIMEOUT):
+    def __init__(self, rank: int, size: int, conns: dict[int, socket.socket],
+                 timeout: float = DEFAULT_TIMEOUT):
+        if size < 1:
+            raise ValueError("world size must be at least 1")
+        if not 0 <= rank < size:
+            raise ValueError(f"rank {rank} outside world of size {size}")
+        if not 0.0 < timeout <= MAX_TIMEOUT:
+            raise ValueError(f"timeout must be positive and at most "
+                             f"{MAX_TIMEOUT:g} s, not {timeout!r}")
         self.rank = rank
+        self.size = size
+        self.stats = CommStats()
+        self._conns = conns
         self._timeout = timeout
-        self._conns: dict[int, socket.socket] = {}
-        if size == 1:
-            return
-        try:
-            if rank == 0:
-                self._rendezvous(size, address, timeout)
-            else:
-                self._conns[0] = _dial(address, timeout)
-                # the same 16 bytes as `_REGISTRATION.pack(size, rank)`
-                self.send(0, _TAG_REGISTER, np.array([size, rank], "<f8"))
-        except BaseException:
-            self.close()
-            raise
+        self._seq = 0
 
-    def _rendezvous(self, size: int, address, timeout: float) -> None:
-        """Accept the P-1 registrations, all within one `timeout`.
+    def _rendezvous(self, address) -> None:
+        """Accept the P-1 registrations, all within the world's timeout.
 
         The listener and every connection that has not registered yet are
         watched at once. Each such connection keeps the bytes of its
@@ -279,18 +263,18 @@ class TcpEndpoint:
         before its registration frame is whole is dropped; the strays left
         once P-1 ranks have registered are closed.
         """
-        deadline = time.monotonic() + timeout
-        with socket.create_server(address, backlog=size) as listener, \
+        deadline = time.monotonic() + self._timeout
+        with socket.create_server(address, backlog=self.size) as listener, \
                 selectors.DefaultSelector() as watch:
             watch.register(listener, selectors.EVENT_READ)
             try:
-                while len(self._conns) < size - 1:
+                while len(self._conns) < self.size - 1:
                     left = deadline - time.monotonic()
                     ready = watch.select(left) if left > 0 else []
                     if not ready:
-                        missing = sorted(set(range(1, size)) - set(self._conns))
+                        missing = sorted(set(range(1, self.size)) - set(self._conns))
                         raise CommTimeoutError(
-                            f"rank 0 timed out after {timeout:.1f}s at the "
+                            f"rank 0 timed out after {self._timeout:.1f}s at the "
                             f"rendezvous: rank(s) {missing} never registered")
                     for key, _ in ready:
                         conn, frame = key.fileobj, key.data
@@ -309,7 +293,7 @@ class TcpEndpoint:
                             conn.close()
                             continue
                         frame += chunk
-                        peer = _registered_rank(frame, size, self._conns)
+                        peer = _registered_rank(frame, self.size, self._conns)
                         if peer is not None:
                             watch.unregister(conn)
                             self._conns[peer] = conn
@@ -320,7 +304,7 @@ class TcpEndpoint:
 
     def send(self, dst: int, tag: int, flat: np.ndarray) -> None:
         """Write the float64 array `flat` to rank `dst` as one frame tagged
-        `tag`, within the endpoint's timeout. A timeout, a reset or a
+        `tag`, within the world's timeout. A timeout, a reset or a
         broken connection raises `CommError` naming `dst`."""
         conn = self._conns[dst]
         # a read or a dial leaves its own timeout on the socket
@@ -393,19 +377,46 @@ class TcpEndpoint:
                 pass
         self._conns.clear()
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+# the rank object's old name: tcpbench's trace wraps `comm.TcpEndpoint.recv`
+TcpEndpoint = CommWorld
+
 
 def make_tcp_world(rank: int, size: int, address,
                    timeout: float = DEFAULT_TIMEOUT) -> CommWorld:
-    """Join (or host, for rank 0) a TCP world at `address` = (host, port)."""
-    return CommWorld(rank, size, TcpEndpoint(rank, size, address, timeout))
+    """Join (or host, for rank 0) a TCP world at `address` = (host, port).
+
+    The world is built first, so a bad rank, size or timeout is refused
+    before any socket opens. Rank 0 of a larger world then holds the
+    rendezvous, and every other rank dials rank 0 and registers; on any
+    error the world is closed."""
+    world = CommWorld(rank, size, {}, timeout)
+    try:
+        if rank:
+            world._conns[0] = _dial(address, timeout)
+            # the same 16 bytes as `_REGISTRATION.pack(size, rank)`
+            world.send(0, _TAG_REGISTER, np.array([size, rank], "<f8"))
+        elif size > 1:
+            world._rendezvous(address)
+    except BaseException:
+        world.close()
+        raise
+    return world
 
 
 def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[CommWorld]:
     """Build P thread-side CommWorlds joined by one socket pair per star
     edge, rank 0 to each other rank; a one-rank world opens no socket."""
-    # an endpoint of a one-rank world makes no rendezvous: the pairs are
-    # its edges
-    endpoints = [TcpEndpoint(r, 1, None, timeout) for r in range(size)]
+    # rank 0's world checks the size and timeout before any socket opens
+    worlds = [CommWorld(0, size, {}, timeout)]
     for r in range(1, size):
-        endpoints[0]._conns[r], endpoints[r]._conns[0] = socket.socketpair()
-    return [CommWorld(r, size, ep) for r, ep in enumerate(endpoints)]
+        worlds[0]._conns[r], end = socket.socketpair()
+        worlds.append(CommWorld(r, size, {0: end}, timeout))
+    return worlds

@@ -11,7 +11,7 @@ algorithms run on a one-rank world (bcd is dbcd there), distributed ones
 on P ranks. Ranks run as threads of one process, joined by socket
 pairs, or, for every algorithm alike, one per process over TCP (driven
 by `run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment); both
-send the same frames through the same `comm.TcpEndpoint`. On both
+send the same frames through the same `comm.CommWorld`. On both
 transports a rank's whole life is `_rank_run`: it reads or draws only
 its own columns of X and C (no rank ever holds the whole matrix; a CSV
 file is converted to DMAT1 first, with `nmf convert`), holds its world
@@ -36,6 +36,7 @@ import numpy as np
 from .blas import one_blas_thread
 from .comm import (
     DEFAULT_TIMEOUT,
+    MAX_TIMEOUT,
     CommError,
     allreduce_sum,
     make_inprocess_worlds,
@@ -62,9 +63,6 @@ SEQUENTIAL_ALGS = ("bcd", "anls")
 DISTRIBUTED_ALGS = ("dadmm", "dbcd", "did")
 ALGORITHMS = SEQUENTIAL_ALGS + DISTRIBUTED_ALGS
 TRANSPORTS = ("in-process", "tcp")
-# the longest collective wait in seconds, within what every wait accepts
-# (a selector refuses more than 2**31 - 1 ms)
-MAX_COMM_TIMEOUT = 1e6
 
 # the metrics CSV's column names, for IterRow's first fields in order
 CSV_HEADER = ("iter", "objective", "residual_sq", "allreduce_calls",
@@ -119,9 +117,9 @@ class RunConfig:
             raise ValueError(f"rho must be positive and finite, not {self.rho!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, not {self.seed!r}")
-        if not 0.0 < self.comm_timeout <= MAX_COMM_TIMEOUT:
+        if not 0.0 < self.comm_timeout <= MAX_TIMEOUT:
             raise ValueError(f"comm_timeout must be positive and at most "
-                             f"{MAX_COMM_TIMEOUT:g} s, not {self.comm_timeout!r}")
+                             f"{MAX_TIMEOUT:g} s, not {self.comm_timeout!r}")
 
 
 @dataclass
@@ -364,7 +362,7 @@ def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
     `ColumnBlock` it allocates: a copy of those columns of `X` when the
     caller holds the matrix, else a byte-range read of the DMAT1 input or
     a draw of those synth_data columns, each made straight into the
-    block. The shape, and on rank 0 the CSV's directory, are checked
+    block. The shape, and on rank 0 the CSV's path, are checked
     before `connect()` makes the world. From there to its last iteration
     the rank holds the world and the BLAS pool at one thread (see
     `blas`): the values and the init scale ride one setup collective,
@@ -381,10 +379,13 @@ def _rank_run(config: RunConfig, rank: int, X, connect) -> RunMetrics:
     check_shape(m, n, config.k, config.p)
     # the CSV is written after the last iteration: refuse a path that
     # cannot take it now, without creating or truncating the file
-    if rank == 0 and config.out_path and not os.access(
-            os.path.dirname(os.path.abspath(config.out_path)), os.W_OK | os.X_OK):
-        raise ValueError(f"cannot write the metrics CSV {config.out_path}: its "
-                         "directory is missing or not writable")
+    out = config.out_path
+    if rank == 0 and out:
+        if os.path.isdir(out):
+            raise ValueError(f"cannot write the metrics CSV {out}: it is a directory")
+        if not os.access(os.path.dirname(os.path.abspath(out)), os.W_OK | os.X_OK):
+            raise ValueError(f"cannot write the metrics CSV {out}: its "
+                             "directory is missing or not writable")
     start, size = partition_columns(n, config.p)[rank]
     block = ColumnBlock(m, config.k, size)
     if X is not None:

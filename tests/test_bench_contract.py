@@ -2,12 +2,14 @@
 
 `tcpbench/probes.py` replaces module attributes by name (the worker
 steps, the run loop, the e0 reduction, the algorithmic collective, the
-codec, the socket reads) and checks every solve against an independent
-reference, the collective counts and the socket payload bytes. A traced
-run on the small latency-bound workloads exercises every probe in about
-a second; a renamed function, a collective that bypasses
-`distributed.allreduce_sum` or a frame split over several sends shows as
-a failed or incorrect solve on its last stdout line.
+codec, and the frame reads through `comm.TcpEndpoint.recv`, which is
+`comm.CommWorld.recv` under its old name) and checks every solve
+against an independent reference, the collective counts and the socket
+payload bytes. A traced run on the small latency-bound workloads
+exercises every probe in about a second; a renamed function, a
+collective that bypasses `distributed.allreduce_sum` or a frame split
+over several sends shows as a failed or incorrect solve on its last
+stdout line.
 """
 
 import json

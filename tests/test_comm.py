@@ -1,8 +1,10 @@
 import functools
+import gc
 import socket
 import struct
 import threading
 import time
+import warnings
 from contextlib import closing
 
 import numpy as np
@@ -64,7 +66,7 @@ def test_single_rank_is_identity_and_free():
     assert stats.allreduce_calls == 1
     assert stats.bytes_sent == 0  # no wire traffic with one rank
     [world] = make_inprocess_worlds(1)
-    assert world._endpoint._conns == {}  # and no socket
+    assert world._conns == {}  # and no socket
 
 
 def test_single_rank_result_does_not_alias_the_input():
@@ -199,10 +201,51 @@ def test_vector_and_scalar_payload_shapes_survive():
 def test_comm_world_refuses_an_empty_world_and_a_rank_outside_it():
     with pytest.raises(ValueError, match="world size must be at least 1"):
         comm.CommWorld(0, 0, None)
+    with pytest.raises(ValueError, match="world size must be at least 1"):
+        make_inprocess_worlds(0)
     for rank in (-1, 2):
         with pytest.raises(ValueError,
                            match=f"rank {rank} outside world of size 2"):
             comm.CommWorld(rank, 2, None)
+
+
+def _opens_no_socket(build):
+    """Run `build`, which must raise ValueError, and return its message
+    and the seconds it took, checking that it left no socket to the
+    garbage collector."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t0 = time.monotonic()
+        with pytest.raises(ValueError) as exc_info:
+            build()
+        elapsed = time.monotonic() - t0
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
+    return str(exc_info.value), elapsed
+
+
+@pytest.mark.parametrize("rank", [2, -1])
+def test_a_rank_outside_the_world_is_refused_before_it_dials(rank):
+    # no rank 0 listens at the address, so a rank that dialled would
+    # retry until its 5 s timeout before it failed
+    addr = _free_addr()
+    words, elapsed = _opens_no_socket(
+        lambda: make_tcp_world(rank, 2, addr, timeout=5.0))
+    assert words == f"rank {rank} outside world of size 2"
+    assert elapsed < 0.1
+
+
+@pytest.mark.parametrize("timeout", [1e7, 0, -1.0])
+def test_a_timeout_out_of_range_is_refused_before_any_socket_opens(timeout):
+    # a selector waits at most 2**31 - 1 ms and a socket takes no
+    # negative timeout, so a world refuses such a timeout when it is
+    # built, on either transport; rank 0 has then opened no listener
+    addr = _free_addr()
+    words = f"timeout must be positive and at most 1e+06 s, not {timeout!r}"
+    for build in (lambda: make_tcp_world(0, 2, addr, timeout=timeout),
+                  lambda: make_inprocess_worlds(2, timeout=timeout)):
+        assert _opens_no_socket(build)[0] == words
+    socket.create_server(addr).close()  # the address is still free
 
 
 def test_rejects_empty_and_high_rank_payloads():
@@ -411,11 +454,8 @@ def test_tcp_size_mismatch_names_both_ranks_and_fails_both():
 
 
 def _receiver(conn, rank=0, peer=1, timeout=5.0):
-    """A one-rank endpoint of `rank` (so no rendezvous) whose edge to
-    `peer` is the socket `conn`."""
-    endpoint = comm.TcpEndpoint(rank, 1, None, timeout=timeout)
-    endpoint._conns[peer] = conn
-    return endpoint
+    """The world of `rank` whose one edge, to `peer`, is the socket `conn`."""
+    return comm.CommWorld(rank, max(rank, peer) + 1, {peer: conn}, timeout)
 
 
 @pytest.mark.parametrize("tag,length,words", [
@@ -430,7 +470,7 @@ def _receiver(conn, rank=0, peer=1, timeout=5.0):
 def test_a_hand_written_bad_tcp_frame_fails_the_collective(tag, length, words):
     # rank 1 is a socket that sends one hand-written frame
     near, far = _tcp_pair()
-    with far, comm.CommWorld(0, 2, _receiver(near)) as world:
+    with far, _receiver(near) as world:
         far.sendall(comm._FRAME_HEADER.pack(tag, length) + bytes(length))
         with pytest.raises(CommError) as exc_info:
             allreduce_sum(world, np.ones(2))
@@ -470,7 +510,7 @@ def test_a_bad_header_fails_the_collective_before_its_body_is_read(
     # header: rank 0 judges the header against its collective at once,
     # with no wait for a body and none of it read, under a 5 s timeout
     near, far = connect()
-    with far, comm.CommWorld(0, 2, _receiver(near)) as world:
+    with far, _receiver(near) as world:
         far.sendall(comm._FRAME_HEADER.pack(tag, length) + body)
         t0 = time.monotonic()
         with pytest.raises(CommError) as exc_info:
@@ -566,7 +606,7 @@ def test_send_to_a_peer_that_never_reads_times_out_after_the_world_timeout():
     # the socket, and then names the peer
     near, far = socket.socketpair()
     endpoint = _receiver(near, rank=2, peer=0, timeout=1.0)
-    # a second endpoint reads the same socket with a 0.2 s timeout
+    # a second world reads the same socket with a 0.2 s timeout
     reader = _receiver(near, rank=2, peer=0, timeout=0.2)
     with far:
         with pytest.raises(CommTimeoutError):
@@ -666,7 +706,7 @@ def test_rendezvous_times_out_naming_the_ranks_that_never_registered(silent):
 
     host = threading.Thread(target=rank0, daemon=True)
     host.start()
-    peers = [comm.TcpEndpoint(1, 3, addr, timeout=5.0)]
+    peers = [make_tcp_world(1, 3, addr, timeout=5.0)]
     if silent:
         peers.append(comm._dial(addr, 5.0))
     host.join(timeout=5.0)
@@ -687,14 +727,14 @@ def test_rendezvous_drops_a_connection_that_closes_before_registering():
 
     def rank0():
         try:
-            worlds.append(comm.TcpEndpoint(0, 2, addr, timeout=3.0))
+            worlds.append(make_tcp_world(0, 2, addr, timeout=3.0))
         except Exception as exc:
             errors.append(exc)
 
     host = threading.Thread(target=rank0, daemon=True)
     host.start()
     comm._dial(addr, 5.0).close()
-    peer = comm.TcpEndpoint(1, 2, addr, timeout=5.0)
+    peer = make_tcp_world(1, 2, addr, timeout=5.0)
     host.join(timeout=5.0)
     assert not host.is_alive() and errors == []
     [endpoint] = worlds
@@ -715,7 +755,7 @@ def _form_world_beside_a_stray(sent, timeout):
 
     def rank0():
         try:
-            worlds.append(comm.TcpEndpoint(0, 2, addr, timeout=timeout))
+            worlds.append(make_tcp_world(0, 2, addr, timeout=timeout))
         except Exception as exc:
             errors.append(exc)
 
@@ -725,7 +765,7 @@ def _form_world_beside_a_stray(sent, timeout):
     stray = comm._dial(addr, 5.0)
     stray.sendall(sent)
     time.sleep(0.1)
-    peer = comm.TcpEndpoint(1, 2, addr, timeout=5.0)
+    peer = make_tcp_world(1, 2, addr, timeout=5.0)
     host.join(timeout=5.0)
     elapsed = time.monotonic() - start
     assert not host.is_alive() and errors == []
@@ -756,7 +796,7 @@ def test_a_peer_registers_with_one_frame_of_two_doubles():
     # the registration is an ordinary frame: the register tag, then the
     # peer's [world size, rank] as two little-endian doubles
     with socket.create_server(("127.0.0.1", 0)) as listener:
-        peer = comm.TcpEndpoint(2, 3, listener.getsockname(), timeout=5.0)
+        peer = make_tcp_world(2, 3, listener.getsockname(), timeout=5.0)
         conn, _ = listener.accept()
         with conn:
             conn.settimeout(5.0)
@@ -809,7 +849,7 @@ def test_rendezvous_refuses_a_malformed_registration(size, frames, words):
 
     def rank0():
         try:
-            comm.TcpEndpoint(0, size, addr, timeout=5.0).close()
+            make_tcp_world(0, size, addr, timeout=5.0).close()
         except Exception as exc:
             errors.append(exc)
 

@@ -457,7 +457,7 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
     for t in threads:
         t.join(timeout=30.0)
     assert not any(t.is_alive() for t in threads) and not errors, errors
-    assert set(threading.enumerate()) == before  # the endpoint left no thread
+    assert set(threading.enumerate()) == before  # the world left no thread
     assert servers == ["rank0"]
     payloads = [doubles + 2 * (alg == "dbcd")] + [doubles] * (calls - 1)
     if alg == "dadmm":

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from didnmf import harness
-from didnmf.comm import make_inprocess_worlds
+from didnmf.comm import MAX_TIMEOUT, make_inprocess_worlds
 from didnmf.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -192,13 +192,13 @@ def test_config_validation_rejects_bad_values():
         (dict(good, input_path="data.csv"), "nmf convert"),
         (dict(good, m=0, input_path=None), "positive m and n"),
     ]
-    # a collective waits at most MAX_COMM_TIMEOUT, which every wait accepts
+    # a collective waits at most comm.MAX_TIMEOUT, which every wait accepts
     bad += [(dict(good, comm_timeout=t), r"comm_timeout .* at most 1e\+06 s")
             for t in (float("nan"), -1.0, 0.0, float("inf"), 1e300)]
     for kwargs, pattern in bad:
         with pytest.raises(ValueError, match=pattern):
             RunConfig(**kwargs).validate()
-    RunConfig(**good, comm_timeout=harness.MAX_COMM_TIMEOUT).validate()
+    RunConfig(**good, comm_timeout=MAX_TIMEOUT).validate()
 
 
 def test_tcp_transport_requires_rank_env(monkeypatch):
@@ -429,7 +429,7 @@ def test_a_refused_in_process_run_leaves_no_socket_open():
 
 def test_an_unwritable_out_path_is_refused_before_any_step(monkeypatch,
                                                          tmp_path):
-    # rank 0 checks the CSV's directory before it connects, so a run that
+    # rank 0 checks the CSV's path before it connects, so a run that
     # could never write its CSV is refused before its first iteration,
     # not after the last one; the check creates no file
     steps = []
@@ -441,13 +441,15 @@ def test_an_unwritable_out_path_is_refused_before_any_step(monkeypatch,
 
     monkeypatch.setattr(harness, "did_worker_iterate", spy)
     out = tmp_path / "missing" / "m.csv"
-    config = RunConfig(algorithm="did", m=5, n=200, k=3, p=2, epsilon=1e-9,
-                       max_iters=300, out_path=str(out))
-    with pytest.raises(ValueError) as exc_info:
-        run(config)
-    assert str(exc_info.value) == (f"cannot write the metrics CSV {out}: its "
-                                   "directory is missing or not writable")
-    assert steps == []
+    for path, words in [(out, "its directory is missing or not writable"),
+                        (tmp_path, "it is a directory")]:
+        config = RunConfig(algorithm="did", m=5, n=200, k=3, p=2,
+                           epsilon=1e-9, max_iters=300, out_path=str(path))
+        with pytest.raises(ValueError) as exc_info:
+            run(config)
+        assert str(exc_info.value) == (
+            f"cannot write the metrics CSV {path}: {words}")
+        assert steps == []
     assert not out.parent.exists()
     # a writable directory passes the check, which leaves the file as it
     # was: a run refused later, at the setup collective, truncates nothing
