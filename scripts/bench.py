@@ -16,10 +16,12 @@ beside the same run of this checkout, with this checkout first on odd
 runs and second on even ones, so that a slow spell of the host lands on
 both sides of the comparison. A file holds the commit measured (marked
 "+dirty.<hash of the change>" when its src/ or tcpbench/ differ from it,
-untracked files included), the environment (CPU count, Python and numpy
-versions, host steal seconds over the whole bench), every run's result
-line, steal time and each solve's iteration count and per-rank BLAS
-thread count, and per workload the median of each end-to-end metric.
+untracked files included; "tree.<hash of its src/ and tcpbench/ files>"
+for a directory that is not a checkout), the environment (CPU count,
+Python and numpy versions, host steal seconds over the whole bench),
+every run's result line, steal time and each solve's iteration count
+and per-rank BLAS thread count, and per workload the median of each
+end-to-end metric.
 `--compare OLD [NEW]` compares OLD with NEW, or with the file this call
 just wrote: per workload and metric, each side's median and quartiles,
 the change of the median, and, for two files of one `--against` run,
@@ -41,6 +43,7 @@ numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib
 import importlib.metadata
@@ -51,7 +54,6 @@ import socket
 import statistics
 import subprocess
 import sys
-import threading
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -83,15 +85,40 @@ def environment() -> dict:
             "numpy": numpy, "platform": platform.platform()}
 
 
-def commit(root: str) -> str | None:
+def _hash_files(tree, root: str, paths) -> None:
+    """Add each file's path and contents to the sha256 `tree`, in the
+    order given."""
+    for path in paths:
+        with open(os.path.join(root, path), "rb") as f:
+            tree.update(b"\0" + os.fsencode(path) + b"\0" + f.read())
+
+
+def measured_files(root: str) -> list[str]:
+    """Every file under src/ and tcpbench/ of root, in path order, but the
+    run outputs in __pycache__/ and tcpbench/out/."""
+    files = []
+    for top in ("src", "tcpbench"):
+        for here, dirs, names in os.walk(os.path.join(root, top)):
+            rel = os.path.relpath(here, root)
+            dirs[:] = [d for d in dirs if d != "__pycache__"
+                       and os.path.join(rel, d) != os.path.join("tcpbench", "out")]
+            files += [os.path.join(rel, name) for name in names]
+    return sorted(files)
+
+
+def commit(root: str) -> str:
     """HEAD of the checkout; if its src/ or tcpbench/ differ from it,
     "+dirty." and 12 hex digits of a sha256 that names the tree measured:
     of the diff of tracked files, then of each untracked, not ignored
-    file's path and contents, in path order."""
+    file's path and contents, in path order. A directory that is not a
+    checkout (an archive of one) is "tree." and 12 hex digits of the
+    sha256 of each of its `measured_files`' path and contents."""
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
                           capture_output=True, text=True)
     if head.returncode != 0:
-        return None
+        tree = hashlib.sha256()
+        _hash_files(tree, root, measured_files(root))
+        return f"tree.{tree.hexdigest()[:12]}"
 
     def git(*args: str) -> bytes:
         return subprocess.run(["git", *args, "--", "src", "tcpbench"],
@@ -101,9 +128,7 @@ def commit(root: str) -> str | None:
     untracked = sorted(filter(None, git("ls-files", "-z", "--others",
                                         "--exclude-standard").split(b"\0")))
     tree = hashlib.sha256(diff)
-    for path in untracked:
-        with open(os.path.join(root, os.fsdecode(path)), "rb") as f:
-            tree.update(b"\0" + path + b"\0" + f.read())
+    _hash_files(tree, root, map(os.fsdecode, untracked))
     dirty = f"+dirty.{tree.hexdigest()[:12]}" if diff or untracked else ""
     return head.stdout.strip() + dirty
 
@@ -308,42 +333,33 @@ def sweep_bench(trees: dict[str, str], runs: int) -> None:
             print_pairs(f"{m} x {n}, K={k}", times, runs)
 
 
-def allreduce_call_s(comm, transport: str, size: int, doubles: int) -> float:
+def allreduce_call_s(comm, run_ranks, transport: str, size: int,
+                     doubles: int) -> float:
     """Seconds per `allreduce_sum` call on rank 0 of a new world of `size`
-    thread ranks over `transport`, after one call that warms the path and
-    lines the ranks up."""
+    thread ranks of `comm` over `transport`, started by `run_ranks`, after
+    one call that warms the path and lines the ranks up."""
     import numpy as np
     calls = max(3, min(200, 1_000_000 // doubles))
     if transport == "tcp":
         with socket.socket() as s:
             s.bind(("127.0.0.1", 0))
             addr = ("127.0.0.1", s.getsockname()[1])
-
-        def connect(r: int):
-            return comm.make_tcp_world(r, size, addr, timeout=60.0)
+        connect = functools.partial(comm.make_tcp_world, size=size,
+                                    address=addr, timeout=60.0)
     else:
         connect = comm.make_inprocess_worlds(size, timeout=60.0).__getitem__
-    elapsed, errors = [0.0] * size, []
 
-    def rank(r: int) -> None:
-        try:
-            with connect(r) as world:
-                buf = np.full(doubles, r + 1.0)
-                comm.allreduce_sum(world, buf)
-                t0 = time.perf_counter()
-                for _ in range(calls):
-                    comm.allreduce_sum(world, buf)
-                elapsed[r] = time.perf_counter() - t0
-        except Exception as exc:
-            errors.append(exc)
+    def body(world) -> float:
+        buf = np.full(doubles, world.rank + 1.0)
+        comm.allreduce_sum(world, buf)
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            comm.allreduce_sum(world, buf)
+        return time.perf_counter() - t0
 
-    threads = [threading.Thread(target=rank, args=(r,)) for r in range(size)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
+    elapsed, errors = run_ranks(size, connect, body)
+    for exc in filter(None, errors):
+        raise exc
     return elapsed[0] / calls
 
 
@@ -353,6 +369,9 @@ def allreduce_bench(trees: dict[str, str], runs: int,
     size and payload, the trees alternating in order run by run; print
     medians in microseconds and pair wins."""
     comms = {name: import_from(root, "comm") for name, root in trees.items()}
+    # this checkout's runner starts every tree's ranks, so a tree that
+    # has none of its own is timed the same way
+    run_ranks = import_from(ROOT, "comm").run_ranks
     names = list(trees)
     print("ranks are threads of this one process: GIL-bound figures")
     print(f"{'transport, P, doubles':22s} "
@@ -365,7 +384,7 @@ def allreduce_bench(trees: dict[str, str], runs: int,
                 for i in range(runs):
                     for name in names[::-1 if i % 2 else 1]:
                         times[name].append(1e6 * allreduce_call_s(
-                            comms[name], transport, size, doubles))
+                            comms[name], run_ranks, transport, size, doubles))
                 print_pairs(f"{transport}, {size}, {doubles:d}", times, runs,
                             ".1f")
 

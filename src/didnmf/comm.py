@@ -19,7 +19,9 @@ differ only in how those sockets are connected.
 
 * in-process: every rank is a thread in one process, and
   `make_inprocess_worlds` gives rank 0 and each other rank the two ends
-  of one `socket.socketpair()`.
+  of one `socket.socketpair()`. `run_ranks` starts a world's P rank
+  threads, whatever connects them: each enters the world its `connect`
+  gives it, runs the body, and leaves its result or its error by rank.
 * tcp: one rank per process, connected by `make_tcp_world`. The
   rendezvous is the whole topology: rank 0 listens and keeps each
   peer's socket as that peer's edge; every other rank dials rank 0
@@ -55,6 +57,7 @@ from __future__ import annotations
 import selectors
 import socket
 import struct
+import threading
 import time
 from dataclasses import dataclass
 
@@ -91,8 +94,8 @@ class CommStats:
 
     `allreduce_calls` and `bytes_sent` count the algorithmic collectives,
     including any doubles a solver appends to its own message (did and
-    dbcd carry their stopping residual and time-cap flag that way); the
-    `service_*` pair counts bookkeeping reductions (the setup collective,
+    dbcd carry their stopping residual and time-cap flag that way);
+    `service_calls` counts bookkeeping reductions (the setup collective,
     the initial residual, and the stopping check of solvers whose message
     cannot carry it), kept apart so communication-count assertions on the
     algorithms stay exact. `bytes_sent` is a cost model, not a wire
@@ -108,7 +111,6 @@ class CommStats:
     bytes_sent: int = 0
     comm_wall_time: float = 0.0
     service_calls: int = 0
-    service_bytes: int = 0
 
 
 def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
@@ -117,8 +119,8 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
     All ranks must call with arrays of the same size; a disagreement
     raises ``CommError`` naming both ranks involved. The input is never
     modified, and the sum comes back in the input's shape. With
-    ``service=True`` the call is accounted under the service counters
-    instead of the algorithmic ones.
+    ``service=True`` the call is counted in `service_calls` instead of
+    the algorithmic counters.
     """
     buf = np.array(buf, dtype="<f8", order="C")  # the wire's float64
     if buf.size == 0 or buf.ndim > 2:
@@ -133,7 +135,6 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
     volume = out.nbytes * 2 * (world.size - 1).bit_length()  # ceil(log2 P)
     if service:
         stats.service_calls += 1
-        stats.service_bytes += volume
     else:
         stats.allreduce_calls += 1
         stats.bytes_sent += volume
@@ -420,3 +421,30 @@ def make_inprocess_worlds(size: int, timeout: float = DEFAULT_TIMEOUT) -> list[C
         worlds[0]._conns[r], end = socket.socketpair()
         worlds.append(CommWorld(r, size, {0: end}, timeout))
     return worlds
+
+
+def run_ranks(size: int, connect, body) -> tuple[list, list]:
+    """Run the `size` ranks of one world at once, one thread per rank
+    named nmf-rank<r>: each runs `body(world)` inside `with connect(r) as
+    world:`, so its world is closed when it ends. Return (results,
+    errors), each a list by rank: what `body` returned, and the exception
+    the rank raised, None where it raised none. Every wait on a peer is
+    bounded by the world's timeout, and a solve by its `max_time`, so
+    the threads are joined without a timeout of their own."""
+    results: list = [None] * size
+    errors: list = [None] * size
+
+    def rank(r: int) -> None:
+        try:
+            with connect(r) as world:
+                results[r] = body(world)
+        except BaseException as exc:
+            errors[r] = exc
+
+    threads = [threading.Thread(target=rank, args=(r,), name=f"nmf-rank{r}")
+               for r in range(size)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return results, errors

@@ -9,15 +9,16 @@ returns the residual summed over all ranks and the time-cap flag of any
 rank, so the loop makes no collective of its own after e0. Sequential
 algorithms run on a one-rank world (bcd is dbcd there), distributed ones
 on P ranks. Ranks run as threads of one process, joined by socket
-pairs, or, for every algorithm alike, one per process over TCP (driven
-by `run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment); both
-send the same frames through the same `comm.CommWorld`. On both
-transports a rank's whole life is `_rank_run`: it reads or draws only
-its own columns of X and C (no rank ever holds the whole matrix; a CSV
-file is converted to DMAT1 first, with `nmf convert`), holds its world
-and the BLAS pool from connect to its last iteration, and on rank 0
-writes the CSV. `run`, `run_tcp_rank` and `_run_inprocess` only
-validate, choose the connection and start the ranks.
+pairs and started by `comm.run_ranks`, or, for every algorithm alike,
+one per process over TCP (driven by `run_tcp_rank` or the
+NMF_RANK/NMF_WORLD/NMF_ADDR environment); both send the same frames
+through the same `comm.CommWorld`. On both transports a rank's whole
+life is `_rank_run`: it reads or draws only its own columns of X and C
+(no rank ever holds the whole matrix; a CSV file is converted to DMAT1
+first, with `nmf convert`), holds its world and the BLAS pool from
+connect to its last iteration, and on rank 0 writes the CSV. `run`,
+`run_tcp_rank` and `_run_inprocess` only validate, choose the
+connection and start the ranks.
 Every stop decision is made from allreduced quantities so all ranks
 always take the same branch.
 """
@@ -27,7 +28,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import threading
 import time
 from dataclasses import dataclass, field, fields
 
@@ -41,6 +41,7 @@ from .comm import (
     allreduce_sum,
     make_inprocess_worlds,
     make_tcp_world,
+    run_ranks,
 )
 from .distributed import (
     DadmmWorkerState,
@@ -519,29 +520,15 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
 
 
 def _run_inprocess(config: RunConfig, X) -> RunMetrics:
-    """Run P ranks as threads joined by socket pairs (P=1 included).
+    """Run P ranks as threads joined by socket pairs (P=1 included), each
+    rank one `_rank_run` on its world, all started by `comm.run_ranks`.
 
     Each rank's world is closed when its thread ends, also when the rank
     was refused before it connected, so no socket outlives the run.
     """
     worlds = make_inprocess_worlds(config.p, timeout=config.comm_timeout)
-    results: list[RunMetrics | None] = [None] * config.p
-    errors: list[BaseException | None] = [None] * config.p
-
-    def work(rank: int) -> None:
-        try:
-            results[rank] = _rank_run(config, rank, X, lambda: worlds[rank])
-        except BaseException as exc:
-            errors[rank] = exc
-        finally:
-            worlds[rank].close()
-
-    threads = [threading.Thread(target=work, args=(r,), name=f"nmf-rank{r}")
-               for r in range(config.p)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    results, errors = run_ranks(config.p, worlds.__getitem__,
+                                lambda w: _rank_run(config, w.rank, X, lambda: w))
     failed = [exc for exc in errors if exc is not None]
     if failed:
         # a rank that fails makes its peers time out waiting for it:

@@ -5,7 +5,6 @@ enforces its stated tolerance and, where one applies, its runtime budget.
 """
 
 import os
-import socket
 import subprocess
 import sys
 import time
@@ -23,7 +22,7 @@ from didnmf.distributed import (
 )
 from didnmf.harness import RunConfig, init_factors, run, synth_data, synth_lowrank
 from didnmf.kernels import b_column_apply, b_column_partials
-from blocks import make_column_blocks
+from helpers import free_addr, make_column_blocks
 from didnmf.nnls import nnls_oracle, nnls_rows, row_objectives
 
 
@@ -202,12 +201,6 @@ def test_acceptance_6_splitting_fixed_points_and_convergence():
            f"in {metrics.iterations} iterations (cap 1000)")
 
 
-def _free_port():
-    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def test_acceptance_7_transport_equivalence(tmp_path):
     # the in-process fabric and real TCP sockets must produce the same
     # trajectory down to the last bit of the serialized objective column
@@ -220,7 +213,7 @@ def test_acceptance_7_transport_equivalence(tmp_path):
                   epsilon=1e-6, max_iters=300, out_path=str(inproc_csv)))
 
     tcp_csv = tmp_path / "tcp.csv"
-    port = _free_port()
+    _, port = free_addr()
     procs = []
     for rank in range(2):
         env = dict(os.environ,
@@ -255,22 +248,24 @@ def test_acceptance_7_transport_equivalence(tmp_path):
 def test_acceptance_8_linear_scaling_in_columns():
     # per-iteration compute of the one-message worker should scale
     # linearly in the column count: a 10x wider problem lands in [8, 12]x.
-    # The sizes are timed in alternating rounds: 5 iterations at 1e5
-    # columns (the fastest kept, since scheduler noise only ever adds
-    # time), then 1 at 1e6. Each round gives one ratio from two timings
-    # taken within about 70 ms of each other, so a slow spell of the host
-    # lands on both sides of it; the median of 8 rounds is reported. BLAS
-    # runs one thread, as it does inside a run.
+    # Both sizes are timed alike: each timed iteration directly follows
+    # one untimed iteration at the other size, so every timing starts
+    # from the same cache state, and a round keeps each size's fastest of
+    # 3 (scheduler noise only ever adds time). A round's timings fall
+    # within about 0.1 s, so a slow spell of the host lands on both
+    # sides of its ratio; the median of 8 rounds is reported. BLAS runs
+    # one thread, as it does inside a run.
     def problem(n):
         X = synth_data(5, n, 31)
         B0, C0 = init_factors(X, 3, 31)
         return make_column_blocks(X, C0, 1)[0], np.array(B0, order="F")
 
-    def fastest(world, block, B, iters):
+    def fastest(world, timed, other):
         best = np.inf
-        for _ in range(iters):
+        for _ in range(3):
+            did_worker_iterate(world, *other)
             t0 = time.perf_counter()
-            did_worker_iterate(world, block, B)
+            did_worker_iterate(world, *timed)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -278,10 +273,9 @@ def test_acceptance_8_linear_scaling_in_columns():
     rounds = []
     [world] = make_inprocess_worlds(1)
     with world, one_blas_thread():
-        fastest(world, *small, 1)  # cache-cold first passes
-        fastest(world, *large, 1)
         for _ in range(8):
-            rounds.append((fastest(world, *small, 5), fastest(world, *large, 1)))
+            rounds.append((fastest(world, small, large),
+                           fastest(world, large, small)))
     ratio = float(np.median([b / a for a, b in rounds]))
     ok = 8.0 <= ratio <= 12.0
     small_ms, large_ms = (1e3 * float(np.median(t)) for t in zip(*rounds))

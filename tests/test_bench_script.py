@@ -25,7 +25,9 @@ def git(repo, *args):
 
 def test_commit_names_an_uncommitted_tree_by_the_hash_of_its_diff(tmp_path):
     bench = load_bench()
-    assert bench.commit(str(tmp_path)) is None  # not a checkout
+    # not a checkout, and no file under src/ or tcpbench/ yet
+    empty = hashlib.sha256().hexdigest()[:12]
+    assert bench.commit(str(tmp_path)) == f"tree.{empty}"
     git(tmp_path, "init", "-q")
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "a.py").write_text("x = 1\n")
@@ -46,6 +48,30 @@ def test_commit_names_an_uncommitted_tree_by_the_hash_of_its_diff(tmp_path):
         assert names[-1] == (f"{head}+dirty."
                              f"{hashlib.sha256(diff).hexdigest()[:12]}")
     assert names[0] != names[1]
+
+
+def test_commit_names_a_tree_outside_git_by_its_measured_files(tmp_path):
+    # an archive of a checkout has no HEAD: its name hashes the paths and
+    # contents of its files under src/ and tcpbench/, and run outputs
+    # (__pycache__/ and tcpbench/out/) leave it as it was
+    bench = load_bench()
+    names = []
+    for value in "12":
+        tree = tmp_path / value
+        (tree / "src" / "pkg").mkdir(parents=True)
+        (tree / "src" / "pkg" / "a.py").write_text(f"x = {value}\n")
+        (tree / "tcpbench").mkdir()
+        (tree / "tcpbench" / "run.py").write_text("y = 1\n")
+        names.append(bench.commit(str(tree)))
+        assert names[-1].startswith("tree.") and len(names[-1]) == 17
+    assert names[0] != names[1]  # one byte apart under src/
+    tree = tmp_path / "1"
+    (tree / "src" / "pkg" / "__pycache__").mkdir()
+    (tree / "src" / "pkg" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    (tree / "tcpbench" / "out").mkdir()
+    (tree / "tcpbench" / "out" / "trace.json").write_text("{}\n")
+    (tree / "notes.md").write_text("notes\n")
+    assert bench.commit(str(tree)) == names[0]
 
 
 def test_commit_counts_untracked_files_under_the_measured_dirs(tmp_path):

@@ -1,5 +1,4 @@
 import os
-import socket
 import subprocess
 import sys
 import threading
@@ -8,6 +7,7 @@ import pytest
 
 from didnmf import blas, harness
 from didnmf.harness import RunConfig, run, synth_lowrank
+from helpers import free_addr
 
 needs_openblas = pytest.mark.skipif(
     blas.blas_threads() is None, reason="no OpenBLAS pool loaded in this process")
@@ -20,12 +20,6 @@ from didnmf import blas, cli
 cli.main(sys.argv[1:])
 print("blas_threads", blas.blas_threads())
 """
-
-
-def _free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
 
 
 def fresh_python(code: str, *args: str, **env_extra) -> str:
@@ -42,7 +36,7 @@ def tcp_rank_threads(**env_extra) -> str:
     return fresh_python(
         RANK_SCRIPT, "run", "--alg", "did", "--p", "1", "--m", "5", "--n",
         "60", "--k", "2", "--max-iters", "3", "--transport", "tcp",
-        NMF_ADDR=f"127.0.0.1:{_free_port()}", NMF_RANK="0", NMF_WORLD="1",
+        NMF_ADDR="%s:%d" % free_addr(), NMF_RANK="0", NMF_WORLD="1",
         **env_extra)
 
 

@@ -1,11 +1,11 @@
-import socket
+import functools
 import threading
 
 import numpy as np
 import pytest
 
 from didnmf import comm, distributed, matrix
-from didnmf.comm import make_inprocess_worlds, make_tcp_world
+from didnmf.comm import make_inprocess_worlds, make_tcp_world, run_ranks
 from didnmf.distributed import (
     DadmmWorkerState,
     dadmm_worker_iterate,
@@ -23,33 +23,8 @@ from didnmf.kernels import (
     residual_sq,
     tile_width,
 )
-from blocks import make_column_blocks
+from helpers import free_addr, make_column_blocks, run_world
 from didnmf.matrix import frob_norm_sq
-
-
-def run_ranks(size, fn, timeout=10.0):
-    """Run fn(world, rank) per rank in threads; return results by rank."""
-    worlds = make_inprocess_worlds(size, timeout=timeout)
-    results = [None] * size
-    errors = [None] * size
-
-    def target(world):
-        try:
-            with world:
-                results[world.rank] = fn(world, world.rank)
-        except Exception as exc:
-            errors[world.rank] = exc
-
-    threads = [threading.Thread(target=target, args=(w,), daemon=True)
-               for w in worlds]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60.0)
-    for rank, exc in enumerate(errors):
-        if exc is not None:
-            raise AssertionError(f"rank {rank} failed: {exc!r}") from exc
-    return results
 
 
 def random_problem(m, n, k, seed):
@@ -311,15 +286,15 @@ def run_multiworker(alg, X, B0, C0, p, iters):
     step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
             "dadmm": dadmm_worker_iterate}[alg]
 
-    def body(world, rank):
+    def body(world):
         B = np.array(B0, order="F")
-        block = blocks[rank]
+        block = blocks[world.rank]
         st = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
         for _ in range(iters):
             step(world, block, B, st)
         return B, block.c_block.copy(), world.stats
 
-    return run_ranks(p, body)
+    return run_world(p, body)
 
 
 @pytest.mark.parametrize("alg", ["did", "dbcd", "dadmm"])
@@ -351,15 +326,15 @@ def test_partitioned_run_matches_sequential_objective(p):
     X, B0, C0 = random_problem(5, 33, 3, 10)
     _, _, ref_resid = one_rank_dbcd(X, B0, C0, 20)
 
-    def body(world, rank):
+    def body(world):
         B = np.array(B0, order="F")
         blocks = make_column_blocks(X, C0, p)
-        block = blocks[rank]
+        block = blocks[world.rank]
         for _ in range(20):
             resid, _, _ = dbcd_worker_iterate(world, block, B)
         return 0.5 * resid
 
-    for obj in run_ranks(p, body):
+    for obj in run_world(p, body):
         assert obj == pytest.approx(0.5 * ref_resid, rel=1e-10)
 
 
@@ -425,40 +400,23 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
     steps = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
              "dadmm": dadmm_worker_iterate}
 
-    def step(world, block):
+    def step(world):
         B = np.array(B0, order="F")
+        block = blocks[world.rank]
         state = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
         steps[alg](world, block, B, state)
         return B, block.c_block
 
     blocks = make_column_blocks(X, C0, size)
-    expected = run_ranks(size, lambda world, r: step(world, blocks[r]))
+    expected = run_world(size, step)
     inprocess_frames, frames[:] = frames[:], []
     blocks = make_column_blocks(X, C0, size)  # the step updated c_block
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
     before = set(threading.enumerate())
-    results = [None] * size
-    errors = []
-
-    def rank(r):
-        try:
-            with make_tcp_world(r, size, ("127.0.0.1", port),
-                                timeout=10.0) as world:
-                results[r] = step(world, blocks[r])
-        except Exception as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=rank, args=(r,), name=f"rank{r}")
-               for r in range(size)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30.0)
-    assert not any(t.is_alive() for t in threads) and not errors, errors
+    results, errors = run_ranks(size, functools.partial(
+        make_tcp_world, size=size, address=free_addr(), timeout=10.0), step)
+    assert errors == [None] * size, errors
     assert set(threading.enumerate()) == before  # the world left no thread
-    assert servers == ["rank0"]
+    assert servers == ["nmf-rank0"]
     payloads = [doubles + 2 * (alg == "dbcd")] + [doubles] * (calls - 1)
     if alg == "dadmm":
         payloads.append(2)
@@ -481,9 +439,9 @@ def identity_trace(alg, X, B0, C0, p, iters):
     blocks = make_column_blocks(X, C0, p)
     step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate}[alg]
 
-    def body(world, rank):
+    def body(world):
         B = np.array(B0, order="F")
-        block = blocks[rank]
+        block = blocks[world.rank]
         out = []
         for _ in range(iters):
             resid, _, over = step(world, block, B)
@@ -491,7 +449,7 @@ def identity_trace(alg, X, B0, C0, p, iters):
             out.append((resid, residual_sq(block.x_block, B, block.c_block)))
         return out
 
-    res = np.array(run_ranks(p, body))  # rank x iteration x (reported, direct)
+    res = np.array(run_world(p, body))  # rank x iteration x (reported, direct)
     reported = res[:, :, 0]
     assert (reported == reported[0]).all()  # bit-identical on every rank
     return reported[0], res[:, :, 1].sum(axis=0)
@@ -566,12 +524,12 @@ def test_time_cap_flag_rides_the_message(monkeypatch):
         X, B0, C0 = random_problem(4, 21, 3, 9)
         blocks = make_column_blocks(X, C0, 2)
 
-        def body(world, rank):
+        def body(world):
             B = np.array(B0, order="F")
-            deadline = -np.inf if rank == 1 else np.inf
-            return step(world, blocks[rank], B, None, deadline)[2], B
+            deadline = -np.inf if world.rank == 1 else np.inf
+            return step(world, blocks[world.rank], B, None, deadline)[2], B
 
-        res = run_ranks(2, body)
+        res = run_world(2, body)
         assert [over for over, _ in res] == [True, True]
         assert np.array_equal(res[0][1], res[1][1])
         assert not np.array_equal(res[0][1], B0)

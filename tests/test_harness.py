@@ -1,10 +1,9 @@
+import contextlib
 import gc
 import os
 import re
-import socket
 import subprocess
 import sys
-import threading
 import time
 import warnings
 
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 from didnmf import harness
-from didnmf.comm import MAX_TIMEOUT, make_inprocess_worlds
+from didnmf.comm import MAX_TIMEOUT, make_inprocess_worlds, run_ranks
 from didnmf.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -27,6 +26,7 @@ from didnmf.harness import (
     synth_lowrank,
 )
 from didnmf.matrix import partition_columns, write_csv_matrix, write_dmat
+from helpers import free_addr
 
 
 # synthetic data
@@ -308,32 +308,13 @@ BAD_INPUTS = {
 BAD_SHAPES = ("empty", "k-over-min-m-n", "p-over-n")
 
 
-def _free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def _tcp_ranks(kw, X=None):
-    """Run every TCP rank at once, as threads; (results, errors) by rank."""
-    config = dict(kw, tcp_address=("127.0.0.1", _free_port()))
-    p = kw["p"]
-    results, errors = [None] * p, [None] * p
-
-    def rank(r):
-        try:
-            results[r] = run_tcp_rank(RunConfig(**config), r,
-                                      X=None if X is None else X.copy())
-        except Exception as exc:
-            errors[r] = exc
-
-    threads = [threading.Thread(target=rank, args=(r,)) for r in range(p)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=2 * kw["comm_timeout"])
-    assert not any(t.is_alive() for t in threads)
-    return results, errors
+    """Run every TCP rank at once, as threads; (results, errors) by rank.
+    `run_tcp_rank` connects each rank itself, so its `connect` hands the
+    body the rank number."""
+    config = dict(kw, tcp_address=free_addr())
+    return run_ranks(kw["p"], contextlib.nullcontext, lambda r: run_tcp_rank(
+        RunConfig(**config), r, X=None if X is None else X.copy()))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -378,7 +359,7 @@ def test_a_killed_tcp_rank_fails_every_survivor_naming_the_lost_peer():
     # 30 s comm_timeout, each naming the rank it lost
     src = os.path.dirname(os.path.dirname(harness.__file__))
     env = dict(os.environ, PYTHONPATH=src, NMF_WORLD="3",
-               NMF_ADDR=f"127.0.0.1:{_free_port()}")
+               NMF_ADDR="%s:%d" % free_addr())
     args = [sys.executable, "-m", "didnmf", "run", "--alg", "did", "--p", "3",
             "--m", "5", "--n", "3000", "--k", "3", "--eps", "1e-300",
             "--max-iters", "100000000", "--max-time", "60",
@@ -732,7 +713,7 @@ def test_tcp_rank_memory_grows_by_less_than_the_input_file(tmp_path):
     path = tmp_path / "wide.dmat"
     write_dmat(path, synth_lowrank(20, 100_000, 2, 0))
     file_kib = os.path.getsize(path) / 1024
-    port = _free_port()
+    _, port = free_addr()
     src = os.path.dirname(os.path.dirname(harness.__file__))
     args = ["run", "--alg", "did", "--p", "2", "--k", "2", "--input",
             str(path), "--max-iters", "2", "--transport", "tcp"]

@@ -14,7 +14,7 @@ from didnmf.kernels import (
     residual_sq,
     tile_width,
 )
-from blocks import make_column_blocks
+from helpers import make_column_blocks
 from didnmf.matrix import frob_norm_sq
 from didnmf.nnls import nnls_rows
 
