@@ -27,7 +27,12 @@ just wrote: per workload and metric, each side's median and quartiles,
 the change of the median, and, for two files of one `--against` run,
 how many of the runs paired by index NEW won and whether that makes a
 gain (at least 9 in 10 pairs won, and the medians apart by more than
-OLD's interquartile range). `--sweep` times the C sweep alone
+OLD's interquartile range). Its check column previews the acceptance
+rule for each end-to-end metric, with the metric's bound from
+BENCHMARK.json: "worse" where NEW's median is worse than OLD's by more
+than bound x OLD's median, "unresolved" where either side's
+interquartile range exceeds bound x its median, unless every NEW run
+beats every OLD run. `--sweep` times the C sweep alone
 (`kernels.c_rowwise_sweep`) in this process on one BLAS thread, at each
 of SWEEP_SHAPES on one seeded input, and with `--against` the same sweep
 of the checkout in DIR, the two alternating sweep by sweep; it prints
@@ -195,10 +200,13 @@ def bench(trees: dict[int, str], runs: int) -> dict[int, dict]:
             for pr, root in trees.items()}
 
 
-def directions() -> dict[str, str]:
-    """Each end-to-end metric's better direction, from BENCHMARK.json."""
+def end_to_end() -> tuple[dict[str, str], dict[str, float]]:
+    """Each end-to-end metric's better direction, and its bound, from
+    BENCHMARK.json."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        metrics = json.load(f)["end_to_end"]
+    return ({m["name"]: m["better"] for m in metrics},
+            {m["name"]: float(m["bound"]) for m in metrics})
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -209,8 +217,28 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def paired(old: dict, new: dict, better: dict[str, str]) -> list[dict]:
-    """Per workload and metric that both files hold: each side's quartiles
+def bound_check(was: list[float], now: list[float], sign: float,
+                bound: float) -> str:
+    """The acceptance rule for a metric with a bound, OLD runs `was`
+    against NEW runs `now`; `sign` is 1.0 where higher is better, -1.0
+    where lower is. "worse": NEW's median is worse than OLD's by more than
+    `bound` x OLD's median. "unresolved": either side's interquartile
+    range exceeds `bound` x its own median, unless every NEW run beats
+    every OLD run. "ok" otherwise."""
+    (q1_old, old, q3_old), (q1_new, new, q3_new) = quartiles(was), quartiles(now)
+    if sign * (new - old) < -bound * abs(old):
+        return "worse"
+    beats_all = all(sign * (n - o) > 0 for n in now for o in was)
+    if not beats_all and (q3_old - q1_old > bound * abs(old)
+                          or q3_new - q1_new > bound * abs(new)):
+        return "unresolved"
+    return "ok"
+
+
+def paired(old: dict, new: dict, better: dict[str, str],
+           bounds: dict[str, float] | None = None) -> list[dict]:
+    """Per workload and metric that both files hold: each side's quartiles,
+    `bound_check` of the metrics that `bounds` holds (None for the rest)
     and, when both files were written by one `--against` run (they share
     its environment record, wall time and steal time included, and hold
     the same seeds run for run), how many of the runs paired by index NEW
@@ -221,6 +249,7 @@ def paired(old: dict, new: dict, better: dict[str, str]) -> list[dict]:
     for neither, and its median is better than OLD's by more than OLD's
     interquartile range.
     """
+    bounds = bounds or {}
     rows = []
     one_run = old.get("environment") == new.get("environment")
     for name, wl in new["workloads"].items():
@@ -233,11 +262,13 @@ def paired(old: dict, new: dict, better: dict[str, str]) -> list[dict]:
                         for runs in (old_runs, wl["runs"]))
             if not was or not now:
                 continue
+            sign = 1.0 if better.get(metric, "lower") == "higher" else -1.0
             row = {"workload": name, "metric": metric, "old": quartiles(was),
                    "new": quartiles(now), "pairs": None, "won": None,
-                   "gain": False}
+                   "gain": False, "check": None}
+            if metric in bounds:
+                row["check"] = bound_check(was, now, sign, bounds[metric])
             if same_seeds:
-                sign = 1.0 if better.get(metric, "lower") == "higher" else -1.0
                 pairs = [(o["metrics"][metric]["value"],
                           n["metrics"][metric]["value"])
                          for o, n in zip(old_runs, wl["runs"])
@@ -251,11 +282,19 @@ def paired(old: dict, new: dict, better: dict[str, str]) -> list[dict]:
     return rows
 
 
-def compare(old: dict, new: dict, better: dict[str, str]) -> None:
-    """Print `paired(old, new, better)`, one workload and metric a line."""
+def compare(old: dict, new: dict, better: dict[str, str],
+            bounds: dict[str, float]) -> None:
+    """Print `paired(old, new, better, bounds)`, one workload and metric a
+    line."""
+    print("check previews the acceptance rule on each end-to-end metric's "
+          "bound: worse = the new median is worse than the old by more than "
+          "bound x the old median; unresolved = either side's interquartile "
+          "range exceeds bound x its median, unless every new run beats "
+          "every old run")
     print(f"{'workload':10s} {'metric':20s} {'old median [q1, q3]':>28s} "
-          f"{'new median [q1, q3]':>28s} {'change':>8s} {'won':>6s} gain")
-    for row in paired(old, new, better):
+          f"{'new median [q1, q3]':>28s} {'change':>8s} {'won':>6s} gain "
+          f"check")
+    for row in paired(old, new, better, bounds):
         sides = [f"{q2:.4g} [{q1:.4g}, {q3:.4g}]" for q1, q2, q3
                  in (row["old"], row["new"])]
         was, now = row["old"][1], row["new"][1]
@@ -263,7 +302,7 @@ def compare(old: dict, new: dict, better: dict[str, str]) -> None:
         won = "-" if row["pairs"] is None else f"{row['won']}/{row['pairs']}"
         print(f"{row['workload']:10s} {row['metric']:20s} {sides[0]:>28s} "
               f"{sides[1]:>28s} {rel:+8.1%} {won:>6s} "
-              f"{'yes' if row['gain'] else 'no'}")
+              f"{'yes' if row['gain'] else 'no':4s} {row['check'] or '-'}")
 
 
 def import_from(root: str, module: str):
@@ -432,14 +471,14 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         new = written[args.pr]
         if base is not None and not args.compare:
-            compare(written[base], new, directions())
+            compare(written[base], new, *end_to_end())
     if args.compare:
         with open(args.compare[0]) as f:
             old = json.load(f)
         if len(args.compare) > 1:
             with open(args.compare[1]) as f:
                 new = json.load(f)
-        compare(old, new, directions())
+        compare(old, new, *end_to_end())
     return 0
 
 

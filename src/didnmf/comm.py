@@ -6,7 +6,11 @@ message each way. Rank 0 adds the P parts in binomial-tree order
 (((x0 + x1) + (x2 + x3)) + ...), a pure function of the world size, so
 for fixed per-rank inputs the result is bit-identical on every rank, on
 every run, and on both transports. The distributed solvers lean on that
-to keep replicated state exactly synchronized.
+to keep replicated state exactly synchronized. A collective may instead
+name a finishing step: rank 0 alone applies it to the total and sends
+back its result, which may be shorter than the total, so what the step
+computes is the same on every rank by construction, however each host
+rounds.
 
 A caller packs everything one collective carries into a single array;
 each star edge then moves exactly one message each way.
@@ -25,9 +29,10 @@ differ only in how those sockets are connected.
 * tcp: one rank per process, connected by `make_tcp_world`. The
   rendezvous is the whole topology: rank 0 listens and keeps each
   peer's socket as that peer's edge; every other rank dials rank 0
-  only, retrying a refused dial after one fixed short pause, opens no
-  listener, and registers with a frame whose payload is the two doubles
-  [world size, rank]. Rank 0 checks the frame's tag and length, then
+  only, retrying a refused dial after one fixed short pause (a host
+  name that does not resolve fails at once), opens no listener, and
+  registers with a frame whose payload is the two doubles [world size,
+  rank]. Rank 0 checks the frame's tag and length, then
   the world size and the rank, and raises `CommError` naming what is
   wrong.
 
@@ -99,12 +104,14 @@ class CommStats:
     the initial residual, and the stopping check of solvers whose message
     cannot carry it), kept apart so communication-count assertions on the
     algorithms stay exact. `bytes_sent` is a cost model, not a wire
-    count: payload bytes times the 2 * ceil(log2 P) steps of a binomial
-    tree's reduce and broadcast, identical on every rank and across
-    transports. The star sends otherwise: each rank other than 0 sends
-    and receives one payload per collective and rank 0 P - 1 of each,
-    every TCP frame with a 12-byte header. The two agree only at P = 2,
-    where the model's 2 * payload is what the pair of frames carries.
+    count: (payload + reply) bytes times the ceil(log2 P) steps of a
+    binomial tree's reduce and of its broadcast, identical on every rank
+    and across transports; the reply is the total, or a finishing step's
+    result. The star sends otherwise: each rank other than 0 sends one
+    payload and receives one reply per collective and rank 0 P - 1 of
+    each, every TCP frame with a 12-byte header. The two agree only at
+    P = 2, where the model's payload + reply is what the pair of frames
+    carries.
     """
 
     allreduce_calls: int = 0
@@ -113,7 +120,8 @@ class CommStats:
     service_calls: int = 0
 
 
-def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
+def allreduce_sum(world: CommWorld, buf, service: bool = False, *,
+                  finish=None, reply_size: int | None = None) -> np.ndarray:
     """Entrywise sum of every rank's float64 array, delivered to every rank.
 
     All ranks must call with arrays of the same size; a disagreement
@@ -121,27 +129,41 @@ def allreduce_sum(world: CommWorld, buf, service: bool = False) -> np.ndarray:
     modified, and the sum comes back in the input's shape. With
     ``service=True`` the call is counted in `service_calls` instead of
     the algorithmic counters.
+
+    With `finish`, rank 0 applies ``finish(total)`` to the flat total and
+    every rank gets back its result, a flat array of `reply_size` doubles,
+    in place of the total: the peers then never see the total, and what
+    they install is what rank 0 computed. Each star edge still moves one
+    frame each way, and on one rank `finish` runs locally. Its time on
+    rank 0 is not counted as communication.
     """
     buf = np.array(buf, dtype="<f8", order="C")  # the wire's float64
     if buf.size == 0 or buf.ndim > 2:
         raise ValueError("an allreduce payload is a nonempty scalar, vector "
                          "or matrix")
+    if (finish is None) != (reply_size is None):
+        raise ValueError("a finishing step and its reply size come together")
     t0 = time.perf_counter()
     # the payload travels flat; on one rank the star sends and receives
-    # nothing and returns the (already copied) payload
-    out = _star_allreduce(world, buf.reshape(-1))
+    # nothing and returns the (already copied) payload, or its finish
+    out, finish_s = _star_allreduce(world, buf.reshape(-1), finish,
+                                    buf.size if finish is None else reply_size)
     stats = world.stats
-    stats.comm_wall_time += time.perf_counter() - t0
-    volume = out.nbytes * 2 * (world.size - 1).bit_length()  # ceil(log2 P)
+    stats.comm_wall_time += time.perf_counter() - t0 - finish_s
+    # ceil(log2 P) tree steps each way
+    volume = (buf.nbytes + out.nbytes) * (world.size - 1).bit_length()
     if service:
         stats.service_calls += 1
     else:
         stats.allreduce_calls += 1
         stats.bytes_sent += volume
-    return out.reshape(buf.shape)
+    return out if finish is not None else out.reshape(buf.shape)
 
 
-def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
+def _star_allreduce(world: CommWorld, flat: np.ndarray, finish,
+                    reply_size: int) -> tuple[np.ndarray, float]:
+    """(the `reply_size` doubles every rank gets back, seconds rank 0
+    spent in `finish`)."""
     seq = world._seq
     if seq >= _TAG_LIMIT:
         raise CommError("collective sequence space exhausted")
@@ -149,7 +171,7 @@ def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
     rank, size = world.rank, world.size
     if rank:
         world.send(0, seq, flat)
-        return world.recv(0, seq, flat.size)
+        return world.recv(0, seq, reply_size), 0.0
     parts = [flat] + [world.recv(peer, seq, flat.size) for peer in range(1, size)]
     # binomial-tree order: at step 1, 2, 4, ... part r takes in part
     # r + step, so the total is ((x0 + x1) + (x2 + x3)) + ... on every run
@@ -158,9 +180,17 @@ def _star_allreduce(world: CommWorld, flat: np.ndarray) -> np.ndarray:
         for r in range(0, size - step, 2 * step):
             parts[r] += parts[r + step]
         step <<= 1
+    finish_s = 0.0
+    if finish is not None:
+        t0 = time.perf_counter()
+        flat = np.asarray(finish(flat), dtype="<f8").reshape(-1)
+        finish_s = time.perf_counter() - t0
+        if flat.size != reply_size:
+            raise ValueError(f"the finishing step gave {flat.size} doubles, "
+                             f"not the {reply_size} of its reply")
     for peer in range(1, size):
         world.send(peer, seq, flat)
-    return flat
+    return flat, finish_s
 
 
 def _write_frame(conn: socket.socket, tag: int, body) -> None:
@@ -186,16 +216,21 @@ _DIAL_PAUSE = 0.002
 
 
 def _dial(addr, timeout: float):
-    """Connect to `addr`, retrying refused attempts until `timeout`.
+    """Connect to `addr`, retrying failed attempts until `timeout`.
 
-    A peer that is still starting up refuses the connection; each refused
+    A peer that is still starting up refuses the connection; each failed
     attempt is followed by one fixed `_DIAL_PAUSE`, so a peer that listens
-    a moment later is reached within that pause.
+    a moment later is reached within that pause. A host name that does
+    not resolve raises `OSError` at once, naming host and port: no retry
+    would reach it.
     """
     deadline = time.monotonic() + timeout
     while True:
         try:
             return _nodelay(socket.create_connection(addr, timeout=min(1.0, timeout)))
+        except socket.gaierror as exc:
+            raise OSError(f"cannot resolve {addr[0]}:{addr[1]} "
+                          f"({exc.strerror})") from None
         except OSError:
             if time.monotonic() >= deadline:
                 raise CommTimeoutError(

@@ -12,17 +12,19 @@ packs each collective's payload into one flat buffer.
   dbcd on a one-rank world.
 * did: the same iterate with one collective per iteration. Each rank's
   message carries its Gram sums S = X C^T and V = C C^T, which add
-  across blocks, and every rank runs the same `move_basis` on the
-  reduced sums with no further collective. On one rank it is bcd bit
-  for bit.
+  across blocks; rank 0 alone runs `move_basis` on the reduced sums,
+  with no further collective, and the collective's reply carries the
+  moved B (MK + 3 doubles, not the whole total) to every other rank.
+  On one rank it is bcd bit for bit.
 * dadmm: per-block splitting with scaled duals and one (Gram, right-hand
   side) reduction per iteration; both factor updates are solved exactly.
 
 did and dbcd need no collective of their own for the stop test: each
 rank's rr = ||X_blk - B_old C_new||^2, which the C phase takes in its
 one pass over X_blk, and its time-cap flag ride the iteration's (first)
-message, and every rank adds each column's change of the residual (see
-`move_basis`) to the reduced rr. A result rounded below zero is
+message, and the rank that moves the basis (every rank for dbcd, rank 0
+for did) adds each column's change of the residual (see `move_basis`)
+to the reduced rr. A result rounded below zero is
 reported as 0. dadmm reduces its residual and flag in a service
 reduction after its collective.
 """
@@ -122,13 +124,27 @@ def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
                        ) -> tuple[float, int, bool]:
     """One incremental-update iteration; exactly one allreduce.
 
-    Updates the block's C and the replicated B in place; did keeps no
-    state between iterations.
+    Every rank sends its message; rank 0 alone moves B on the total
+    (`did_update_basis`) and replies with `did_basis_reply`, which every
+    rank installs. Updates the block's C and the replicated B in place;
+    did keeps no state between iterations.
     """
     S, V, rr, skipped = did_c_phase(block, B)
-    buf = allreduce_sum(world, did_build_message(S, V, rr, over_time(deadline)))
-    resid, basis_skipped, over = did_update_basis(B, buf)
-    return resid, skipped + basis_skipped, over
+    m, k = B.shape
+    reply = allreduce_sum(world, did_build_message(S, V, rr, over_time(deadline)),
+                          finish=lambda total: did_basis_reply(B, total),
+                          reply_size=m * k + 3)
+    B[:] = reply[:m * k].reshape((m, k), order="F")
+    resid, basis_skipped, over = reply[m * k:]
+    return float(resid), skipped + int(basis_skipped), bool(over)
+
+
+def did_basis_reply(B: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Rank 0's finishing step of did's collective: move B on the reduced
+    message `total` and pack the reply, [B column-major, resid, basis
+    skips, time-cap flag], MK + 3 doubles."""
+    resid, skipped, over = did_update_basis(B, total)
+    return np.concatenate([B.ravel(order="F"), [resid, skipped, over]])
 
 
 def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,

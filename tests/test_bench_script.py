@@ -147,6 +147,43 @@ def test_compare_pairs_the_runs_of_one_against_run():
     assert t["new"] == (5.0, 5.0, 5.0)
 
 
+def test_compare_checks_each_bounded_metric_against_its_bound(capsys):
+    # hand-built runs against a bound of 10% of the median
+    bench = load_bench()
+    env = {"wall_s": 1.0}
+    spread = [8.0, 9, 10, 10, 10, 10, 10, 10, 11, 12]  # quartiles 10 +- 0
+    old = bench_file(env, {"slower": [10.0] * 10, "level": [10.0] * 10,
+                           "wide": [6.0, 7, 8, 9, 10, 10, 11, 12, 13, 14],
+                           "beaten": [6.0, 7, 8, 9, 10, 10, 11, 12, 13, 14],
+                           "rate": [10.0] * 10, "spread": spread,
+                           "free": [10.0] * 10})
+    new = bench_file(env, {"slower": [11.5] * 10, "level": [10.5] * 10,
+                           "wide": [10.0] * 10,
+                           "beaten": [1.0, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5, 5.5],
+                           "rate": [8.5] * 10, "spread": spread,
+                           "free": [20.0] * 10})
+    better = {"rate": "higher"}
+    bounds = {m: 0.1 for m in ("slower", "level", "wide", "beaten", "rate",
+                               "spread")}
+    checks = {r["metric"]: r["check"]
+              for r in bench.paired(old, new, better, bounds)}
+    assert checks == {
+        "slower": "worse",      # 15% above the old median
+        "level": "ok",          # 5% above it, no spread on either side
+        "wide": "unresolved",   # old interquartile range 3.5 > 1.0
+        "beaten": "ok",         # as wide, but every new run beats every old
+        "rate": "worse",        # higher is better: 15% below
+        "spread": "ok",         # an outlier each way leaves the range at 0
+        "free": None,           # no bound, no check
+    }
+    bench.compare(old, new, better, bounds)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("check previews the acceptance rule")
+    assert lines[1].split()[-1] == "check"
+    assert {line.split()[1]: line.split()[-1] for line in lines[2:]} == {
+        m: c or "-" for m, c in checks.items()}
+
+
 def test_allreduce_bench_times_both_transports(capsys):
     bench = load_bench()
     bench.allreduce_bench({"this": ROOT}, runs=1, sizes=(2,), payloads=(23,))

@@ -573,6 +573,33 @@ def test_byte_and_call_accounting_matches_model():
             assert stats.service_calls == 0
 
 
+def test_a_finishing_step_runs_on_rank_0_and_its_result_is_the_reply():
+    # rank 0 alone applies the step to the total; every rank gets its
+    # result, and the model charges payload + reply per tree step
+    def body(world):
+        ran = []
+
+        def finish(total):
+            ran.append(world.rank)
+            return np.array([total.sum(), world.rank, 7.0])
+
+        out = allreduce_sum(world, np.full((2, 2), world.rank + 1.0),
+                            finish=finish, reply_size=3)
+        return out, ran, world.stats.bytes_sent
+
+    for size in (1, 2, 3):
+        total = 4.0 * sum(range(1, size + 1))
+        for rank, (out, ran, nbytes) in enumerate(run_world(size, body)):
+            assert out.tolist() == [total, 0.0, 7.0]
+            assert ran == ([0] if rank == 0 else [])
+            assert nbytes == (32 + 24) * (size - 1).bit_length()
+    [world] = make_inprocess_worlds(1)
+    with pytest.raises(ValueError, match="come together"):
+        allreduce_sum(world, np.ones(2), finish=lambda t: t)
+    with pytest.raises(ValueError, match="gave 2 doubles, not the 3"):
+        allreduce_sum(world, np.ones(2), finish=lambda t: t, reply_size=3)
+
+
 def test_service_traffic_counted_separately():
     def body(world):
         allreduce_sum(world, np.zeros((2, 2)))
@@ -620,6 +647,25 @@ def test_dial_pauses_one_fixed_interval_and_gives_up_at_the_deadline(monkeypatch
     assert pauses == [comm._DIAL_PAUSE] * len(pauses)
     # it stops at the first attempt at or past the deadline
     assert 0.5 <= clock[0] < 0.5 + comm._DIAL_PAUSE
+
+
+def test_dial_to_an_unresolvable_host_fails_at_once(monkeypatch):
+    # a host name that no lookup resolves is not a peer still starting up:
+    # the dial raises at the first attempt, naming host and port, instead
+    # of retrying it until the world's timeout
+    attempts = []
+
+    def unresolvable(addr, timeout):
+        attempts.append(addr)
+        raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+
+    monkeypatch.setattr(comm.socket, "create_connection", unresolvable)
+    t0 = time.monotonic()
+    with pytest.raises(OSError, match=r"cannot resolve nohost\.invalid:9 "
+                                      r"\(Name or service not known\)"):
+        make_tcp_world(1, 2, ("nohost.invalid", 9), timeout=5.0)
+    assert time.monotonic() - t0 < 1.0
+    assert attempts == [("nohost.invalid", 9)]
 
 
 @pytest.mark.parametrize("silent", [False, True], ids=["absent", "silent"])

@@ -307,6 +307,33 @@ def test_replicated_basis_stays_bit_identical(alg, p):
         assert np.array_equal(B, B_ref)
 
 
+def test_did_replicas_agree_by_construction(monkeypatch):
+    # rank 1 rounds every basis column's y one ulp up, as a host whose BLAS
+    # rounds the other way would: rank 0 alone moves the basis and sends
+    # it back, so both ranks still hold one B and one residual trajectory
+    partials = distributed.b_column_partials
+
+    def rounded_up_on_rank1(S, V, B, i):
+        y, z = partials(S, V, B, i)
+        if threading.current_thread().name == "nmf-rank1":
+            y = np.nextafter(y, np.inf)
+        return y, z
+
+    monkeypatch.setattr(distributed, "b_column_partials", rounded_up_on_rank1)
+    X, B0, C0 = random_problem(4, 21, 3, 9)
+    blocks = make_column_blocks(X, C0, 2)
+
+    def body(world):
+        B = np.array(B0, order="F")
+        resids = [did_worker_iterate(world, blocks[world.rank], B)[0]
+                  for _ in range(5)]
+        return B, resids
+
+    (B_0, resids_0), (B_1, resids_1) = run_world(2, body)
+    assert np.array_equal(B_0, B_1)
+    assert resids_0 == resids_1
+
+
 @pytest.mark.parametrize("alg,per_iter", [("did", 1), ("dbcd", 3), ("dadmm", 1)])
 def test_allreduce_count_per_iteration(alg, per_iter):
     # did and dadmm ride one collective per iteration; dbcd needs one per
@@ -355,20 +382,46 @@ def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
     assert residual_sq(X, res[0][0], C) == pytest.approx(ref_resid, rel=1e-10)
 
 
-@pytest.mark.parametrize("size", [2, 3, 4])
-@pytest.mark.parametrize("alg,calls,doubles", [
-    ("did", 1, 5 * 3 + 3 * 4 // 2 + 2),  # S, V's lower triangle, rr, flag
-    ("dbcd", 3, 5 + 1),                  # [y, z] per basis column
-    ("dadmm", 1, 3 * 3 + 5 * 3),         # [gram, rhs]
-])
-def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
-                                                     doubles, size):
+def star_frames(alg, m, k):
+    """The doubles of each frame one collective iteration sends up each
+    star edge (peer to rank 0) and down it (rank 0 to peer)."""
+    if alg == "did":  # S, V's lower triangle, rr, flag; B, resid, skips, flag
+        return [m * k + k * (k + 1) // 2 + 2], [m * k + 3]
+    if alg == "dbcd":  # [y, z] per basis column, the first with rr and flag
+        up = [m + 3] + [m + 1] * (k - 1)
+        return up, up
+    return [k * k + m * k, 2], [k * k + m * k, 2]  # dadmm: [gram, rhs]; service
+
+
+def wire_bytes(up, down):
+    """Bytes on one star edge in both directions, 12 header bytes a frame."""
+    return sum(12 + 8 * d for d in up + down)
+
+
+# did moves 4(K-1)(K-8) more wire bytes per iteration than dbcd at P = 2:
+# K(K-1)/2 more doubles up, K - 3 fewer down, 2(K-1) fewer frame headers
+DID_WIRE_SURPLUS = {3: -40, 10: 72, 30: 2552}
+
+
+def frame_case(alg, k, size, m=5):
+    calls = k if alg == "dbcd" else 1
+    doubles = star_frames(alg, m, k)[0][-1 if alg == "dbcd" else 0]
+    return pytest.param(alg, m, k, size, id=f"{alg}-{calls}-{doubles}-{size}")
+
+
+@pytest.mark.parametrize("alg,m,k,size", [
+    frame_case(alg, 3, size) for alg in ("did", "dbcd", "dadmm")
+    for size in (2, 3, 4)] + [
+    frame_case(alg, k, 2) for alg in ("did", "dbcd") for k in (10, 30)])
+def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, m, k,
+                                                     size):
     # P ranks over real sockets, one iteration: every collective goes from
     # each rank to rank 0 as one frame and comes back as one frame, whose
     # body is the whole flat payload as raw doubles, and no DMAT1 codec
     # runs. dbcd's first [y, z] also carries (rr, flag); dadmm adds a
-    # service reduction of (residual, flag). The in-process reference run
-    # writes the same frames over its socket pairs
+    # service reduction of (residual, flag); did's reply is the basis rank
+    # 0 moved. The in-process reference run writes the same frames over
+    # its socket pairs
     frames = []
     servers = []
     codec_calls = []
@@ -377,7 +430,7 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
 
     def spy(conn, tag, body):
         if tag < comm._TAG_LIMIT:
-            frames.append(len(body))
+            frames.append((threading.current_thread().name, len(body)))
         write_frame(conn, tag, body)
 
     def server_spy(*args, **kwargs):
@@ -396,7 +449,9 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
         spy_codec = codec_spy(name, getattr(matrix, name))
         for mod in (comm, matrix):
             monkeypatch.setattr(mod, name, spy_codec)
-    X, B0, C0 = random_problem(5, 30, 3, 19)
+    # K may exceed M here, which `init_factors` refuses
+    rng = np.random.default_rng(19)
+    X, B0, C0 = synth_data(m, 30, 19), rng.random((m, k)), rng.random((k, 30))
     steps = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
              "dadmm": dadmm_worker_iterate}
 
@@ -417,15 +472,19 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, calls,
     assert errors == [None] * size, errors
     assert set(threading.enumerate()) == before  # the world left no thread
     assert servers == ["nmf-rank0"]
-    payloads = [doubles + 2 * (alg == "dbcd")] + [doubles] * (calls - 1)
-    if alg == "dadmm":
-        payloads.append(2)
+    up, down = star_frames(alg, m, k)
     # ranks send concurrently, so the frames of consecutive collectives
-    # may interleave: compare sizes as a multiset
+    # may interleave: compare sizes as a multiset, up and down apart
     assert codec_calls == []
     for sent in (frames, inprocess_frames):
-        assert sorted(sent) == sorted(8 * d for d in payloads
-                                      for _ in range(2 * (size - 1)))
+        for sender, doubles in ((lambda r: r != "nmf-rank0", up),
+                                (lambda r: r == "nmf-rank0", down)):
+            assert sorted(n for r, n in sent if sender(r)) == sorted(
+                8 * d for d in doubles for _ in range(size - 1))
+    if size == 2 and alg == "did":
+        surplus = wire_bytes(up, down) - wire_bytes(*star_frames("dbcd", m, k))
+        assert surplus == 4 * (k - 1) * (k - 8) == DID_WIRE_SURPLUS[k]
+        assert sum(12 + n for _, n in frames) == wire_bytes(up, down)
     for (B, c), (B_ref, c_ref) in zip(results, expected):
         assert np.array_equal(B, B_ref) and np.array_equal(c, c_ref)
 

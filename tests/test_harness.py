@@ -785,13 +785,15 @@ def test_partitioned_traces_match_sequential(alg, p):
 
 
 def test_comm_cost_columns_match_algorithm_structure():
-    # modelled bytes at P=2: payload doubles x 8 bytes x 2 tree steps.
-    # did packs S (MK), V's lower triangle (K(K+1)/2), rr and the time-cap
-    # flag into one payload; dbcd sends K [y, z] payloads of M + 1, the
-    # first with rr and the flag; dadmm one [gram, rhs] of K^2 + MK
+    # modelled bytes at P=2: (payload + reply) doubles x 8 bytes x 1 tree
+    # step. did packs S (MK), V's lower triangle (K(K+1)/2), rr and the
+    # time-cap flag into one payload, and its reply is the moved B (MK),
+    # the residual, the basis skips and the flag; dbcd sends K [y, z]
+    # payloads of M + 1, the first with rr and the flag; dadmm one
+    # [gram, rhs] of K^2 + MK. The rest reply with the total
     M, K = 5, 3
     X = synth_lowrank(M, 100, K, 3)
-    expected = {"did": (1, 2 * 8 * (M * K + K * (K + 1) // 2 + 2)),
+    expected = {"did": (1, 8 * (M * K + K * (K + 1) // 2 + 2 + M * K + 3)),
                 "dbcd": (K, 2 * 8 * (K * (M + 1) + 2)),
                 "dadmm": (1, 2 * 8 * (K * K + M * K))}
     for alg, (per_iter, nbytes) in expected.items():
