@@ -1,11 +1,12 @@
 """Distributed nonnegative matrix factorization toolkit.
 
-Sequential solvers (coordinate descent, which is Gram-form HALS; ANLS)
-and distributed ones (one column block per worker, replicated basis:
-coordinate descent with K messages per iteration, the one-message did
-worker, and splitting) over an allreduce layer with in-process and TCP
-transports. Every solver is one step function driven by one run loop,
-on either transport; see `harness.run`.
+Five solvers, each on one column block per worker with a replicated
+basis, on any number of workers: coordinate descent (which is Gram-form
+HALS) with K messages per iteration, the one-message did worker, and
+alternating nonnegative least squares and splitting with one each, over
+an allreduce layer with in-process and TCP transports. Every solver is
+one step function driven by one run loop, on either transport; see
+`harness.run`.
 
 Importing the package loads no numpy: the names below resolve from
 `harness` on first use, so `nmf` can start numpy's BLAS pool at one

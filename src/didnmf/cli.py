@@ -27,7 +27,7 @@ from .matrix import write_csv_matrix, write_dmat  # noqa: E402
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nmf",
-        description="Nonnegative matrix factorization, sequential and distributed.")
+        description="Distributed nonnegative matrix factorization.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # every default is RunConfig's: a flag not given leaves its field out

@@ -1,23 +1,27 @@
-"""Distributed workers: one column block per rank, replicated basis.
+"""The solvers' steps: one column block per rank, replicated basis.
 
 Each worker owns a contiguous slab of columns of X and C; the M x K basis
 B is replicated and stays bit-identical across ranks because every B
 update is computed from allreduced quantities with a deterministic
-reduction order. Every worker is a step of the `harness` run loop and
-packs each collective's payload into one flat buffer.
+reduction order. Every worker is a step of the `harness` run loop, runs
+on any number of ranks (one included) and packs each collective's
+payload into one flat buffer.
 
 * dbcd: coordinate descent. Its C phase, `did_c_phase` (the Gram-form C
   pass of `kernels`), is local; `move_basis` then allreduces each basis
-  column's [y, z], so K collectives per iteration. Sequential bcd is
-  dbcd on a one-rank world.
+  column's [y, z], so K collectives per iteration. bcd runs the same
+  step.
 * did: the same iterate with one collective per iteration. Each rank's
   message carries its Gram sums S = X C^T and V = C C^T, which add
   across blocks; rank 0 alone runs `move_basis` on the reduced sums,
   with no further collective, and the collective's reply carries the
   moved B (MK + 3 doubles, not the whole total) to every other rank.
   On one rank it is bcd bit for bit.
-* dadmm: per-block splitting with scaled duals and one (Gram, right-hand
-  side) reduction per iteration; both factor updates are solved exactly.
+* anls and dadmm: `exact_pass` solves C on the block and then B from
+  one reduced (Gram, right-hand side) pair, both exactly, against a
+  target: X for anls (alternating nonnegative least squares), and for
+  dadmm, per-block splitting with scaled duals, the target U + Y its
+  splitting update makes.
 
 did and dbcd need no collective of their own for the stop test: each
 rank's rr = ||X_blk - B_old C_new||^2, which the C phase takes in its
@@ -25,7 +29,7 @@ one pass over X_blk, and its time-cap flag ride the iteration's (first)
 message, and the rank that moves the basis (every rank for dbcd, rank 0
 for did) adds each column's change of the residual (see `move_basis`)
 to the reduced rr. A result rounded below zero is
-reported as 0. dadmm reduces its residual and flag in a service
+reported as 0. `exact_pass` reduces its residual and flag in a service
 reduction after its collective.
 """
 
@@ -154,8 +158,8 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
 
     The C phase (`did_c_phase`) is local; `move_basis` then allreduces
     each basis column's [y, z] (the first with the block's rr and
-    time-cap flag), and every rank applies the identical update. On one
-    rank this is sequential coordinate descent (`bcd`).
+    time-cap flag), and every rank applies the identical update. This is
+    also bcd's step.
     """
     S, V, rr, skipped = did_c_phase(block, B)
     resid, basis_skipped, over = move_basis(
@@ -187,19 +191,34 @@ def dadmm_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
                          ) -> tuple[float, int, bool]:
     """One distributed splitting iteration; exactly one allreduce.
 
-    Updates, in order: the scaled dual U, the auxiliary target Y, the
-    local C block (exact nonnegative least squares), then the replicated
-    B from the reduced Gram C C^T and right-hand side (U + Y) C^T, which
-    travel as one flat [gram, rhs] buffer. Returns ||X - B C||^2 over
-    all ranks, 0 skipped updates and the time-cap flag, which take one
-    service reduction after the algorithmic one.
+    Updates the scaled dual U and the auxiliary target Y, then runs
+    `exact_pass` against the target U + Y.
+    """
+    BC = B @ block.c_block
+    st.U += st.Y - BC
+    st.Y = (block.x_block - st.rho * st.U + st.rho * BC) / (1.0 + st.rho)
+    return exact_pass(world, block, B, st.U + st.Y, deadline)
+
+
+def anls_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
+                 state=None, deadline: float = math.inf
+                 ) -> tuple[float, int, bool]:
+    """Alternating exact nonnegative least squares: `exact_pass` against X."""
+    return exact_pass(world, block, B, block.x_block, deadline)
+
+
+def exact_pass(world: CommWorld, block: ColumnBlock, B: np.ndarray, target,
+               deadline: float) -> tuple[float, int, bool]:
+    """Solve both factors exactly against the block's `target`; one allreduce.
+
+    The block's C := NNLS of B^T B against B^T target, locally; then the
+    replicated B := NNLS from the reduced Gram C C^T and right-hand side
+    target C^T, which travel as one flat [gram, rhs] buffer. Returns
+    ||X - B C||^2 over all ranks, 0 skipped updates and the time-cap
+    flag, which take one service reduction after the algorithmic one.
     """
     C = block.c_block
     m, k = B.shape
-    BC = B @ C
-    st.U += st.Y - BC
-    st.Y = (block.x_block - st.rho * st.U + st.rho * BC) / (1.0 + st.rho)
-    target = st.U + st.Y
     C[:] = nnls_rows(B.T @ B, target.T @ B).T
     buf = allreduce_sum(world, np.concatenate([(C @ C.T).ravel(order="F"),
                                                (target @ C.T).ravel(order="F")]))

@@ -6,14 +6,13 @@ per-iteration metrics. Every algorithm is a step
 `(world, block, B, state, deadline) -> (||X - B C||^2, skipped,
 over_time)` driven by the one loop in `_distributed_worker`; the step
 returns the residual summed over all ranks and the time-cap flag of any
-rank, so the loop makes no collective of its own after e0. Sequential
-algorithms run on a one-rank world (bcd is dbcd there), distributed ones
-on P ranks. Ranks run as threads of one process, joined by socket
-pairs and started by `comm.run_ranks`, or, for every algorithm alike,
-one per process over TCP (driven by `run_tcp_rank` or the
-NMF_RANK/NMF_WORLD/NMF_ADDR environment); both send the same frames
-through the same `comm.CommWorld`. On both transports a rank's whole
-life is `_rank_run`: it reads or draws only its own columns of X and C
+rank, so the loop makes no collective of its own after e0. Every
+algorithm runs on any number P of ranks, one included; bcd is the dbcd
+step. Ranks run as threads of one process, joined by socket pairs and
+started by `comm.run_ranks`, or one per process over TCP (driven by
+`run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment); both
+send the same frames through the same `comm.CommWorld`. On both
+transports a rank's whole life is `_rank_run`: it reads or draws only its own columns of X and C
 (no rank ever holds the whole matrix; a CSV file is converted to DMAT1
 first, with `nmf convert`), holds its world and the BLAS pool from
 connect to its last iteration, and on rank 0 writes the CSV. `run`,
@@ -45,11 +44,12 @@ from .comm import (
 )
 from .distributed import (
     DadmmWorkerState,
+    anls_iterate,
     dadmm_worker_iterate,
     dbcd_worker_iterate,
     did_worker_iterate,
 )
-from .kernels import anls_iterate, reduce_progress, residual_sq
+from .kernels import reduce_progress, residual_sq
 from .matrix import (
     ColumnBlock,
     as_matrix,
@@ -60,9 +60,7 @@ from .matrix import (
     read_dmat_shape,
 )
 
-SEQUENTIAL_ALGS = ("bcd", "anls")
-DISTRIBUTED_ALGS = ("dadmm", "dbcd", "did")
-ALGORITHMS = SEQUENTIAL_ALGS + DISTRIBUTED_ALGS
+ALGORITHMS = ("bcd", "anls", "dadmm", "dbcd", "did")
 TRANSPORTS = ("in-process", "tcp")
 
 # the metrics CSV's column names, for IterRow's first fields in order
@@ -106,8 +104,6 @@ class RunConfig:
             raise ValueError("k must be at least 1")
         if self.p < 1:
             raise ValueError("p must be at least 1")
-        if self.algorithm in SEQUENTIAL_ALGS and self.p != 1:
-            raise ValueError(f"{self.algorithm} is sequential; use p=1")
         if not self.epsilon > 0.0:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 0:
@@ -410,13 +406,11 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     """Execute one configured run and return its metrics.
 
     `X` overrides data loading (used by tests and scripts); each rank
-    copies its block of it. Otherwise in-process ranks (a sequential
-    algorithm is one rank) read or draw their own blocks as TCP ranks do:
-    a byte range of the DMAT1 input or a slice of the synth_data draw.
-    With the tcp transport this process is the one rank named by the
-    NMF_RANK environment variable (see `run_tcp_rank`), whatever the
-    algorithm: a sequential one is a one-rank TCP world. Each rank's
-    life, the CSV included, is `_rank_run`.
+    copies its block of it. Otherwise in-process ranks read or draw their
+    own blocks as TCP ranks do: a byte range of the DMAT1 input or a
+    slice of the synth_data draw. With the tcp transport this process is
+    the one rank named by the NMF_RANK environment variable (see
+    `run_tcp_rank`). Each rank's life, the CSV included, is `_rank_run`.
     """
     config.validate()
     if config.transport == "tcp":

@@ -1,29 +1,24 @@
-"""Factorization kernels: the Gram-form coordinate kernel and ANLS.
+"""Factorization kernels: the Gram-form coordinate kernel, the residual
+and the stop test's reduction.
 
 All minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
 C (K x N). Coordinate descent runs in Gram form: the C pass streams a
 block's stacked [X; C] in column tiles sized for L2 and, in that one
 pass, hands the basis step X C^T and C C^T and takes the residual, so
-nothing M x N is formed and X is read once per iteration. The distributed workers (`distributed`) are
-built from that kernel, and sequential coordinate descent is the dbcd
-worker on a one-rank world. That kernel is Gram-form HALS (all rows of
-C, then all columns of B), so HALS needs no step of its own.
-
-ANLS is a sequential `harness` step: it updates B and the block's C in
-place on a one-rank world, and its residual and time-cap flag take one
-service reduction (`reduce_progress`).
+nothing M x N is formed and X is read once per iteration. The workers
+of `distributed` are built from these kernels; bcd is the dbcd worker.
+That kernel is Gram-form HALS (all rows of C, then
+all columns of B), so HALS needs no step of its own.
 """
 
 from __future__ import annotations
 
-import math
 import time
 
 import numpy as np
 
 from .comm import allreduce_sum
-from .matrix import ColumnBlock
-from .nnls import DEGENERATE_NORM_TOL, nnls_rows
+from .nnls import DEGENERATE_NORM_TOL
 
 # bytes of X per column tile: with the tile's C, Q and residual rows the
 # working set stays inside a per-core L2 cache. On a core with 2 MiB of L2
@@ -78,7 +73,9 @@ def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     Fortran-ordered B give the same result bit for bit.
 
     Returns (S, V, rr, skipped): S = X C^T and V = C C^T for the updated
-    C, rr = ||X - B C||^2 for the updated C and this B, equal to
+    C, V's upper triangle mirrored from its lower one (the V that did
+    rebuilds from its message, so did on one rank is bcd bit for bit),
+    rr = ||X - B C||^2 for the updated C and this B, equal to
     `residual_sq` bit for bit, and the number of skipped rows.
     """
     m, k = B.shape
@@ -124,7 +121,10 @@ def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
             np.maximum(r, 0.0, out=Ct[i])
         SV += Ct @ T.T
         rr += _tile_residual_sq(Xt, Ct, BF, buf)
-    return SV[:, :m].T, SV[:, m:], rr, k - len(live)
+    V = SV[:, m:]
+    for i in range(1, k):
+        V[:i, i] = V[i, :i]
+    return SV[:, :m].T, V, rr, k - len(live)
 
 
 def b_column_partials(S, V, B, i: int) -> tuple[np.ndarray, float]:
@@ -196,13 +196,3 @@ def reduce_progress(world, local: float, deadline: float) -> tuple[float, bool]:
     out = allreduce_sum(world, np.array([local, over_time(deadline)]),
                         service=True)
     return float(out[0]), bool(out[1] > 0.0)
-
-
-def anls_iterate(world, block: ColumnBlock, B: np.ndarray, state=None,
-                 deadline: float = math.inf) -> tuple[float, int, bool]:
-    """Alternating exact nonnegative least squares: all of C, then all of B."""
-    X, C = block.x_block, block.c_block
-    C[:] = nnls_rows(B.T @ B, X.T @ B).T
-    B[:] = nnls_rows(C @ C.T, X @ C.T)
-    resid, over = reduce_progress(world, residual_sq(X, B, C), deadline)
-    return resid, 0, over

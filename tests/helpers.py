@@ -1,10 +1,14 @@
 """Helpers shared by the test files: an in-process world run rank by
 rank, column blocks cut from a whole X and C, for tests that drive a
-step without the run harness, and a free loopback address for a TCP
-world."""
+step without the run harness, a free loopback address for a TCP world
+and the rank processes of one."""
 
+import os
 import socket
+import subprocess
+import sys
 
+import didnmf
 from didnmf.comm import make_inprocess_worlds, run_ranks
 from didnmf.matrix import ColumnBlock, as_matrix, partition_columns
 
@@ -31,6 +35,22 @@ def free_addr():
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return ("127.0.0.1", s.getsockname()[1])
+
+
+def start_tcp_ranks(p, argv, **popen_kw):
+    """Start the P rank processes of one TCP world on a free loopback port.
+
+    Each runs this interpreter with `argv`, `PYTHONPATH` at the package's
+    source and `NMF_ADDR`, `NMF_WORLD` and its own `NMF_RANK` set; the
+    keywords go to every `subprocess.Popen`. Returns the processes by
+    rank.
+    """
+    src = os.path.dirname(os.path.dirname(didnmf.__file__))
+    env = dict(os.environ, PYTHONPATH=src, NMF_ADDR="%s:%d" % free_addr(),
+               NMF_WORLD=str(p))
+    return [subprocess.Popen([sys.executable, *argv],
+                             env=dict(env, NMF_RANK=str(r)), **popen_kw)
+            for r in range(p)]
 
 
 def make_column_blocks(X, C, p: int) -> list[ColumnBlock]:

@@ -4,9 +4,7 @@ Each test prints one PASS/FAIL line (surfaced in the report via -rP) and
 enforces its stated tolerance and, where one applies, its runtime budget.
 """
 
-import os
 import subprocess
-import sys
 import time
 
 import numpy as np
@@ -22,7 +20,7 @@ from didnmf.distributed import (
 )
 from didnmf.harness import RunConfig, init_factors, run, synth_data, synth_lowrank
 from didnmf.kernels import b_column_apply, b_column_partials
-from helpers import free_addr, make_column_blocks
+from helpers import make_column_blocks, start_tcp_ranks
 from didnmf.nnls import nnls_oracle, nnls_rows, row_objectives
 
 
@@ -213,16 +211,10 @@ def test_acceptance_7_transport_equivalence(tmp_path):
                   epsilon=1e-6, max_iters=300, out_path=str(inproc_csv)))
 
     tcp_csv = tmp_path / "tcp.csv"
-    _, port = free_addr()
-    procs = []
-    for rank in range(2):
-        env = dict(os.environ,
-                   NMF_ADDR=f"127.0.0.1:{port}", NMF_RANK=str(rank),
-                   NMF_WORLD="2")
-        procs.append(subprocess.Popen(
-            [sys.executable, "-m", "didnmf", "run", *flags,
-             "--transport", "tcp", "--out", str(tcp_csv)],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT))
+    procs = start_tcp_ranks(
+        2, ["-m", "didnmf", "run", *flags, "--transport", "tcp",
+            "--out", str(tcp_csv)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     outs = [p.communicate(timeout=55)[0] for p in procs]
     codes = [p.returncode for p in procs]
 

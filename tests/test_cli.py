@@ -108,16 +108,11 @@ def test_run_distributed_in_process(tmp_path, capsys):
     assert "did: iterations=20" in capsys.readouterr().out
 
 
-def test_run_rejects_bad_flag_combinations(capsys):
+def test_run_rejects_bad_flag_combinations():
     with pytest.raises(SystemExit):
         main(["run", "--alg", "sgd", "--m", "4", "--n", "4"])
     with pytest.raises(SystemExit):  # deleted solvers are gone from --alg
         main(["run", "--alg", "admm", "--m", "4", "--n", "4"])
-    capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--alg", "bcd", "--m", "4", "--n", "8", "--p", "2"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == "nmf: error: bcd is sequential; use p=1\n"
 
 
 @pytest.mark.parametrize("flag,alg", [("--eps", "did"), ("--max-time", "did"),

@@ -8,6 +8,7 @@ from didnmf import comm, distributed, matrix
 from didnmf.comm import make_inprocess_worlds, make_tcp_world, run_ranks
 from didnmf.distributed import (
     DadmmWorkerState,
+    anls_iterate,
     dadmm_worker_iterate,
     dbcd_worker_iterate,
     did_build_message,
@@ -223,6 +224,7 @@ BCD_PARITY_INSTANCES = [
     # (name, X from a seed, K)
     ("lowrank-5x400", lambda s: synth_lowrank(5, 400, 3, s), 3),
     ("data-8x600", lambda s: synth_data(8, 600, s), 3),
+    ("data-6x301", lambda s: synth_data(6, 301, s), 3),
     ("lowrank-20x3000", lambda s: synth_lowrank(20, 3000, 5, s), 5),
 ]
 
@@ -284,7 +286,7 @@ def run_multiworker(alg, X, B0, C0, p, iters):
     """Drive one worker per rank; return per-rank (B, c_block, stats)."""
     blocks = make_column_blocks(X, C0, p)
     step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
-            "dadmm": dadmm_worker_iterate}[alg]
+            "dadmm": dadmm_worker_iterate, "anls": anls_iterate}[alg]
 
     def body(world):
         B = np.array(B0, order="F")
@@ -297,7 +299,7 @@ def run_multiworker(alg, X, B0, C0, p, iters):
     return run_world(p, body)
 
 
-@pytest.mark.parametrize("alg", ["did", "dbcd", "dadmm"])
+@pytest.mark.parametrize("alg", ["did", "dbcd", "dadmm", "anls"])
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_replicated_basis_stays_bit_identical(alg, p):
     X, B0, C0 = random_problem(4, 21, 2, 8)
@@ -334,16 +336,17 @@ def test_did_replicas_agree_by_construction(monkeypatch):
     assert resids_0 == resids_1
 
 
-@pytest.mark.parametrize("alg,per_iter", [("did", 1), ("dbcd", 3), ("dadmm", 1)])
+@pytest.mark.parametrize("alg,per_iter", [("did", 1), ("dbcd", 3), ("dadmm", 1),
+                                          ("anls", 1)])
 def test_allreduce_count_per_iteration(alg, per_iter):
-    # did and dadmm ride one collective per iteration; dbcd needs one per
-    # basis column (K = 3 here). did and dbcd carry their stopping residual
-    # in that message; dadmm adds one service reduction for it
+    # did, dadmm and anls ride one collective per iteration; dbcd needs one
+    # per basis column (K = 3 here). did and dbcd carry their stopping
+    # residual in that message; dadmm and anls add one service reduction
     X, B0, C0 = random_problem(4, 21, 3, 9)
     iters = 7
     for _, _, stats in run_multiworker(alg, X, B0, C0, 2, iters):
         assert stats.allreduce_calls == per_iter * iters
-        assert stats.service_calls == (iters if alg == "dadmm" else 0)
+        assert stats.service_calls == (iters if alg in ("dadmm", "anls") else 0)
 
 
 @pytest.mark.parametrize("p", [2, 3])

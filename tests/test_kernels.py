@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from didnmf.comm import make_inprocess_worlds
-from didnmf.distributed import dbcd_worker_iterate
+from didnmf.distributed import anls_iterate, dbcd_worker_iterate
 from didnmf.harness import init_factors, synth_data, synth_lowrank
 from didnmf.kernels import (
     DEGENERATE_NORM_TOL,
-    anls_iterate,
     b_column_apply,
     b_column_partials,
     c_rowwise_sweep,
