@@ -5,12 +5,14 @@ than 0 sends its payload to rank 0 and receives the total back, one
 message each way. Rank 0 adds the P parts in binomial-tree order
 (((x0 + x1) + (x2 + x3)) + ...), a pure function of the world size, so
 for fixed per-rank inputs the result is bit-identical on every rank, on
-every run, and on both transports. The distributed solvers lean on that
-to keep replicated state exactly synchronized. A collective may instead
+every run, and on both transports; the service reductions (setup sum,
+e0, anls' and dadmm's stop test) lean on that. A collective may instead
 name a finishing step: rank 0 alone applies it to the total and sends
 back its result, which may be shorter than the total, so what the step
 computes is the same on every rank by construction, however each host
-rounds.
+rounds. Every solver's basis moves that way: did's reply is the moved B,
+dbcd's is each column b_i in turn, and anls' and dadmm's is the B that
+the exact NNLS solve gives on rank 0.
 
 A caller packs everything one collective carries into a single array;
 each star edge then moves exactly one message each way.

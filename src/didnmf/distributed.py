@@ -1,36 +1,41 @@
 """The solvers' steps: one column block per rank, replicated basis.
 
 Each worker owns a contiguous slab of columns of X and C; the M x K basis
-B is replicated and stays bit-identical across ranks because every B
-update is computed from allreduced quantities with a deterministic
-reduction order. Every worker is a step of the `harness` run loop, runs
-on any number of ranks (one included) and packs each collective's
-payload into one flat buffer.
+B is replicated. Rank 0 alone moves it, from reduced sums, and every
+other rank installs what rank 0's reply carries (`comm.allreduce_sum`'s
+finishing step). So every rank holds rank 0's B, bit for bit, by
+construction, however each host rounds the arithmetic after the reduce.
+Every worker is a step of the `harness` run loop, runs on any number of
+ranks (one included) and packs each collective's payload into one flat
+buffer.
 
 * dbcd: coordinate descent. Its C phase, `did_c_phase` (the Gram-form C
-  pass of `kernels`), is local; `move_basis` then allreduces each basis
-  column's [y, z], so K collectives per iteration. bcd runs the same
-  step.
+  pass of `kernels`), is local. Then each basis column's [y, z] is
+  reduced, so K collectives per iteration; rank 0 moves b_i on the
+  total (`move_column`) and replies with b_i alone, M doubles. On one
+  rank it is sequential coordinate descent, Gram-form HALS.
 * did: the same iterate with one collective per iteration. Each rank's
   message carries its Gram sums S = X C^T and V = C C^T, which add
-  across blocks; rank 0 alone runs `move_basis` on the reduced sums,
-  with no further collective, and the collective's reply carries the
-  moved B (MK + 3 doubles, not the whole total) to every other rank.
-  On one rank it is bcd bit for bit.
+  across blocks; rank 0 alone runs `move_basis` (`move_column` for each
+  column in turn) on the reduced sums, with no further collective, and
+  replies with the moved B, MK + 3 doubles, not the whole total. On one
+  rank it is dbcd bit for bit.
 * anls and dadmm: `exact_pass` solves C on the block and then B from
   one reduced (Gram, right-hand side) pair, both exactly, against a
   target: X for anls (alternating nonnegative least squares), and for
   dadmm, per-block splitting with scaled duals, the target U + Y its
-  splitting update makes.
+  splitting update makes. Rank 0 alone solves B and replies with it,
+  MK doubles, not the K^2 + MK total.
 
 did and dbcd need no collective of their own for the stop test: each
 rank's rr = ||X_blk - B_old C_new||^2, which the C phase takes in its
 one pass over X_blk, and its time-cap flag ride the iteration's (first)
-message, and the rank that moves the basis (every rank for dbcd, rank 0
-for did) adds each column's change of the residual (see `move_basis`)
-to the reduced rr. A result rounded below zero is
-reported as 0. `exact_pass` reduces its residual and flag in a service
-reduction after its collective.
+message. Rank 0 adds each column's change of the residual (see
+`move_column`) to the reduced rr, and its (last) reply carries the
+result, the basis skips and the flag, so every rank stops on rank 0's
+number. A result rounded below zero is reported as 0. `exact_pass`
+reduces its residual and flag in a service reduction after its
+collective; every rank gets that total alike.
 """
 
 from __future__ import annotations
@@ -80,10 +85,10 @@ def did_build_message(S: np.ndarray, V: np.ndarray, rr: float,
 
 
 def did_update_basis(B: np.ndarray, buf: np.ndarray) -> tuple[float, int, bool]:
-    """Move every basis column from a reduced message, as bcd does.
+    """Move every basis column from a reduced message, as dbcd does.
 
     Unpacks the reduced S and V (V mirrored from its lower triangle) and
-    runs `move_basis` on them with no further collective and no reduce.
+    runs `move_basis` on them with no further collective.
     """
     m, k = B.shape
     S = buf[:m * k].reshape((m, k), order="F")
@@ -93,34 +98,36 @@ def did_update_basis(B: np.ndarray, buf: np.ndarray) -> tuple[float, int, bool]:
     return move_basis(B, S, V, buf[-2:])
 
 
-def move_basis(B: np.ndarray, S: np.ndarray, V: np.ndarray, tail,
-               reduce=None) -> tuple[float, int, bool]:
-    """Move basis columns 0..K-1 in order with the coordinate kernel.
+def move_basis(B: np.ndarray, S: np.ndarray, V: np.ndarray, tail
+               ) -> tuple[float, int, bool]:
+    """Move basis columns 0..K-1 in order with the coordinate kernel, on
+    reduced (S, V) and `tail` = [rr, flag], with no collective.
 
-    Column i's [y, z] (`b_column_partials` of (S, V) against the columns
-    already moved) is reduced, and `b_column_apply` installs
-    b_i := [y / z]_+. did and dbcd differ only in `reduce`: did's (S, V)
-    and `tail` = [rr, flag] are already reduced and used as they are (no
-    `reduce`); dbcd's `reduce` allreduces its rank's [y, z], column 0's
-    followed by `tail`. Moving b_i by d changes ||X - B C||^2 by
-    z ||d||^2 - 2 d^T (y - z b_i). Returns (rr plus those changes,
-    clamped at 0; the number of columns skipped; the time-cap flag of
-    any rank).
+    Column i's [y, z] is `b_column_partials` of (S, V) against the
+    columns already moved, and `move_column` installs it. Returns (rr
+    plus the columns' changes of the residual, clamped at 0; the number
+    of columns skipped; the time-cap flag of any rank).
     """
-    skipped = 0
-    resid, over = tail
+    run = np.array([tail[0], 0.0, tail[1]])
     for i in range(B.shape[1]):
-        y, z = b_column_partials(S, V, B, i)
-        if reduce is not None:
-            yz = reduce(np.concatenate([y, [z], tail if i == 0 else []]))
-            if i == 0:
-                (resid, over), yz = yz[-2:], yz[:-2]
-            y, z = yz[:-1], float(yz[-1])
-        b = B[:, i].copy()
-        skipped += b_column_apply(B, i, y, z)
-        d = B[:, i] - b
-        resid += z * float(d @ d) - 2.0 * float(d @ (y - z * b))
-    return max(float(resid), 0.0), skipped, bool(over > 0.0)
+        move_column(B, i, *b_column_partials(S, V, B, i), run)
+    return max(float(run[0]), 0.0), int(run[1]), bool(run[2] > 0.0)
+
+
+def move_column(B: np.ndarray, i: int, y, z: float, run: np.ndarray) -> None:
+    """Install b_i := [y / z]_+ from column i's reduced [y, z]
+    (`b_column_apply`), and add the move to `run`, the running [residual,
+    skips, time-cap flag]: moving b_i by d changes ||X - B C||^2 by
+    z ||d||^2 - 2 d^T (y - z b_i).
+
+    Only the rank that moves the basis calls it: did's rank 0 once per
+    column in `move_basis`, dbcd's rank 0 once per collective in
+    `dbcd_column_reply`.
+    """
+    b = B[:, i].copy()
+    run[1] += b_column_apply(B, i, y, z)
+    d = B[:, i] - b
+    run[0] += z * float(d @ d) - 2.0 * float(d @ (y - z * b))
 
 
 def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
@@ -156,16 +163,38 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
                         ) -> tuple[float, int, bool]:
     """One distributed coordinate-descent iteration; K allreduces.
 
-    The C phase (`did_c_phase`) is local; `move_basis` then allreduces
-    each basis column's [y, z] (the first with the block's rr and
-    time-cap flag), and every rank applies the identical update. This is
-    also bcd's step.
+    The C phase (`did_c_phase`) is local. Then each basis column's local
+    [y, z] (`b_column_partials`; the first with the block's rr and
+    time-cap flag) is reduced, rank 0 alone moves b_i on the total
+    (`dbcd_column_reply`), and every rank installs the b_i it replies
+    with. The last reply also carries the residual, the basis skips and
+    the flag, so every rank stops on the number rank 0 computed.
     """
     S, V, rr, skipped = did_c_phase(block, B)
-    resid, basis_skipped, over = move_basis(
-        B, S, V, [rr, over_time(deadline)],
-        lambda yz: allreduce_sum(world, yz))
-    return resid, skipped + basis_skipped, over
+    m, k = B.shape
+    run = np.zeros(3)  # rank 0's running [resid, basis skips, flag]
+    for i in range(k):
+        y, z = b_column_partials(S, V, B, i)
+        msg = np.concatenate([y, [z], [rr, over_time(deadline)] if i == 0 else []])
+        reply = allreduce_sum(world, msg, reply_size=m + 3 * (i == k - 1),
+                              finish=lambda t, i=i: dbcd_column_reply(B, i, t, run))
+        B[:, i] = reply[:m]
+    resid, basis_skipped, over = reply[m:]
+    return float(resid), skipped + int(basis_skipped), bool(over)
+
+
+def dbcd_column_reply(B: np.ndarray, i: int, total: np.ndarray,
+                      run: np.ndarray) -> np.ndarray:
+    """Rank 0's finishing step of dbcd's collective for basis column i:
+    move b_i on the reduced [y, z] (column 0's followed by [rr, flag],
+    which start `run`) and reply with b_i, M doubles; the last column's
+    reply adds [resid clamped at 0, basis skips, time-cap flag]."""
+    m, k = B.shape
+    if i == 0:
+        run[0], run[2] = total[m + 1:]
+    move_column(B, i, total[:m], float(total[m]), run)
+    tail = [max(float(run[0]), 0.0), run[1], run[2]] if i == k - 1 else []
+    return np.concatenate([B[:, i], tail])
 
 
 @dataclass
@@ -220,10 +249,14 @@ def exact_pass(world: CommWorld, block: ColumnBlock, B: np.ndarray, target,
     C = block.c_block
     m, k = B.shape
     C[:] = nnls_rows(B.T @ B, target.T @ B).T
-    buf = allreduce_sum(world, np.concatenate([(C @ C.T).ravel(order="F"),
-                                               (target @ C.T).ravel(order="F")]))
-    gram = buf[:k * k].reshape((k, k), order="F")
-    B[:] = nnls_rows(gram, buf[k * k:].reshape((m, k), order="F"))
+
+    def basis(t):  # rank 0's finishing step: B from the reduced [gram, rhs]
+        gram = t[:k * k].reshape((k, k), order="F")
+        return nnls_rows(gram, t[k * k:].reshape((m, k), order="F")).ravel(order="F")
+
+    B[:] = allreduce_sum(world, np.concatenate([(C @ C.T).ravel(order="F"),
+                                                (target @ C.T).ravel(order="F")]),
+                         finish=basis, reply_size=m * k).reshape((m, k), order="F")
     resid, over = reduce_progress(world, residual_sq(block.x_block, B, C),
                                   deadline)
     return resid, 0, over

@@ -7,18 +7,20 @@ per-iteration metrics. Every algorithm is a step
 over_time)` driven by the one loop in `_distributed_worker`; the step
 returns the residual summed over all ranks and the time-cap flag of any
 rank, so the loop makes no collective of its own after e0. Every
-algorithm runs on any number P of ranks, one included; bcd is the dbcd
-step. Ranks run as threads of one process, joined by socket pairs and
-started by `comm.run_ranks`, or one per process over TCP (driven by
-`run_tcp_rank` or the NMF_RANK/NMF_WORLD/NMF_ADDR environment); both
-send the same frames through the same `comm.CommWorld`. On both
-transports a rank's whole life is `_rank_run`: it reads or draws only its own columns of X and C
+algorithm runs on any number P of ranks, one included; dbcd on one rank
+is sequential coordinate descent. Ranks run as threads of one process,
+joined by socket pairs and started by `comm.run_ranks`, or one per
+process over TCP (driven by `run_tcp_rank` or the
+NMF_RANK/NMF_WORLD/NMF_ADDR environment); both send the same frames
+through the same `comm.CommWorld`. On both transports a rank's whole
+life is `_rank_run`: it reads or draws only its own columns of X and C
 (no rank ever holds the whole matrix; a CSV file is converted to DMAT1
 first, with `nmf convert`), holds its world and the BLAS pool from
 connect to its last iteration, and on rank 0 writes the CSV. `run`,
 `run_tcp_rank` and `_run_inprocess` only validate, choose the
 connection and start the ranks.
-Every stop decision is made from allreduced quantities so all ranks
+Every stop decision is made from one number every rank receives alike
+(the residual rank 0 replies with, or a reduced total), so all ranks
 always take the same branch.
 """
 
@@ -60,7 +62,7 @@ from .matrix import (
     read_dmat_shape,
 )
 
-ALGORITHMS = ("bcd", "anls", "dadmm", "dbcd", "did")
+ALGORITHMS = ("anls", "dadmm", "dbcd", "did")
 TRANSPORTS = ("in-process", "tcp")
 
 # the metrics CSV's column names, for IterRow's first fields in order
@@ -475,8 +477,7 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
     against the deadline after its local compute; an iteration that any
     rank flags completes, and the run stops after it.
     """
-    steps = {"bcd": (dbcd_worker_iterate, None),
-             "anls": (anls_iterate, None),
+    steps = {"anls": (anls_iterate, None),
              "dadmm": (dadmm_worker_iterate, DadmmWorkerState.fresh),
              "dbcd": (dbcd_worker_iterate, None),
              "did": (did_worker_iterate, None)}

@@ -6,8 +6,8 @@ C (K x N). Coordinate descent runs in Gram form: the C pass streams a
 block's stacked [X; C] in column tiles sized for L2 and, in that one
 pass, hands the basis step X C^T and C C^T and takes the residual, so
 nothing M x N is formed and X is read once per iteration. The workers
-of `distributed` are built from these kernels; bcd is the dbcd worker.
-That kernel is Gram-form HALS (all rows of C, then
+of `distributed` are built from these kernels; dbcd on one rank is the
+sequential method. That kernel is Gram-form HALS (all rows of C, then
 all columns of B), so HALS needs no step of its own.
 """
 
@@ -74,7 +74,7 @@ def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
 
     Returns (S, V, rr, skipped): S = X C^T and V = C C^T for the updated
     C, V's upper triangle mirrored from its lower one (the V that did
-    rebuilds from its message, so did on one rank is bcd bit for bit),
+    rebuilds from its message, so did on one rank is dbcd bit for bit),
     rr = ||X - B C||^2 for the updated C and this B, equal to
     `residual_sq` bit for bit, and the number of skipped rows.
     """

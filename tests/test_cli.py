@@ -52,12 +52,12 @@ def test_run_end_to_end_with_metrics_file(tmp_path, capsys):
     out = tmp_path / "metrics.csv"
     main(["synth", "--m", "5", "--n", "60", "--seed", "2", "--rank", "3",
           "--out", str(data)])
-    code = main(["run", "--alg", "bcd", "--k", "3", "--seed", "2",
+    code = main(["run", "--alg", "dbcd", "--k", "3", "--seed", "2",
                  "--input", str(data), "--max-iters", "400",
                  "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
-    assert "bcd: iterations=" in text
+    assert "dbcd: iterations=" in text
     assert f"metrics written to {out}" in text
     rows = read_metrics_csv(out)
     assert rows, "run produced no iterations"
@@ -111,8 +111,10 @@ def test_run_distributed_in_process(tmp_path, capsys):
 def test_run_rejects_bad_flag_combinations():
     with pytest.raises(SystemExit):
         main(["run", "--alg", "sgd", "--m", "4", "--n", "4"])
-    with pytest.raises(SystemExit):  # deleted solvers are gone from --alg
-        main(["run", "--alg", "admm", "--m", "4", "--n", "4"])
+    # deleted solvers, and bcd, once a second name of dbcd, are gone
+    for alg in ("admm", "bcd"):
+        with pytest.raises(SystemExit):
+            main(["run", "--alg", alg, "--m", "4", "--n", "4"])
 
 
 @pytest.mark.parametrize("flag,alg", [("--eps", "did"), ("--max-time", "did"),
@@ -140,7 +142,7 @@ def test_nmf_run_refuses_a_csv_input_in_one_line(tmp_path):
     main(["synth", "--m", "4", "--n", "6", "--out", str(data)])
     src = str(pathlib.Path(didnmf.__file__).parent.parent)
     out = subprocess.run(
-        [sys.executable, "-m", "didnmf", "run", "--alg", "bcd", "--k", "2",
+        [sys.executable, "-m", "didnmf", "run", "--alg", "dbcd", "--k", "2",
          "--input", str(data)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
         timeout=60)
@@ -152,7 +154,7 @@ def test_nmf_run_refuses_a_csv_input_in_one_line(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    ["run", "--alg", "bcd", "--k", "2", "--input", "missing.dmat"],
+    ["run", "--alg", "dbcd", "--k", "2", "--input", "missing.dmat"],
     ["convert", "missing.csv", "x.dmat"],
 ], ids=["run", "convert"])
 def test_nmf_refuses_a_missing_file_in_one_line(tmp_path, argv):

@@ -48,8 +48,8 @@ def sequential_cd(X, B, C):
 
 
 def one_rank_dbcd(X, B0, C0, iters):
-    """Sequential coordinate descent as the run loop drives it (bcd): the
-    dbcd worker on a one-rank world. Returns (B, C, last residual)."""
+    """Sequential coordinate descent as the run loop drives it: the dbcd
+    worker on a one-rank world. Returns (B, C, last residual)."""
     block = make_column_blocks(X, C0, 1)[0]
     B = np.array(B0, order="F")
     [world] = make_inprocess_worlds(1)
@@ -234,7 +234,7 @@ BCD_PARITY_INSTANCES = [
                          ids=[i[0] for i in BCD_PARITY_INSTANCES])
 def test_did_single_worker_is_bitwise_bcd(name, make, k, seed):
     # one rank's reduced (S, V) is its own, and did moves the basis with
-    # bcd's column loop: B, C and the reported residual agree bit for bit
+    # dbcd's column loop: B, C and the reported residual agree bit for bit
     # at every one of 300 iterations
     X = make(seed)
     B0, C0 = init_factors(X, k, seed)
@@ -309,6 +309,29 @@ def test_replicated_basis_stays_bit_identical(alg, p):
         assert np.array_equal(B, B_ref)
 
 
+def on_rank1():
+    return threading.current_thread().name == "nmf-rank1"
+
+
+def two_rank_replicas(alg, iters=5):
+    """Drive `alg` for `iters` iterations on two in-process ranks; per
+    rank, (its B, the residual it reported each iteration)."""
+    X, B0, C0 = random_problem(4, 21, 3, 9)
+    blocks = make_column_blocks(X, C0, 2)
+    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
+            "dadmm": dadmm_worker_iterate, "anls": anls_iterate}[alg]
+
+    def body(world):
+        B = np.array(B0, order="F")
+        block = blocks[world.rank]
+        st = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
+        return B, [step(world, block, B, st)[0] for _ in range(iters)]
+
+    (B_0, resids_0), (B_1, resids_1) = run_world(2, body)
+    assert not np.array_equal(B_0, B0)  # the basis moved
+    return (B_0, resids_0), (B_1, resids_1)
+
+
 def test_did_replicas_agree_by_construction(monkeypatch):
     # rank 1 rounds every basis column's y one ulp up, as a host whose BLAS
     # rounds the other way would: rank 0 alone moves the basis and sends
@@ -317,21 +340,52 @@ def test_did_replicas_agree_by_construction(monkeypatch):
 
     def rounded_up_on_rank1(S, V, B, i):
         y, z = partials(S, V, B, i)
-        if threading.current_thread().name == "nmf-rank1":
+        if on_rank1():
             y = np.nextafter(y, np.inf)
         return y, z
 
     monkeypatch.setattr(distributed, "b_column_partials", rounded_up_on_rank1)
-    X, B0, C0 = random_problem(4, 21, 3, 9)
-    blocks = make_column_blocks(X, C0, 2)
+    (B_0, resids_0), (B_1, resids_1) = two_rank_replicas("did")
+    assert np.array_equal(B_0, B_1)
+    assert resids_0 == resids_1
 
-    def body(world):
-        B = np.array(B0, order="F")
-        resids = [did_worker_iterate(world, blocks[world.rank], B)[0]
-                  for _ in range(5)]
-        return B, resids
 
-    (B_0, resids_0), (B_1, resids_1) = run_world(2, body)
+def test_dbcd_replicas_agree_by_construction(monkeypatch):
+    # rank 1 rounds each moved column b_i one ulp up, as a host whose
+    # kernels round the other way would; that also moves its residual
+    # change. Rank 0 alone moves b_i on each column's reduced [y, z] and
+    # replies with it (the last reply with the residual), so both ranks
+    # hold one B and one residual trajectory
+    apply = distributed.b_column_apply
+
+    def rounded_up_on_rank1(B, i, y, z):
+        skipped = apply(B, i, y, z)
+        if on_rank1():
+            B[:, i] = np.nextafter(B[:, i], np.inf)
+        return skipped
+
+    monkeypatch.setattr(distributed, "b_column_apply", rounded_up_on_rank1)
+    (B_0, resids_0), (B_1, resids_1) = two_rank_replicas("dbcd")
+    assert np.array_equal(B_0, B_1)
+    assert resids_0 == resids_1
+
+
+@pytest.mark.parametrize("alg", ["anls", "dadmm"])
+def test_exact_pass_replicas_agree_by_construction(monkeypatch, alg):
+    # rank 1 rounds the basis NNLS solve one ulp up: rank 0 alone solves
+    # B from the reduced [gram, rhs] and replies with it, so both ranks
+    # hold one B. (The residual is a reduced total on every rank.)
+    solve = distributed.nnls_rows
+
+    def rounded_up_on_rank1(G, R):
+        out = solve(G, R)
+        # the basis solve has a row per row of X (4), the C solve per column
+        if on_rank1() and len(R) == 4:
+            out = np.nextafter(out, np.inf)
+        return out
+
+    monkeypatch.setattr(distributed, "nnls_rows", rounded_up_on_rank1)
+    (B_0, resids_0), (B_1, resids_1) = two_rank_replicas(alg)
     assert np.array_equal(B_0, B_1)
     assert resids_0 == resids_1
 
@@ -390,10 +444,10 @@ def star_frames(alg, m, k):
     star edge (peer to rank 0) and down it (rank 0 to peer)."""
     if alg == "did":  # S, V's lower triangle, rr, flag; B, resid, skips, flag
         return [m * k + k * (k + 1) // 2 + 2], [m * k + 3]
-    if alg == "dbcd":  # [y, z] per basis column, the first with rr and flag
-        up = [m + 3] + [m + 1] * (k - 1)
-        return up, up
-    return [k * k + m * k, 2], [k * k + m * k, 2]  # dadmm: [gram, rhs]; service
+    if alg == "dbcd":  # [y, z] per basis column, the first with rr and flag;
+        # b_i per column, the last with resid, skips and flag
+        return [m + 3] + [m + 1] * (k - 1), [m] * (k - 1) + [m + 3]
+    return [k * k + m * k, 2], [m * k, 2]  # dadmm: [gram, rhs], B; service
 
 
 def wire_bytes(up, down):
@@ -401,9 +455,10 @@ def wire_bytes(up, down):
     return sum(12 + 8 * d for d in up + down)
 
 
-# did moves 4(K-1)(K-8) more wire bytes per iteration than dbcd at P = 2:
-# K(K-1)/2 more doubles up, K - 3 fewer down, 2(K-1) fewer frame headers
-DID_WIRE_SURPLUS = {3: -40, 10: 72, 30: 2552}
+# did moves 4(K-1)(K-6) more wire bytes per iteration than dbcd at P = 2:
+# K(K-1)/2 more doubles up, as many down (MK + 3 each), 2(K-1) fewer
+# frame headers
+DID_WIRE_SURPLUS = {3: -24, 10: 144, 30: 2784}
 
 
 def frame_case(alg, k, size, m=5):
@@ -422,8 +477,9 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, m, k,
     # each rank to rank 0 as one frame and comes back as one frame, whose
     # body is the whole flat payload as raw doubles, and no DMAT1 codec
     # runs. dbcd's first [y, z] also carries (rr, flag); dadmm adds a
-    # service reduction of (residual, flag); did's reply is the basis rank
-    # 0 moved. The in-process reference run writes the same frames over
+    # service reduction of (residual, flag). Every reply is what rank 0
+    # moved: did's B, dbcd's b_i (the last with resid, skips and flag),
+    # dadmm's B. The in-process reference run writes the same frames over
     # its socket pairs
     frames = []
     servers = []
@@ -486,7 +542,7 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, m, k,
                 8 * d for d in doubles for _ in range(size - 1))
     if size == 2 and alg == "did":
         surplus = wire_bytes(up, down) - wire_bytes(*star_frames("dbcd", m, k))
-        assert surplus == 4 * (k - 1) * (k - 8) == DID_WIRE_SURPLUS[k]
+        assert surplus == 4 * (k - 1) * (k - 6) == DID_WIRE_SURPLUS[k]
         assert sum(12 + n for _, n in frames) == wire_bytes(up, down)
     for (B, c), (B_ref, c_ref) in zip(results, expected):
         assert np.array_equal(B, B_ref) and np.array_equal(c, c_ref)

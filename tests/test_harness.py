@@ -3,14 +3,15 @@ import gc
 import os
 import re
 import subprocess
+import threading
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from didnmf import harness
-from didnmf.comm import MAX_TIMEOUT, make_inprocess_worlds, run_ranks
+from didnmf import distributed, harness
+from didnmf.comm import MAX_TIMEOUT, CommError, make_inprocess_worlds, run_ranks
 from didnmf.harness import (
     ALGORITHMS,
     CSV_HEADER,
@@ -25,6 +26,7 @@ from didnmf.harness import (
     synth_lowrank,
 )
 from didnmf.matrix import partition_columns, write_csv_matrix, write_dmat
+from didnmf.nnls import NnlsError
 from helpers import free_addr, start_tcp_ranks
 
 
@@ -173,11 +175,12 @@ def test_stopping_zero_initial_residual_is_converged():
 
 
 def test_config_validation_rejects_bad_values():
-    good = dict(algorithm="bcd", m=4, n=6, k=2)
+    good = dict(algorithm="dbcd", m=4, n=6, k=2)
     RunConfig(**good).validate()
     # each message names what is wrong
     bad = [
         (dict(good, algorithm="sgd"), "unknown algorithm"),
+        (dict(good, algorithm="bcd"), "unknown algorithm"),
         (dict(good, k=0), "k must"),
         (dict(good, p=0), "p must"),
         (dict(good, epsilon=0.0), "epsilon"),
@@ -247,7 +250,7 @@ def test_tcp_rank_outside_the_world_fails_fast(monkeypatch, rank):
     assert time.monotonic() - t0 < 0.5 and calls == []
 
 
-@pytest.mark.parametrize("alg", ("bcd", "anls"))
+@pytest.mark.parametrize("alg", ("dbcd", "anls"))
 def test_tcp_transport_runs_a_sequential_solver_as_one_rank(monkeypatch, alg):
     # every solver takes the one TCP path, here a one-rank TCP world that
     # follows the in-process trajectory bit for bit
@@ -470,6 +473,34 @@ def test_in_process_peers_of_a_failed_rank_fail_at_once(monkeypatch):
     assert time.monotonic() - t0 < 2.0
 
 
+@pytest.mark.parametrize("alg", ["anls", "dadmm"])
+def test_a_failed_finishing_step_fails_fast(monkeypatch, alg):
+    # rank 0 alone solves the exact pass's basis, inside the collective.
+    # When that solve raises, the in-process run reports the NnlsError
+    # itself, not a peer's CommError. Over TCP rank 0 fails with it and
+    # closes its world, and rank 1, waiting on the reply, fails at once
+    # naming rank 0, long before comm_timeout
+    solve = distributed.nnls_rows
+
+    def failing(G, R):
+        # the basis solve has a row per row of X (5), the C solve per column
+        if threading.current_thread().name == "nmf-rank0" and len(R) == 5:
+            raise NnlsError("the basis solve hit its cap", np.zeros_like(R))
+        return solve(G, R)
+
+    monkeypatch.setattr(distributed, "nnls_rows", failing)
+    kw = dict(algorithm=alg, m=5, n=100, k=3, p=2, seed=3, comm_timeout=30.0)
+    with pytest.raises(NnlsError, match="the basis solve hit its cap"):
+        run(RunConfig(**kw))
+    t0 = time.monotonic()
+    _, errors = _tcp_ranks(dict(kw, transport="tcp"))
+    assert time.monotonic() - t0 < 0.1 * kw["comm_timeout"]
+    assert isinstance(errors[0], NnlsError), errors
+    assert type(errors[1]) is CommError, errors
+    assert str(errors[1]) == ("rank 0 left the world while rank 1 was "
+                              "waiting for it")
+
+
 def test_tcp_did_run_makes_no_service_reduction_per_iteration(monkeypatch):
     # the stopping residual and time-cap flag ride did's one message: over
     # TCP a rank's only service reductions are the setup collective and e0
@@ -491,9 +522,9 @@ def test_tcp_did_run_makes_no_service_reduction_per_iteration(monkeypatch):
 
 
 def test_run_metrics_row_accounting():
-    # one rank puts no bytes on a wire: bcd is dbcd there, K one-rank
-    # collectives, and anls makes the one [gram, rhs] collective
-    for alg, calls in (("bcd", 3), ("anls", 1)):
+    # one rank puts no bytes on a wire: dbcd makes K one-rank
+    # collectives, and anls the one [gram, rhs] collective
+    for alg, calls in (("dbcd", 3), ("anls", 1)):
         config = lowrank_config(alg, max_iters=25, epsilon=1e-30)
         metrics = run(config, X=synth_lowrank(5, 100, 3, 3))
         assert metrics.iterations == 25
@@ -528,7 +559,7 @@ def test_run_rows_count_the_skipped_updates(monkeypatch):
 
 
 def test_run_epsilon_one_converges_before_first_iteration():
-    metrics = run(lowrank_config("bcd", epsilon=1.0))
+    metrics = run(lowrank_config("dbcd", epsilon=1.0))
     assert metrics.converged
     assert metrics.iterations == 0
     assert metrics.rows == []
@@ -537,7 +568,7 @@ def test_run_epsilon_one_converges_before_first_iteration():
 def test_run_max_time_stops_sequential_early():
     # one loop for every algorithm: the cap is checked after each
     # iteration, so the flagged iteration completes and the run stops
-    config = lowrank_config("bcd", max_time=1e-9, epsilon=1e-30)
+    config = lowrank_config("dbcd", max_time=1e-9, epsilon=1e-30)
     metrics = run(config, X=synth_lowrank(5, 100, 3, 3))
     assert metrics.iterations == 1
     assert not metrics.converged
@@ -552,7 +583,7 @@ def test_run_max_time_stops_distributed_after_flagged_iteration():
 
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_run_residual_rows_monotone(alg):
-    # every solver runs on two ranks, bcd and anls included
+    # every solver runs on two ranks, anls included
     config = lowrank_config(alg, p=2, max_iters=60, epsilon=1e-30)
     metrics = run(config, X=synth_lowrank(5, 100, 3, 3))
     resid = metrics.residuals()
@@ -745,22 +776,20 @@ def test_metrics_csv_header_and_roundtrip(tmp_path):
 
 def test_did_and_dbcd_single_worker_traces_match_sequential():
     X = synth_lowrank(5, 100, 3, 3)
-    ref = run(lowrank_config("bcd"), X=X)
+    # dbcd on one rank is sequential coordinate descent, and there did's
+    # reduced (S, V) is the sweep's own: did's trace equals it bit for bit
+    ref = run(lowrank_config("dbcd"), X=X)
     assert ref.converged
-    one_worker_dbcd = run(lowrank_config("dbcd"), X=X)
-    one_worker_did = run(lowrank_config("did"), X=X)
-    # bcd is the dbcd step, and on one rank did's reduced (S, V) is the
-    # sweep's own: both traces equal bcd's bit for bit
-    for got in (one_worker_dbcd, one_worker_did):
-        assert got.iterations == ref.iterations
-        assert np.array_equal(got.objectives(), ref.objectives())
+    got = run(lowrank_config("did"), X=X)
+    assert got.iterations == ref.iterations
+    assert np.array_equal(got.objectives(), ref.objectives())
 
 
 @pytest.mark.parametrize("alg", ["dbcd", "did"])
 @pytest.mark.parametrize("p", [2, 4])
 def test_partitioned_traces_match_sequential(alg, p):
     X = synth_lowrank(5, 100, 3, 3)
-    ref = run(lowrank_config("bcd"), X=X)
+    ref = run(lowrank_config("dbcd"), X=X)
     got = run(lowrank_config(alg, p=p), X=X)
     assert got.iterations == ref.iterations
     assert got.converged == ref.converged
@@ -773,13 +802,14 @@ def test_comm_cost_columns_match_algorithm_structure():
     # step. did packs S (MK), V's lower triangle (K(K+1)/2), rr and the
     # time-cap flag into one payload, and its reply is the moved B (MK),
     # the residual, the basis skips and the flag; dbcd sends K [y, z]
-    # payloads of M + 1, the first with rr and the flag; dadmm one
-    # [gram, rhs] of K^2 + MK. The rest reply with the total
+    # payloads of M + 1, the first with rr and the flag, and each reply
+    # is the moved b_i (M), the last with the residual, skips and flag;
+    # dadmm sends one [gram, rhs] of K^2 + MK and gets back B (MK)
     M, K = 5, 3
     X = synth_lowrank(M, 100, K, 3)
     expected = {"did": (1, 8 * (M * K + K * (K + 1) // 2 + 2 + M * K + 3)),
-                "dbcd": (K, 2 * 8 * (K * (M + 1) + 2)),
-                "dadmm": (1, 2 * 8 * (K * K + M * K))}
+                "dbcd": (K, 8 * (K * (M + 1) + 2 + K * M + 3)),
+                "dadmm": (1, 8 * (K * K + M * K + M * K))}
     for alg, (per_iter, nbytes) in expected.items():
         metrics = run(lowrank_config(alg, p=2, max_iters=8, epsilon=1e-30), X=X)
         for r in metrics.rows:
@@ -794,13 +824,14 @@ def test_soft_convergence_rates_across_seeds():
     percent of seeds to a 1e-6 relative residual within 1000 iterations.
     Alternating exact minimization is granted a lower floor: on a fraction
     of seeds it walks into a genuine non-global stationary point and sits
-    there, which no iteration budget fixes. On one rank dbcd and did are
-    bcd bit for bit (`test_dbcd_single_worker_is_bitwise_sequential`,
-    `test_did_single_worker_is_bitwise_bcd`), so bcd's rate is theirs.
+    there, which no iteration budget fixes. On one rank dbcd is the
+    sequential sweep and did is dbcd, bit for bit
+    (`test_dbcd_single_worker_is_bitwise_sequential`,
+    `test_did_single_worker_is_bitwise_bcd`), so dbcd's rate is theirs.
     """
     seeds = range(20)
-    algs = ("bcd", "anls", "dadmm")
-    floors = {"bcd": 0.9, "anls": 0.7, "dadmm": 0.9}
+    algs = ("dbcd", "anls", "dadmm")
+    floors = {"dbcd": 0.9, "anls": 0.7, "dadmm": 0.9}
     rates = {}
     for alg in algs:
         ok = 0

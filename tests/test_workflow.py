@@ -1,0 +1,17 @@
+"""The CI workflow runs the tier-1 command that ROADMAP.md states, under
+a job timeout."""
+
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_ci_runs_the_roadmap_tier1_command_under_a_timeout():
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    [verify] = re.findall(r"^\*\*Tier-1 verify:\*\* `([^`]+)`$", roadmap, re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tier1.yml").read_text()
+    assert re.findall(r"^ +run: (.*\bpytest\b.*)$", workflow, re.M) == [verify]
+    # a hung test ends the job within minutes, not GitHub's 6-hour default
+    [minutes] = re.findall(r"^    timeout-minutes: (\d+)$", workflow, re.M)
+    assert 1 <= int(minutes) <= 10
