@@ -1,6 +1,6 @@
 """Distributed nonnegative matrix factorization toolkit.
 
-Five solvers, each on one column block per worker with a replicated
+Four solvers, each on one column block per worker with a replicated
 basis, on any number of workers: coordinate descent (which is Gram-form
 HALS) with K messages per iteration, the one-message did worker, and
 alternating nonnegative least squares and splitting with one each, over

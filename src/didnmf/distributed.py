@@ -15,11 +15,11 @@ buffer.
   total (`move_column`) and replies with b_i alone, M doubles. On one
   rank it is sequential coordinate descent, Gram-form HALS.
 * did: the same iterate with one collective per iteration. Each rank's
-  message carries its Gram sums S = X C^T and V = C C^T, which add
-  across blocks; rank 0 alone runs `move_basis` (`move_column` for each
-  column in turn) on the reduced sums, with no further collective, and
-  replies with the moved B, MK + 3 doubles, not the whole total. On one
-  rank it is dbcd bit for bit.
+  message carries its Gram sums S = X C^T and V's lower triangle, V =
+  C C^T, which add across blocks; rank 0 alone moves every column in
+  turn (`did_update_basis`, `move_column` per column) on the reduced
+  sums, with no further collective, and replies with the moved B, MK + 3
+  doubles, not the whole total. On one rank it is dbcd bit for bit.
 * anls and dadmm: `exact_pass` solves C on the block and then B from
   one reduced (Gram, right-hand side) pair, both exactly, against a
   target: X for anls (alternating nonnegative least squares), and for
@@ -32,10 +32,11 @@ rank's rr = ||X_blk - B_old C_new||^2, which the C phase takes in its
 one pass over X_blk, and its time-cap flag ride the iteration's (first)
 message. Rank 0 adds each column's change of the residual (see
 `move_column`) to the reduced rr, and its (last) reply carries the
-result, the basis skips and the flag, so every rank stops on rank 0's
-number. A result rounded below zero is reported as 0. `exact_pass`
-reduces its residual and flag in a service reduction after its
-collective; every rank gets that total alike.
+result, the basis skips and the flag (`progress_tail`, read back by
+`read_progress`), so every rank stops on rank 0's number. A result
+rounded below zero is reported as 0. `exact_pass` reduces its residual
+and flag in a service reduction after its collective; every rank gets
+that total alike.
 """
 
 from __future__ import annotations
@@ -84,34 +85,24 @@ def did_build_message(S: np.ndarray, V: np.ndarray, rr: float,
                            [rr, flag]])
 
 
-def did_update_basis(B: np.ndarray, buf: np.ndarray) -> tuple[float, int, bool]:
-    """Move every basis column from a reduced message, as dbcd does.
+def did_update_basis(B: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Rank 0's finishing step of did's collective: move basis columns
+    0..K-1 in order on the reduced message `buf`, as dbcd does, with no
+    further collective, and return the reply.
 
-    Unpacks the reduced S and V (V mirrored from its lower triangle) and
-    runs `move_basis` on them with no further collective.
+    Unpacks the reduced S and V's lower triangle (`b_column_partials`
+    reads no other), and `move_column` installs each column's [y, z]
+    against the columns already moved. The reply is [B column-major,
+    `progress_tail`], MK + 3 doubles.
     """
     m, k = B.shape
     S = buf[:m * k].reshape((m, k), order="F")
     V = np.zeros((k, k))
     V[np.tri(k, dtype=bool)] = buf[m * k:-2]
-    V += np.tril(V, -1).T
-    return move_basis(B, S, V, buf[-2:])
-
-
-def move_basis(B: np.ndarray, S: np.ndarray, V: np.ndarray, tail
-               ) -> tuple[float, int, bool]:
-    """Move basis columns 0..K-1 in order with the coordinate kernel, on
-    reduced (S, V) and `tail` = [rr, flag], with no collective.
-
-    Column i's [y, z] is `b_column_partials` of (S, V) against the
-    columns already moved, and `move_column` installs it. Returns (rr
-    plus the columns' changes of the residual, clamped at 0; the number
-    of columns skipped; the time-cap flag of any rank).
-    """
-    run = np.array([tail[0], 0.0, tail[1]])
-    for i in range(B.shape[1]):
+    run = np.array([buf[-2], 0.0, buf[-1]])  # [rr, skips, flag]
+    for i in range(k):
         move_column(B, i, *b_column_partials(S, V, B, i), run)
-    return max(float(run[0]), 0.0), int(run[1]), bool(run[2] > 0.0)
+    return np.concatenate([B.ravel(order="F"), progress_tail(run)])
 
 
 def move_column(B: np.ndarray, i: int, y, z: float, run: np.ndarray) -> None:
@@ -120,9 +111,8 @@ def move_column(B: np.ndarray, i: int, y, z: float, run: np.ndarray) -> None:
     skips, time-cap flag]: moving b_i by d changes ||X - B C||^2 by
     z ||d||^2 - 2 d^T (y - z b_i).
 
-    Only the rank that moves the basis calls it: did's rank 0 once per
-    column in `move_basis`, dbcd's rank 0 once per collective in
-    `dbcd_column_reply`.
+    Only rank 0 calls it, in a finishing step: did's `did_update_basis`
+    once per column, dbcd's `dbcd_column_reply` once per collective.
     """
     b = B[:, i].copy()
     run[1] += b_column_apply(B, i, y, z)
@@ -130,32 +120,35 @@ def move_column(B: np.ndarray, i: int, y, z: float, run: np.ndarray) -> None:
     run[0] += z * float(d @ d) - 2.0 * float(d @ (y - z * b))
 
 
+def progress_tail(run: np.ndarray) -> list:
+    """The tail of the reply that ends an iteration's basis moves, from
+    rank 0's running [residual, skips, flag]: [resid clamped at 0, basis
+    skips, time-cap flag]. `read_progress` unpacks it."""
+    return [max(float(run[0]), 0.0), run[1], run[2]]
+
+
+def read_progress(tail, skipped: int) -> tuple[float, int, bool]:
+    """A step's (resid, skips, over) from a reply's `progress_tail` and
+    the C phase's `skipped` rows."""
+    return float(tail[0]), skipped + int(tail[1]), bool(tail[2])
+
+
 def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
                        state=None, deadline: float = math.inf
                        ) -> tuple[float, int, bool]:
     """One incremental-update iteration; exactly one allreduce.
 
-    Every rank sends its message; rank 0 alone moves B on the total
-    (`did_update_basis`) and replies with `did_basis_reply`, which every
-    rank installs. Updates the block's C and the replicated B in place;
-    did keeps no state between iterations.
+    Every rank sends its message; rank 0 alone moves B on the total and
+    replies with it (`did_update_basis`), and every rank installs the
+    reply. Updates the block's C and the replicated B in place; did
+    keeps no state between iterations.
     """
     S, V, rr, skipped = did_c_phase(block, B)
-    m, k = B.shape
     reply = allreduce_sum(world, did_build_message(S, V, rr, over_time(deadline)),
-                          finish=lambda total: did_basis_reply(B, total),
-                          reply_size=m * k + 3)
-    B[:] = reply[:m * k].reshape((m, k), order="F")
-    resid, basis_skipped, over = reply[m * k:]
-    return float(resid), skipped + int(basis_skipped), bool(over)
-
-
-def did_basis_reply(B: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """Rank 0's finishing step of did's collective: move B on the reduced
-    message `total` and pack the reply, [B column-major, resid, basis
-    skips, time-cap flag], MK + 3 doubles."""
-    resid, skipped, over = did_update_basis(B, total)
-    return np.concatenate([B.ravel(order="F"), [resid, skipped, over]])
+                          finish=lambda total: did_update_basis(B, total),
+                          reply_size=B.size + 3)
+    B[:] = reply[:B.size].reshape(B.shape, order="F")
+    return read_progress(reply[B.size:], skipped)
 
 
 def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
@@ -179,8 +172,7 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
         reply = allreduce_sum(world, msg, reply_size=m + 3 * (i == k - 1),
                               finish=lambda t, i=i: dbcd_column_reply(B, i, t, run))
         B[:, i] = reply[:m]
-    resid, basis_skipped, over = reply[m:]
-    return float(resid), skipped + int(basis_skipped), bool(over)
+    return read_progress(reply[m:], skipped)
 
 
 def dbcd_column_reply(B: np.ndarray, i: int, total: np.ndarray,
@@ -188,13 +180,12 @@ def dbcd_column_reply(B: np.ndarray, i: int, total: np.ndarray,
     """Rank 0's finishing step of dbcd's collective for basis column i:
     move b_i on the reduced [y, z] (column 0's followed by [rr, flag],
     which start `run`) and reply with b_i, M doubles; the last column's
-    reply adds [resid clamped at 0, basis skips, time-cap flag]."""
+    reply adds the `progress_tail`."""
     m, k = B.shape
     if i == 0:
         run[0], run[2] = total[m + 1:]
     move_column(B, i, total[:m], float(total[m]), run)
-    tail = [max(float(run[0]), 0.0), run[1], run[2]] if i == k - 1 else []
-    return np.concatenate([B[:, i], tail])
+    return np.concatenate([B[:, i], progress_tail(run) if i == k - 1 else []])
 
 
 @dataclass

@@ -30,7 +30,7 @@ import csv
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -416,7 +416,7 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     """
     config.validate()
     if config.transport == "tcp":
-        return run_tcp_rank(config, _env_rank(config), X=X)
+        return run_tcp_rank(*_env_rank(config), X=X)
     # one row-major copy, if the caller's X needs one, for all the ranks
     return _run_inprocess(config, None if X is None else as_matrix(X))
 
@@ -429,7 +429,9 @@ def _env_int(name: str, default: str | None = None) -> int:
         raise ValueError(f"{name}={text!r} is not an integer") from None
 
 
-def _env_rank(config: RunConfig) -> int:
+def _env_rank(config: RunConfig) -> tuple[RunConfig, int]:
+    """(config, this process's rank) from the NMF_* environment; a config
+    that NMF_ADDR moves is a copy, so the caller's stays as it was."""
     if "NMF_RANK" not in os.environ:
         raise ValueError(
             "tcp transport needs NMF_RANK (and NMF_WORLD, NMF_ADDR) in the "
@@ -444,8 +446,8 @@ def _env_rank(config: RunConfig) -> int:
         if not port.isdecimal() or not 0 < int(port) <= 65535:
             raise ValueError(f"NMF_ADDR={addr!r} is not host:port with a "
                              "port in 1..65535")
-        config.tcp_address = (host or "127.0.0.1", int(port))
-    return rank
+        config = replace(config, tcp_address=(host or "127.0.0.1", int(port)))
+    return config, rank
 
 
 def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
@@ -471,18 +473,16 @@ _reduce_progress = reduce_progress
 def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
     """The run loop of every algorithm: one rank's iterations to the stop.
 
-    Each algorithm is a step and, for dadmm, a factory of its carried
-    state. The table is built per call, so a step replaced on this
+    Each algorithm is a step; dadmm alone carries state between
+    iterations. The table is built per call, so a step replaced on this
     module after import is the one that runs. The step reads the clock
     against the deadline after its local compute; an iteration that any
     rank flags completes, and the run stops after it.
     """
-    steps = {"anls": (anls_iterate, None),
-             "dadmm": (dadmm_worker_iterate, DadmmWorkerState.fresh),
-             "dbcd": (dbcd_worker_iterate, None),
-             "did": (did_worker_iterate, None)}
-    step, fresh = steps[config.algorithm]
-    state = fresh(block, B, config.rho) if fresh else None
+    step = {"anls": anls_iterate, "dadmm": dadmm_worker_iterate,
+            "dbcd": dbcd_worker_iterate, "did": did_worker_iterate}[config.algorithm]
+    state = (DadmmWorkerState.fresh(block, B, config.rho)
+             if config.algorithm == "dadmm" else None)
     stats = world.stats
     local = residual_sq(block.x_block, B, block.c_block)
     e0, _ = _reduce_progress(world, local, math.inf)

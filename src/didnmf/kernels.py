@@ -73,8 +73,7 @@ def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
     Fortran-ordered B give the same result bit for bit.
 
     Returns (S, V, rr, skipped): S = X C^T and V = C C^T for the updated
-    C, V's upper triangle mirrored from its lower one (the V that did
-    rebuilds from its message, so did on one rank is dbcd bit for bit),
+    C (only V's lower triangle is ever read; see `b_column_partials`),
     rr = ||X - B C||^2 for the updated C and this B, equal to
     `residual_sq` bit for bit, and the number of skipped rows.
     """
@@ -121,10 +120,7 @@ def c_rowwise_sweep(Z, B) -> tuple[np.ndarray, np.ndarray, float, int]:
             np.maximum(r, 0.0, out=Ct[i])
         SV += Ct @ T.T
         rr += _tile_residual_sq(Xt, Ct, BF, buf)
-    V = SV[:, m:]
-    for i in range(1, k):
-        V[:i, i] = V[i, :i]
-    return SV[:, :m].T, V, rr, k - len(live)
+    return SV[:, :m].T, SV[:, m:], rr, k - len(live)
 
 
 def b_column_partials(S, V, B, i: int) -> tuple[np.ndarray, float]:
@@ -133,10 +129,17 @@ def b_column_partials(S, V, B, i: int) -> tuple[np.ndarray, float]:
     From S = X C^T and V = C C^T: y = s_i - sum_{k != i} b_k v_ki, which
     is sum_j e_j c_ij + b_i ||c_i||^2 with E = X - B C, and z = v_ii =
     ||c_i||^2. Both are linear in (S, V), so column blocks' sums add.
+
+    Only V's lower triangle is read: v_ki is V[i, k] for k <= i and
+    V[k, i] for k > i. The sweep's V, whose upper triangle may round
+    differently, and the V did unpacks from its message, whose upper
+    triangle is zero, both give the [y, z] of the symmetric V they stand
+    for, so did and dbcd read the same doubles.
     """
-    v = V[:, i].copy()
+    v = V[i].copy()
     z = float(v[i])
     v[i] = 0.0
+    v[i + 1:] = V[i + 1:, i]
     return S[:, i] - B @ v, z
 
 

@@ -1,7 +1,7 @@
 """Helpers shared by the test files: an in-process world run rank by
-rank, column blocks cut from a whole X and C, for tests that drive a
-step without the run harness, a free loopback address for a TCP world
-and the rank processes of one."""
+rank, column blocks cut from a whole X and C and each algorithm's step
+and state, for tests that drive a step without the run harness, a free
+loopback address for a TCP world and the rank processes of one."""
 
 import os
 import socket
@@ -10,6 +10,13 @@ import sys
 
 import didnmf
 from didnmf.comm import make_inprocess_worlds, run_ranks
+from didnmf.distributed import (
+    DadmmWorkerState,
+    anls_iterate,
+    dadmm_worker_iterate,
+    dbcd_worker_iterate,
+    did_worker_iterate,
+)
 from didnmf.matrix import ColumnBlock, as_matrix, partition_columns
 
 
@@ -66,3 +73,13 @@ def make_column_blocks(X, C, p: int) -> list[ColumnBlock]:
         block.c_block[...] = C[:, start:start + size]
         blocks.append(block)
     return blocks
+
+
+STEPS = {"anls": anls_iterate, "dadmm": dadmm_worker_iterate,
+         "dbcd": dbcd_worker_iterate, "did": did_worker_iterate}
+
+
+def fresh_state(alg, block, B):
+    """The state `alg`'s step carries: dadmm's fresh splitting state, None
+    for the other steps."""
+    return DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None

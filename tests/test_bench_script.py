@@ -1,10 +1,14 @@
 """`scripts/bench.py` names the tree it measured in each BENCH file, pairs
-the runs of two trees, and times the collective alone."""
+the runs of two trees, compares the committed BENCH files and times the
+collective alone."""
 
+import glob
 import hashlib
 import importlib.util
+import json
 import os
 import subprocess
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -182,6 +186,26 @@ def test_compare_checks_each_bounded_metric_against_its_bound(capsys):
     assert lines[1].split()[-1] == "check"
     assert {line.split()[1]: line.split()[-1] for line in lines[2:]} == {
         m: c or "-" for m, c in checks.items()}
+
+
+def test_compare_reads_the_two_latest_committed_bench_files():
+    # the check that every change is read against: `--compare` on the
+    # last two BENCH files, as a command, has a row with a check value
+    # for every end-to-end metric on every workload of BENCHMARK.json
+    names = glob.glob(os.path.join(ROOT, "BENCH_*.json"))
+    # BENCH_<n>.json, by n
+    old, new = sorted(names, key=lambda n: int(os.path.basename(n)[6:-5]))[-2:]
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "bench.py"),
+                          "--compare", old, new], capture_output=True,
+                         text=True, check=True).stdout
+    checks = {tuple(line.split()[:2]): line.split()[-1]
+              for line in out.splitlines()[2:]}
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    for workload in spec["workloads"]:
+        for metric in spec["end_to_end"]:
+            key = (workload["name"], metric["name"])
+            assert checks.get(key) in ("ok", "worse", "unresolved"), key
 
 
 def test_allreduce_bench_times_both_transports(capsys):

@@ -8,7 +8,6 @@ from didnmf import comm, distributed, matrix
 from didnmf.comm import make_inprocess_worlds, make_tcp_world, run_ranks
 from didnmf.distributed import (
     DadmmWorkerState,
-    anls_iterate,
     dadmm_worker_iterate,
     dbcd_worker_iterate,
     did_build_message,
@@ -24,7 +23,7 @@ from didnmf.kernels import (
     residual_sq,
     tile_width,
 )
-from helpers import free_addr, make_column_blocks, run_world
+from helpers import STEPS, free_addr, fresh_state, make_column_blocks, run_world
 from didnmf.matrix import frob_norm_sq
 
 
@@ -107,9 +106,10 @@ def test_did_messages_add_across_blocks():
 
 
 def update_basis(B, S, V):
-    """Apply did_update_basis to (S, V); return (skipped, delta)."""
+    """Apply did_update_basis to (S, V); return (skipped, delta), the skip
+    count read from its reply."""
     before = B.copy()
-    _, skipped, _ = did_update_basis(B, did_payload(S, V))
+    skipped = int(did_update_basis(B, did_payload(S, V))[-2])
     return skipped, B - before
 
 
@@ -203,23 +203,6 @@ def test_dbcd_single_worker_is_bitwise_sequential():
             assert np.array_equal(block.c_block, C_ref)
 
 
-def test_did_single_worker_tracks_sequential_closely():
-    # same mathematical iterate as coordinate descent; only the rounding
-    # path differs, so the trajectories agree to near machine precision
-    X, B0, C0 = random_problem(5, 40, 3, 6)
-    B_ref, C_ref = np.array(B0, order="F"), np.array(C0, order="F")
-    block = make_column_blocks(X, C0, 1)[0]
-    B = np.array(B0, order="F")
-    [world] = make_inprocess_worlds(1)
-    with world:
-        for _ in range(30):
-            sequential_cd(X, B_ref, C_ref)
-            resid, _, _ = did_worker_iterate(world, block, B)
-            assert np.allclose(B, B_ref, rtol=1e-10, atol=1e-12)
-            assert np.allclose(block.c_block, C_ref, rtol=1e-10, atol=1e-12)
-            assert resid == pytest.approx(residual_sq(X, B_ref, C_ref), rel=1e-10)
-
-
 BCD_PARITY_INSTANCES = [
     # (name, X from a seed, K)
     ("lowrank-5x400", lambda s: synth_lowrank(5, 400, 3, s), 3),
@@ -285,15 +268,13 @@ def test_dead_rows_and_columns_skipped_alike_by_bcd_dbcd_did():
 def run_multiworker(alg, X, B0, C0, p, iters):
     """Drive one worker per rank; return per-rank (B, c_block, stats)."""
     blocks = make_column_blocks(X, C0, p)
-    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
-            "dadmm": dadmm_worker_iterate, "anls": anls_iterate}[alg]
 
     def body(world):
         B = np.array(B0, order="F")
         block = blocks[world.rank]
-        st = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
+        st = fresh_state(alg, block, B)
         for _ in range(iters):
-            step(world, block, B, st)
+            STEPS[alg](world, block, B, st)
         return B, block.c_block.copy(), world.stats
 
     return run_world(p, body)
@@ -318,14 +299,12 @@ def two_rank_replicas(alg, iters=5):
     rank, (its B, the residual it reported each iteration)."""
     X, B0, C0 = random_problem(4, 21, 3, 9)
     blocks = make_column_blocks(X, C0, 2)
-    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
-            "dadmm": dadmm_worker_iterate, "anls": anls_iterate}[alg]
 
     def body(world):
         B = np.array(B0, order="F")
         block = blocks[world.rank]
-        st = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
-        return B, [step(world, block, B, st)[0] for _ in range(iters)]
+        st = fresh_state(alg, block, B)
+        return B, [STEPS[alg](world, block, B, st)[0] for _ in range(iters)]
 
     (B_0, resids_0), (B_1, resids_1) = run_world(2, body)
     assert not np.array_equal(B_0, B0)  # the basis moved
@@ -511,14 +490,11 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, m, k,
     # K may exceed M here, which `init_factors` refuses
     rng = np.random.default_rng(19)
     X, B0, C0 = synth_data(m, 30, 19), rng.random((m, k)), rng.random((k, 30))
-    steps = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate,
-             "dadmm": dadmm_worker_iterate}
 
     def step(world):
         B = np.array(B0, order="F")
         block = blocks[world.rank]
-        state = DadmmWorkerState.fresh(block, B) if alg == "dadmm" else None
-        steps[alg](world, block, B, state)
+        STEPS[alg](world, block, B, fresh_state(alg, block, B))
         return B, block.c_block
 
     blocks = make_column_blocks(X, C0, size)
@@ -555,14 +531,13 @@ def identity_trace(alg, X, B0, C0, p, iters):
     """Drive did or dbcd on p ranks; per iteration, the residual every rank
     reported and the direct ||X - B C||^2 summed over the rank blocks."""
     blocks = make_column_blocks(X, C0, p)
-    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate}[alg]
 
     def body(world):
         B = np.array(B0, order="F")
         block = blocks[world.rank]
         out = []
         for _ in range(iters):
-            resid, _, over = step(world, block, B)
+            resid, _, over = STEPS[alg](world, block, B)
             assert over is False
             out.append((resid, residual_sq(block.x_block, B, block.c_block)))
         return out
@@ -615,7 +590,6 @@ def test_message_residual_rounded_below_zero_reports_zero(monkeypatch, alg):
     # (1 - 2^-52) gives (rr - 2) + 1 = -2^-52, which is reported as 0.0.
     # The C phase is the one place either worker takes rr from
     X = np.asfortranarray([[1.0, 0.0], [1.0, 0.0]])
-    step = {"did": did_worker_iterate, "dbcd": dbcd_worker_iterate}[alg]
     c_phase = distributed.did_c_phase
     for rr in (1.0, 1.0 - 2.0 ** -52):
         def low_c_phase(block, B, rr=rr):
@@ -628,7 +602,7 @@ def test_message_residual_rounded_below_zero_reports_zero(monkeypatch, alg):
         B = np.asfortranarray([[1.0], [0.0]])
         [world] = make_inprocess_worlds(1)
         with world:
-            resid, skipped, _ = step(world, block, B)
+            resid, skipped, _ = STEPS[alg](world, block, B)
         assert np.array_equal(B, [[1.0], [1.0]]) and skipped == 0
         assert np.array_equal(block.c_block, [[1.0, 0.0]])
         assert (rr - 2.0) + 1.0 <= 0.0

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import os
 import re
@@ -269,6 +270,21 @@ def test_tcp_transport_runs_a_sequential_solver_as_one_rank(monkeypatch, alg):
     with pytest.raises(ValueError, match=r"rank 1 .*p=1"):
         run(tcp, X=X)
     assert time.monotonic() - t0 < 0.5 and calls == [(0, 1)]
+
+
+def test_tcp_run_leaves_the_callers_config_as_it_was(monkeypatch):
+    # NMF_ADDR names the address of this rank's world, not the caller's
+    # config, which reads the same after the run
+    calls = _spy(monkeypatch, "make_tcp_world", lambda a: a[2])
+    addr = free_addr()
+    for key, text in {"NMF_RANK": "0", "NMF_WORLD": "1",
+                      "NMF_ADDR": "%s:%d" % addr}.items():
+        monkeypatch.setenv(key, text)
+    config = lowrank_config("did", max_iters=2, transport="tcp")
+    before = dataclasses.replace(config)
+    run(config, X=synth_lowrank(5, 100, 3, 3))
+    assert calls == [addr]
+    assert config == before and config.tcp_address == ("127.0.0.1", 29500)
 
 
 # bad input fails fast, with one message on every rank: a bad shape

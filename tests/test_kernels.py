@@ -142,6 +142,23 @@ def test_b_column_partials_take_out_the_other_columns():
     assert np.array_equal(y, [7.0 - 1.0 * 3.0]) and z == 5.0
 
 
+@pytest.mark.parametrize("k", [3, 10])
+def test_b_column_partials_read_only_the_lower_triangle_of_v(k):
+    # the sweep's upper triangle of V may round differently and did's
+    # message carries none: a NaN upper triangle gives, bit for bit, the
+    # (y, z) of the symmetric V for every column
+    rng = np.random.default_rng(k)
+    C, S, B = rng.random((k, 40)), rng.random((6, k)), rng.random((6, k))
+    V = np.tril(C @ C.T)
+    V += np.tril(V, -1).T
+    lower = V.copy()
+    lower[np.triu_indices(k, 1)] = np.nan
+    for i in range(k):
+        y, z = b_column_partials(S, V, B, i)
+        y_low, z_low = b_column_partials(S, lower, B, i)
+        assert y_low.tobytes() == y.tobytes() and z_low == z, i
+
+
 def test_b_column_degenerate_row_skipped():
     B = np.asfortranarray([[1.0]])
     y, z = b_column_partials(np.zeros((1, 1)), np.zeros((1, 1)), B, 0)
