@@ -100,8 +100,9 @@ class CommStats:
     """Per-rank instrumentation counters.
 
     `allreduce_calls` and `bytes_sent` count the algorithmic collectives,
-    including any doubles a solver appends to its own message (did and
-    dbcd carry their stopping residual and time-cap flag that way);
+    including any doubles a solver appends to its own message or reply
+    (did and dbcd carry each rank's residual up that way, and get the
+    stopping residual and time-cap flag back);
     `service_calls` counts bookkeeping reductions (the setup collective,
     the initial residual, and the stopping check of solvers whose message
     cannot carry it), kept apart so communication-count assertions on the

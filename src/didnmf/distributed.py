@@ -16,10 +16,11 @@ buffer.
   rank it is sequential coordinate descent, Gram-form HALS.
 * did: the same iterate with one collective per iteration. Each rank's
   message carries its Gram sums S = X C^T and V's lower triangle, V =
-  C C^T, which add across blocks; rank 0 alone moves every column in
-  turn (`did_update_basis`, `move_column` per column) on the reduced
-  sums, with no further collective, and replies with the moved B, MK + 3
-  doubles, not the whole total. On one rank it is dbcd bit for bit.
+  C C^T, and its residual, which add across blocks; rank 0 alone moves
+  every column in turn (`did_update_basis`, `move_column` per column)
+  on the reduced sums, with no further collective, and replies with the
+  moved B and the `progress_tail`, MK + 3 doubles, not the whole total.
+  On one rank it is dbcd bit for bit.
 * anls and dadmm: `exact_pass` solves C on the block and then B from
   one reduced (Gram, right-hand side) pair, both exactly, against a
   target: X for anls (alternating nonnegative least squares), and for
@@ -27,21 +28,24 @@ buffer.
   splitting update makes. Rank 0 alone solves B and replies with it,
   MK doubles, not the K^2 + MK total.
 
-did and dbcd need no collective of their own for the stop test: each
-rank's rr = ||X_blk - B_old C_new||^2, which the C phase takes in its
-one pass over X_blk, and its time-cap flag ride the iteration's (first)
-message. Rank 0 adds each column's change of the residual (see
-`move_column`) to the reduced rr, and its (last) reply carries the
-result, the basis skips and the flag (`progress_tail`, read back by
-`read_progress`), so every rank stops on rank 0's number. A result
-rounded below zero is reported as 0. `exact_pass` reduces its residual
-and flag in a service reduction after its collective; every rank gets
-that total alike.
+Every stop decision is rank 0's, made in one place: the finishing step
+that ends an iteration replies with a `progress_tail`, [residual
+clamped at 0, basis skips, time-cap flag], which `read_progress` alone
+unpacks, and the flag is rank 0's clock against the deadline, read
+there and nowhere else. So every rank stops on rank 0's numbers, after
+the flagged iteration completes, and no message upward carries a flag.
+did and dbcd need no collective of their own for it: each rank's rr =
+||X_blk - B_old C_new||^2, which the C phase takes in its one pass over
+X_blk, rides the iteration's (first) message, and rank 0 adds each
+column's change of the residual (see `move_column`) to the reduced rr.
+`exact_pass` and e0 send each rank's residual in one service reduction
+(`reduce_progress`), whose finishing step makes the same tail.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +55,6 @@ from .kernels import (
     b_column_apply,
     b_column_partials,
     c_rowwise_sweep,
-    over_time,
-    reduce_progress,
     residual_sq,
 )
 from .matrix import ColumnBlock
@@ -72,20 +74,19 @@ def did_c_phase(block: ColumnBlock, B: np.ndarray
     return c_rowwise_sweep(block.z, B)
 
 
-def did_build_message(S: np.ndarray, V: np.ndarray, rr: float,
-                      flag: float) -> np.ndarray:
-    """Pack the block's (S, V, rr, flag) message into one flat buffer.
+def did_build_message(S: np.ndarray, V: np.ndarray, rr: float) -> np.ndarray:
+    """Pack the block's (S, V, rr) message into one flat buffer.
 
     S = X C^T goes first in column-major order; then the lower triangle
     of V = C C^T, row by row: v_00; v_10 v_11; ...; then the block's
-    residual rr and its time-cap flag. That is MK + K(K+1)/2 + 2 doubles.
-    Only this function and `did_update_basis` know the layout.
+    residual rr. That is MK + K(K+1)/2 + 1 doubles, the paper's Gram sums
+    and residual and nothing else. Only this function and
+    `did_update_basis` know the layout.
     """
-    return np.concatenate([S.ravel(order="F"), V[np.tri(len(V), dtype=bool)],
-                           [rr, flag]])
+    return np.concatenate([S.ravel(order="F"), V[np.tri(len(V), dtype=bool)], [rr]])
 
 
-def did_update_basis(B: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def did_update_basis(B: np.ndarray, buf: np.ndarray, deadline: float) -> np.ndarray:
     """Rank 0's finishing step of did's collective: move basis columns
     0..K-1 in order on the reduced message `buf`, as dbcd does, with no
     further collective, and return the reply.
@@ -93,22 +94,22 @@ def did_update_basis(B: np.ndarray, buf: np.ndarray) -> np.ndarray:
     Unpacks the reduced S and V's lower triangle (`b_column_partials`
     reads no other), and `move_column` installs each column's [y, z]
     against the columns already moved. The reply is [B column-major,
-    `progress_tail`], MK + 3 doubles.
+    `progress_tail` against `deadline`], MK + 3 doubles.
     """
     m, k = B.shape
     S = buf[:m * k].reshape((m, k), order="F")
     V = np.zeros((k, k))
-    V[np.tri(k, dtype=bool)] = buf[m * k:-2]
-    run = np.array([buf[-2], 0.0, buf[-1]])  # [rr, skips, flag]
+    V[np.tri(k, dtype=bool)] = buf[m * k:-1]
+    run = np.array([buf[-1], 0.0])  # [rr, skips]
     for i in range(k):
         move_column(B, i, *b_column_partials(S, V, B, i), run)
-    return np.concatenate([B.ravel(order="F"), progress_tail(run)])
+    return np.concatenate([B.ravel(order="F"), progress_tail(run, deadline)])
 
 
 def move_column(B: np.ndarray, i: int, y, z: float, run: np.ndarray) -> None:
     """Install b_i := [y / z]_+ from column i's reduced [y, z]
     (`b_column_apply`), and add the move to `run`, the running [residual,
-    skips, time-cap flag]: moving b_i by d changes ||X - B C||^2 by
+    skips]: moving b_i by d changes ||X - B C||^2 by
     z ||d||^2 - 2 d^T (y - z b_i).
 
     Only rank 0 calls it, in a finishing step: did's `did_update_basis`
@@ -120,11 +121,15 @@ def move_column(B: np.ndarray, i: int, y, z: float, run: np.ndarray) -> None:
     run[0] += z * float(d @ d) - 2.0 * float(d @ (y - z * b))
 
 
-def progress_tail(run: np.ndarray) -> list:
-    """The tail of the reply that ends an iteration's basis moves, from
-    rank 0's running [residual, skips, flag]: [resid clamped at 0, basis
-    skips, time-cap flag]. `read_progress` unpacks it."""
-    return [max(float(run[0]), 0.0), run[1], run[2]]
+def progress_tail(run, deadline: float) -> list:
+    """The tail of the reply that ends an iteration, from rank 0's
+    running [residual, skips]: [resid clamped at 0, basis skips, time-cap
+    flag], the flag 1.0 once rank 0's clock is past `deadline`, else 0.0.
+
+    Only a finishing step calls it, so it is the one reader of the clock
+    and every rank stops on what rank 0 read. `read_progress` unpacks it.
+    """
+    return [max(float(run[0]), 0.0), run[1], float(time.perf_counter() > deadline)]
 
 
 def read_progress(tail, skipped: int) -> tuple[float, int, bool]:
@@ -144,9 +149,8 @@ def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
     keeps no state between iterations.
     """
     S, V, rr, skipped = did_c_phase(block, B)
-    reply = allreduce_sum(world, did_build_message(S, V, rr, over_time(deadline)),
-                          finish=lambda total: did_update_basis(B, total),
-                          reply_size=B.size + 3)
+    reply = allreduce_sum(world, did_build_message(S, V, rr), reply_size=B.size + 3,
+                          finish=lambda total: did_update_basis(B, total, deadline))
     B[:] = reply[:B.size].reshape(B.shape, order="F")
     return read_progress(reply[B.size:], skipped)
 
@@ -157,35 +161,37 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
     """One distributed coordinate-descent iteration; K allreduces.
 
     The C phase (`did_c_phase`) is local. Then each basis column's local
-    [y, z] (`b_column_partials`; the first with the block's rr and
-    time-cap flag) is reduced, rank 0 alone moves b_i on the total
-    (`dbcd_column_reply`), and every rank installs the b_i it replies
-    with. The last reply also carries the residual, the basis skips and
-    the flag, so every rank stops on the number rank 0 computed.
+    [y, z] (`b_column_partials`; the first with the block's rr) is
+    reduced, rank 0 alone moves b_i on the total (`dbcd_column_reply`),
+    and every rank installs the b_i it replies with. The last reply also
+    carries the `progress_tail`, so every rank stops on what rank 0
+    computed and read.
     """
     S, V, rr, skipped = did_c_phase(block, B)
     m, k = B.shape
-    run = np.zeros(3)  # rank 0's running [resid, basis skips, flag]
+    run = np.zeros(2)  # rank 0's running [resid, basis skips]
     for i in range(k):
         y, z = b_column_partials(S, V, B, i)
-        msg = np.concatenate([y, [z], [rr, over_time(deadline)] if i == 0 else []])
+        msg = np.concatenate([y, [z, rr] if i == 0 else [z]])
+        # rank 0 runs `finish` inside the call, while `i` is this column
         reply = allreduce_sum(world, msg, reply_size=m + 3 * (i == k - 1),
-                              finish=lambda t, i=i: dbcd_column_reply(B, i, t, run))
+                              finish=lambda t: dbcd_column_reply(B, i, t, run, deadline))
         B[:, i] = reply[:m]
     return read_progress(reply[m:], skipped)
 
 
 def dbcd_column_reply(B: np.ndarray, i: int, total: np.ndarray,
-                      run: np.ndarray) -> np.ndarray:
+                      run: np.ndarray, deadline: float) -> np.ndarray:
     """Rank 0's finishing step of dbcd's collective for basis column i:
-    move b_i on the reduced [y, z] (column 0's followed by [rr, flag],
-    which start `run`) and reply with b_i, M doubles; the last column's
-    reply adds the `progress_tail`."""
+    move b_i on the reduced [y, z] (column 0's followed by rr, which
+    starts `run`) and reply with b_i, M doubles; the last column's reply
+    adds the `progress_tail` against `deadline`."""
     m, k = B.shape
     if i == 0:
-        run[0], run[2] = total[m + 1:]
+        run[0] = total[m + 1]
     move_column(B, i, total[:m], float(total[m]), run)
-    return np.concatenate([B[:, i], progress_tail(run) if i == k - 1 else []])
+    tail = progress_tail(run, deadline) if i == k - 1 else []
+    return np.concatenate([B[:, i], tail])
 
 
 @dataclass
@@ -235,7 +241,7 @@ def exact_pass(world: CommWorld, block: ColumnBlock, B: np.ndarray, target,
     replicated B := NNLS from the reduced Gram C C^T and right-hand side
     target C^T, which travel as one flat [gram, rhs] buffer. Returns
     ||X - B C||^2 over all ranks, 0 skipped updates and the time-cap
-    flag, which take one service reduction after the algorithmic one.
+    flag, from one `reduce_progress` after the algorithmic collective.
     """
     C = block.c_block
     m, k = B.shape
@@ -248,6 +254,16 @@ def exact_pass(world: CommWorld, block: ColumnBlock, B: np.ndarray, target,
     B[:] = allreduce_sum(world, np.concatenate([(C @ C.T).ravel(order="F"),
                                                 (target @ C.T).ravel(order="F")]),
                          finish=basis, reply_size=m * k).reshape((m, k), order="F")
-    resid, over = reduce_progress(world, residual_sq(block.x_block, B, C),
-                                  deadline)
-    return resid, 0, over
+    return reduce_progress(world, residual_sq(block.x_block, B, C), deadline)
+
+
+def reduce_progress(world, local: float, deadline: float) -> tuple[float, int, bool]:
+    """(||X - B C||^2 summed over every rank, 0 skips, time-cap flag):
+    the stop test of a step whose own reply cannot carry it, and e0.
+
+    Each rank sends only its `local` residual, in one service reduction;
+    rank 0's finishing step replies with the total's `progress_tail`.
+    """
+    reply = allreduce_sum(world, [local], service=True, reply_size=3,
+                          finish=lambda t: progress_tail([t[0], 0.0], deadline))
+    return read_progress(reply, 0)

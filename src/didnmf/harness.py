@@ -5,8 +5,10 @@
 per-iteration metrics. Every algorithm is a step
 `(world, block, B, state, deadline) -> (||X - B C||^2, skipped,
 over_time)` driven by the one loop in `_distributed_worker`; the step
-returns the residual summed over all ranks and the time-cap flag of any
-rank, so the loop makes no collective of its own after e0. Every
+returns the residual summed over all ranks and the time-cap flag, both
+from rank 0's reply (`distributed.progress_tail`, whose read of rank
+0's clock against the deadline is the only one), so the loop makes no
+collective of its own after e0 and reads no clock to stop. Every
 algorithm runs on any number P of ranks, one included; dbcd on one rank
 is sequential coordinate descent. Ranks run as threads of one process,
 joined by socket pairs and started by `comm.run_ranks`, or one per
@@ -16,12 +18,11 @@ through the same `comm.CommWorld`. On both transports a rank's whole
 life is `_rank_run`: it reads or draws only its own columns of X and C
 (no rank ever holds the whole matrix; a CSV file is converted to DMAT1
 first, with `nmf convert`), holds its world and the BLAS pool from
-connect to its last iteration, and on rank 0 writes the CSV. `run`,
-`run_tcp_rank` and `_run_inprocess` only validate, choose the
-connection and start the ranks.
-Every stop decision is made from one number every rank receives alike
-(the residual rank 0 replies with, or a reduced total), so all ranks
-always take the same branch.
+connect to its last iteration, and on rank 0 writes the CSV. `run`
+and `run_tcp_rank` validate the config, once per run; they and
+`_run_inprocess` only choose the connection and start the ranks.
+Every stop decision is made from what rank 0 replies with, which every
+rank receives alike, so all ranks always take the same branch.
 """
 
 from __future__ import annotations
@@ -50,8 +51,9 @@ from .distributed import (
     dadmm_worker_iterate,
     dbcd_worker_iterate,
     did_worker_iterate,
+    reduce_progress,
 )
-from .kernels import reduce_progress, residual_sq
+from .kernels import residual_sq
 from .matrix import (
     ColumnBlock,
     as_matrix,
@@ -416,7 +418,7 @@ def run(config: RunConfig, X=None) -> RunMetrics:
     """
     config.validate()
     if config.transport == "tcp":
-        return run_tcp_rank(*_env_rank(config), X=X)
+        return _tcp_rank(*_env_rank(config), X)
     # one row-major copy, if the caller's X needs one, for all the ranks
     return _run_inprocess(config, None if X is None else as_matrix(X))
 
@@ -458,6 +460,11 @@ def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
     only its block of the starting C.
     """
     config.validate()
+    return _tcp_rank(config, rank, X)
+
+
+def _tcp_rank(config: RunConfig, rank: int, X) -> RunMetrics:
+    """`run_tcp_rank` on a config already validated."""
     if not 0 <= rank < config.p:
         raise ValueError(f"rank {rank} is outside a world of p={config.p} "
                          f"ranks (0..{config.p - 1})")
@@ -465,8 +472,8 @@ def run_tcp_rank(config: RunConfig, rank: int, X=None) -> RunMetrics:
         rank, config.p, config.tcp_address, timeout=config.comm_timeout))
 
 
-# the e0 reduction, looked up under this name (tcpbench's probes read e0
-# from its first call)
+# the e0 reduction, `distributed.reduce_progress`, looked up under this
+# name (tcpbench's probes read e0 from its first call)
 _reduce_progress = reduce_progress
 
 
@@ -475,9 +482,9 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
 
     Each algorithm is a step; dadmm alone carries state between
     iterations. The table is built per call, so a step replaced on this
-    module after import is the one that runs. The step reads the clock
-    against the deadline after its local compute; an iteration that any
-    rank flags completes, and the run stops after it.
+    module after import is the one that runs. Rank 0's finishing step
+    reads its clock against the deadline (`distributed.progress_tail`);
+    the iteration it flags completes, and every rank stops after it.
     """
     step = {"anls": anls_iterate, "dadmm": dadmm_worker_iterate,
             "dbcd": dbcd_worker_iterate, "did": did_worker_iterate}[config.algorithm]
@@ -485,7 +492,7 @@ def _distributed_worker(config: RunConfig, world, block, B) -> RunMetrics:
              if config.algorithm == "dadmm" else None)
     stats = world.stats
     local = residual_sq(block.x_block, B, block.c_block)
-    e0, _ = _reduce_progress(world, local, math.inf)
+    e0, _, _ = _reduce_progress(world, local, math.inf)
     rows: list[IterRow] = []
     start = time.perf_counter()
     deadline = start + config.max_time

@@ -1,5 +1,4 @@
-"""Factorization kernels: the Gram-form coordinate kernel, the residual
-and the stop test's reduction.
+"""Factorization kernels: the Gram-form coordinate kernel and the residual.
 
 All minimize (1/2) ||X - B C||_F^2 over nonnegative B (M x K) and
 C (K x N). Coordinate descent runs in Gram form: the C pass streams a
@@ -8,16 +7,14 @@ pass, hands the basis step X C^T and C C^T and takes the residual, so
 nothing M x N is formed and X is read once per iteration. The workers
 of `distributed` are built from these kernels; dbcd on one rank is the
 sequential method. That kernel is Gram-form HALS (all rows of C, then
-all columns of B), so HALS needs no step of its own.
+all columns of B), so HALS needs no step of its own. The kernels are
+local: no clock and no collective (the stop test is `distributed`'s).
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from .comm import allreduce_sum
 from .nnls import DEGENERATE_NORM_TOL
 
 # bytes of X per column tile: with the tile's C, Q and residual rows the
@@ -183,19 +180,3 @@ def residual_sq(X, B, C) -> float:
         total += _tile_residual_sq(X[:, cols], C[:, cols], BF, buf)
     return total
 
-
-def over_time(deadline: float) -> float:
-    """The time-cap flag: 1.0 once the clock is past `deadline`, else 0.0.
-
-    A step reads it after its local compute, before its message, so the
-    flagged iteration still completes and the run stops after it.
-    """
-    return 1.0 if time.perf_counter() > deadline else 0.0
-
-
-def reduce_progress(world, local: float, deadline: float) -> tuple[float, bool]:
-    """(sum of every rank's ||X - B C||^2, time-cap flag), by one service
-    reduction: the stop test of a step whose own message cannot carry it."""
-    out = allreduce_sum(world, np.array([local, over_time(deadline)]),
-                        service=True)
-    return float(out[0]), bool(out[1] > 0.0)

@@ -1,4 +1,5 @@
 import functools
+import math
 import threading
 
 import numpy as np
@@ -58,12 +59,11 @@ def one_rank_dbcd(X, B0, C0, iters):
     return B, block.c_block, resid
 
 
-def did_payload(S, V, rr=0.0, flag=0.0):
+def did_payload(S, V, rr=0.0):
     """The did wire layout: S column-major, then V's lower triangle by
-    rows, then the residual rr and the time-cap flag."""
+    rows, then the residual rr."""
     S, V = np.asarray(S, dtype=float), np.asarray(V, dtype=float)
-    return np.concatenate([S.ravel(order="F"), V[np.tril_indices(V.shape[0])],
-                           [rr, flag]])
+    return np.concatenate([S.ravel(order="F"), V[np.tril_indices(V.shape[0])], [rr]])
 
 
 # message assembly (worked numbers first)
@@ -75,30 +75,30 @@ def test_did_message_worked_instance():
     # S = X C^T: row 1 = (2+6+4, 4+0+4) = (12, 8);
     # row 2 = (5+4+10, 10+0+10) = (19, 20)
     # C C^T = [[9 6], [6 8]], lower triangle keeps (9; 6 8)
-    # ||E||^2 = 1 + 1 + 4 + 1 = 7, and the time-cap flag is up
-    # on the wire: S by columns (12, 19, 8, 20), then (9, 6, 8), then
-    # (7, 1): 9 doubles
+    # ||E||^2 = 1 + 1 + 4 + 1 = 7
+    # on the wire: S by columns (12, 19, 8, 20), then (9, 6, 8), then 7:
+    # 8 doubles, and no time-cap flag
     B = np.asfortranarray([[1.0, 0.0], [1.0, 1.0]])
     C = np.asfortranarray([[1.0, 2.0, 2.0], [2.0, 0.0, 2.0]])
     E = np.asfortranarray([[1.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
     X = E + B @ C
-    buf = did_build_message(X @ C.T, C @ C.T, residual_sq(X, B, C), 1.0)
-    assert np.array_equal(buf, [12.0, 19.0, 8.0, 20.0, 9.0, 6.0, 8.0, 7.0, 1.0])
+    buf = did_build_message(X @ C.T, C @ C.T, residual_sq(X, B, C))
+    assert np.array_equal(buf, [12.0, 19.0, 8.0, 20.0, 9.0, 6.0, 8.0, 7.0])
     assert np.array_equal(buf, did_payload([[12.0, 8.0], [19.0, 20.0]],
-                                           [[9.0, 0.0], [6.0, 8.0]], 7.0, 1.0))
+                                           [[9.0, 0.0], [6.0, 8.0]], 7.0))
 
 
 def test_did_messages_add_across_blocks():
     # the reduction target: block messages must sum to the full-data message
     X, B, C = random_problem(4, 23, 3, 2)
-    full = did_build_message(X @ C.T, C @ C.T, residual_sq(X, B, C), 0.0)
-    assert full.shape == (4 * 3 + 3 * 4 // 2 + 2,)
+    full = did_build_message(X @ C.T, C @ C.T, residual_sq(X, B, C))
+    assert full.shape == (4 * 3 + 3 * 4 // 2 + 1,)
     for p in (2, 3, 5):
         total = np.zeros_like(full)
         for block in make_column_blocks(X, C, p):
             Xb, Cb = block.x_block, block.c_block
             total += did_build_message(Xb @ Cb.T, Cb @ Cb.T,
-                                       residual_sq(Xb, B, Cb), 0.0)
+                                       residual_sq(Xb, B, Cb))
         assert np.allclose(total, full, rtol=1e-12, atol=1e-14)
 
 
@@ -109,7 +109,7 @@ def update_basis(B, S, V):
     """Apply did_update_basis to (S, V); return (skipped, delta), the skip
     count read from its reply."""
     before = B.copy()
-    skipped = int(did_update_basis(B, did_payload(S, V))[-2])
+    skipped = int(did_update_basis(B, did_payload(S, V), math.inf)[-2])
     return skipped, B - before
 
 
@@ -170,7 +170,7 @@ def test_did_update_basis_matches_sequential_column_loop():
             b_column_apply(B_seq, i, y, z)
 
         B_msg = np.array(B, order="F")
-        did_update_basis(B_msg, did_build_message(S, V, 0.0, 0.0))
+        did_update_basis(B_msg, did_build_message(S, V, 0.0), math.inf)
         assert np.array_equal(B_msg, B_seq), trial
 
 
@@ -421,12 +421,13 @@ def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
 def star_frames(alg, m, k):
     """The doubles of each frame one collective iteration sends up each
     star edge (peer to rank 0) and down it (rank 0 to peer)."""
-    if alg == "did":  # S, V's lower triangle, rr, flag; B, resid, skips, flag
-        return [m * k + k * (k + 1) // 2 + 2], [m * k + 3]
-    if alg == "dbcd":  # [y, z] per basis column, the first with rr and flag;
+    if alg == "did":  # S, V's lower triangle, rr; B, resid, skips, flag
+        return [m * k + k * (k + 1) // 2 + 1], [m * k + 3]
+    if alg == "dbcd":  # [y, z] per basis column, the first with rr;
         # b_i per column, the last with resid, skips and flag
-        return [m + 3] + [m + 1] * (k - 1), [m] * (k - 1) + [m + 3]
-    return [k * k + m * k, 2], [m * k, 2]  # dadmm: [gram, rhs], B; service
+        return [m + 2] + [m + 1] * (k - 1), [m] * (k - 1) + [m + 3]
+    # dadmm: [gram, rhs], B; service: the residual, [resid, skips, flag]
+    return [k * k + m * k, 1], [m * k, 3]
 
 
 def wire_bytes(up, down):
@@ -439,10 +440,17 @@ def wire_bytes(up, down):
 # frame headers
 DID_WIRE_SURPLUS = {3: -24, 10: 144, 30: 2784}
 
+# a case's id names its algorithm, its collectives per iteration, the
+# doubles of one uplink frame (dbcd's last, did's and dadmm's first) and
+# P. did's ids keep the count of the layout they were named under, whose
+# uplink also carried a time-cap flag: one double more than now
+DID_ID_DOUBLES = {3: 23, 10: 107, 30: 617}
+
 
 def frame_case(alg, k, size, m=5):
     calls = k if alg == "dbcd" else 1
-    doubles = star_frames(alg, m, k)[0][-1 if alg == "dbcd" else 0]
+    doubles = (DID_ID_DOUBLES[k] if alg == "did"
+               else star_frames(alg, m, k)[0][-1 if alg == "dbcd" else 0])
     return pytest.param(alg, m, k, size, id=f"{alg}-{calls}-{doubles}-{size}")
 
 
@@ -455,11 +463,12 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, m, k,
     # P ranks over real sockets, one iteration: every collective goes from
     # each rank to rank 0 as one frame and comes back as one frame, whose
     # body is the whole flat payload as raw doubles, and no DMAT1 codec
-    # runs. dbcd's first [y, z] also carries (rr, flag); dadmm adds a
-    # service reduction of (residual, flag). Every reply is what rank 0
-    # moved: did's B, dbcd's b_i (the last with resid, skips and flag),
-    # dadmm's B. The in-process reference run writes the same frames over
-    # its socket pairs
+    # runs. No uplink carries a flag: dbcd's first [y, z] also carries
+    # rr, and dadmm adds a service reduction of its residual alone. Every
+    # reply is what rank 0 computed: did's B, dbcd's b_i (the last with
+    # resid, skips and flag), dadmm's B and then its [resid, skips,
+    # flag]. The in-process reference run writes the same frames over its
+    # socket pairs
     frames = []
     servers = []
     codec_calls = []
@@ -609,20 +618,25 @@ def test_message_residual_rounded_below_zero_reports_zero(monkeypatch, alg):
         assert resid == 0.0 and str(resid) == "0.0"
 
 
-def test_time_cap_flag_rides_the_message(monkeypatch):
-    # a deadline already past on one rank only: every rank of did and dbcd
-    # reports the flag, and the iteration still completes
-    for step in (did_worker_iterate, dbcd_worker_iterate):
-        X, B0, C0 = random_problem(4, 21, 3, 9)
+@pytest.mark.parametrize("alg", ["did", "dbcd", "anls", "dadmm"])
+def test_time_cap_is_read_on_rank_0_alone(alg):
+    # a deadline already past on one rank only. Past on rank 0, whose
+    # finishing step reads the clock, both ranks report the flag after a
+    # completed iteration, with one B; past on rank 1, which reads no
+    # clock, neither rank reports it
+    X, B0, C0 = random_problem(4, 21, 3, 9)
+    for late, flagged in ((0, True), (1, False)):
         blocks = make_column_blocks(X, C0, 2)
 
         def body(world):
             B = np.array(B0, order="F")
-            deadline = -np.inf if world.rank == 1 else np.inf
-            return step(world, blocks[world.rank], B, None, deadline)[2], B
+            block = blocks[world.rank]
+            deadline = -np.inf if world.rank == late else np.inf
+            out = STEPS[alg](world, block, B, fresh_state(alg, block, B), deadline)
+            return out[2], B
 
         res = run_world(2, body)
-        assert [over for over, _ in res] == [True, True]
+        assert [over for over, _ in res] == [flagged, flagged], late
         assert np.array_equal(res[0][1], res[1][1])
         assert not np.array_equal(res[0][1], B0)
 

@@ -287,6 +287,24 @@ def test_tcp_run_leaves_the_callers_config_as_it_was(monkeypatch):
     assert config == before and config.tcp_address == ("127.0.0.1", 29500)
 
 
+def test_each_run_path_validates_its_config_once(monkeypatch):
+    # `run` in-process, `run` over TCP (one rank, from the NMF_*
+    # environment) and a direct `run_tcp_rank` each validate once
+    calls, validate = [], RunConfig.validate
+    monkeypatch.setattr(RunConfig, "validate",
+                        lambda self: calls.append(self.transport) or validate(self))
+    for key, text in {"NMF_RANK": "0", "NMF_WORLD": "1",
+                      "NMF_ADDR": "%s:%d" % free_addr()}.items():
+        monkeypatch.setenv(key, text)
+    X = synth_lowrank(5, 100, 3, 3)
+    for transport in ("in-process", "tcp"):
+        run(lowrank_config("did", max_iters=2, transport=transport), X=X)
+    config = lowrank_config("did", max_iters=2, transport="tcp",
+                            tcp_address=free_addr())
+    run_tcp_rank(config, 0, X=X)
+    assert calls == ["in-process", "tcp", "tcp"]
+
+
 # bad input fails fast, with one message on every rank: a bad shape
 # before any rank rendezvous, bad values at the one setup collective
 
@@ -815,16 +833,17 @@ def test_partitioned_traces_match_sequential(alg, p):
 
 def test_comm_cost_columns_match_algorithm_structure():
     # modelled bytes at P=2: (payload + reply) doubles x 8 bytes x 1 tree
-    # step. did packs S (MK), V's lower triangle (K(K+1)/2), rr and the
-    # time-cap flag into one payload, and its reply is the moved B (MK),
-    # the residual, the basis skips and the flag; dbcd sends K [y, z]
-    # payloads of M + 1, the first with rr and the flag, and each reply
-    # is the moved b_i (M), the last with the residual, skips and flag;
-    # dadmm sends one [gram, rhs] of K^2 + MK and gets back B (MK)
+    # step. did packs S (MK), V's lower triangle (K(K+1)/2) and rr into
+    # one payload, and its reply is the moved B (MK), the residual, the
+    # basis skips and rank 0's time-cap flag; dbcd sends K [y, z]
+    # payloads of M + 1, the first with rr, and each reply is the moved
+    # b_i (M), the last with the residual, skips and flag; dadmm sends one
+    # [gram, rhs] of K^2 + MK and gets back B (MK). That is 320 bytes for
+    # did, 296 for dbcd and 312 for dadmm
     M, K = 5, 3
     X = synth_lowrank(M, 100, K, 3)
-    expected = {"did": (1, 8 * (M * K + K * (K + 1) // 2 + 2 + M * K + 3)),
-                "dbcd": (K, 8 * (K * (M + 1) + 2 + K * M + 3)),
+    expected = {"did": (1, 8 * (M * K + K * (K + 1) // 2 + 1 + M * K + 3)),
+                "dbcd": (K, 8 * (K * (M + 1) + 1 + K * M + 3)),
                 "dadmm": (1, 8 * (K * K + M * K + M * K))}
     for alg, (per_iter, nbytes) in expected.items():
         metrics = run(lowrank_config(alg, p=2, max_iters=8, epsilon=1e-30), X=X)
