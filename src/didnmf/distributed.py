@@ -19,7 +19,7 @@ buffer.
   C C^T, and its residual, which add across blocks; rank 0 alone moves
   every column in turn (`did_update_basis`, `move_column` per column)
   on the reduced sums, with no further collective, and replies with the
-  moved B and the `progress_tail`, MK + 3 doubles, not the whole total.
+  moved B and the `progress_tail`, MK + 2 doubles, not the whole total.
   On one rank it is dbcd bit for bit.
 * anls and dadmm: `exact_pass` solves C on the block and then B from
   one reduced (Gram, right-hand side) pair, both exactly, against a
@@ -30,10 +30,12 @@ buffer.
 
 Every stop decision is rank 0's, made in one place: the finishing step
 that ends an iteration replies with a `progress_tail`, [residual
-clamped at 0, basis skips, time-cap flag], which `read_progress` alone
-unpacks, and the flag is rank 0's clock against the deadline, read
-there and nowhere else. So every rank stops on rank 0's numbers, after
-the flagged iteration completes, and no message upward carries a flag.
+clamped at 0, time-cap flag], which `read_progress` alone unpacks, and
+the flag is rank 0's clock against the deadline, read there and nowhere
+else. So every rank stops on rank 0's numbers, after the flagged
+iteration completes, and no message upward carries a flag. Only rank 0
+moves B, so only rank 0 has basis skips to count: they stay in its
+running [residual, skips] and travel in no message.
 did and dbcd need no collective of their own for it: each rank's rr =
 ||X_blk - B_old C_new||^2, which the C phase takes in its one pass over
 X_blk, rides the iteration's (first) message, and rank 0 adds each
@@ -86,21 +88,24 @@ def did_build_message(S: np.ndarray, V: np.ndarray, rr: float) -> np.ndarray:
     return np.concatenate([S.ravel(order="F"), V[np.tri(len(V), dtype=bool)], [rr]])
 
 
-def did_update_basis(B: np.ndarray, buf: np.ndarray, deadline: float) -> np.ndarray:
+def did_update_basis(B: np.ndarray, buf: np.ndarray, run: np.ndarray,
+                     deadline: float) -> np.ndarray:
     """Rank 0's finishing step of did's collective: move basis columns
     0..K-1 in order on the reduced message `buf`, as dbcd does, with no
     further collective, and return the reply.
 
     Unpacks the reduced S and V's lower triangle (`b_column_partials`
     reads no other), and `move_column` installs each column's [y, z]
-    against the columns already moved. The reply is [B column-major,
-    `progress_tail` against `deadline`], MK + 3 doubles.
+    against the columns already moved. `run`, rank 0's running
+    [residual, basis skips] with no skips yet, takes the reduced rr and
+    then every column's move, and keeps the skips. The reply is [B
+    column-major, `progress_tail` against `deadline`], MK + 2 doubles.
     """
     m, k = B.shape
     S = buf[:m * k].reshape((m, k), order="F")
     V = np.zeros((k, k))
     V[np.tri(k, dtype=bool)] = buf[m * k:-1]
-    run = np.array([buf[-1], 0.0])  # [rr, skips]
+    run[0] = buf[-1]
     for i in range(k):
         move_column(B, i, *b_column_partials(S, V, B, i), run)
     return np.concatenate([B.ravel(order="F"), progress_tail(run, deadline)])
@@ -123,19 +128,21 @@ def move_column(B: np.ndarray, i: int, y, z: float, run: np.ndarray) -> None:
 
 def progress_tail(run, deadline: float) -> list:
     """The tail of the reply that ends an iteration, from rank 0's
-    running [residual, skips]: [resid clamped at 0, basis skips, time-cap
-    flag], the flag 1.0 once rank 0's clock is past `deadline`, else 0.0.
+    running residual `run[0]`: [resid clamped at 0, time-cap flag], the
+    flag 1.0 once rank 0's clock is past `deadline`, else 0.0. Rank 0's
+    basis skips stay in its `run` and are not sent.
 
     Only a finishing step calls it, so it is the one reader of the clock
     and every rank stops on what rank 0 read. `read_progress` unpacks it.
     """
-    return [max(float(run[0]), 0.0), run[1], float(time.perf_counter() > deadline)]
+    return [max(float(run[0]), 0.0), float(time.perf_counter() > deadline)]
 
 
 def read_progress(tail, skipped: int) -> tuple[float, int, bool]:
     """A step's (resid, skips, over) from a reply's `progress_tail` and
-    the C phase's `skipped` rows."""
-    return float(tail[0]), skipped + int(tail[1]), bool(tail[2])
+    this rank's `skipped` updates: its C rows, and on rank 0 the basis
+    columns too."""
+    return float(tail[0]), skipped, bool(tail[1])
 
 
 def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
@@ -146,13 +153,15 @@ def did_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
     Every rank sends its message; rank 0 alone moves B on the total and
     replies with it (`did_update_basis`), and every rank installs the
     reply. Updates the block's C and the replicated B in place; did
-    keeps no state between iterations.
+    keeps no state between iterations. Rank 0's basis skips stay in its
+    `run`, so another rank counts its C rows alone.
     """
     S, V, rr, skipped = did_c_phase(block, B)
-    reply = allreduce_sum(world, did_build_message(S, V, rr), reply_size=B.size + 3,
-                          finish=lambda total: did_update_basis(B, total, deadline))
+    run = np.zeros(2)  # rank 0's running [resid, basis skips]
+    reply = allreduce_sum(world, did_build_message(S, V, rr), reply_size=B.size + 2,
+                          finish=lambda total: did_update_basis(B, total, run, deadline))
     B[:] = reply[:B.size].reshape(B.shape, order="F")
-    return read_progress(reply[B.size:], skipped)
+    return read_progress(reply[B.size:], skipped + int(run[1]))
 
 
 def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
@@ -165,7 +174,7 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
     reduced, rank 0 alone moves b_i on the total (`dbcd_column_reply`),
     and every rank installs the b_i it replies with. The last reply also
     carries the `progress_tail`, so every rank stops on what rank 0
-    computed and read.
+    computed and read. Rank 0's basis skips stay in its `run`.
     """
     S, V, rr, skipped = did_c_phase(block, B)
     m, k = B.shape
@@ -174,18 +183,19 @@ def dbcd_worker_iterate(world: CommWorld, block: ColumnBlock, B: np.ndarray,
         y, z = b_column_partials(S, V, B, i)
         msg = np.concatenate([y, [z, rr] if i == 0 else [z]])
         # rank 0 runs `finish` inside the call, while `i` is this column
-        reply = allreduce_sum(world, msg, reply_size=m + 3 * (i == k - 1),
+        reply = allreduce_sum(world, msg, reply_size=m + 2 * (i == k - 1),
                               finish=lambda t: dbcd_column_reply(B, i, t, run, deadline))
         B[:, i] = reply[:m]
-    return read_progress(reply[m:], skipped)
+    return read_progress(reply[m:], skipped + int(run[1]))
 
 
 def dbcd_column_reply(B: np.ndarray, i: int, total: np.ndarray,
                       run: np.ndarray, deadline: float) -> np.ndarray:
     """Rank 0's finishing step of dbcd's collective for basis column i:
     move b_i on the reduced [y, z] (column 0's followed by rr, which
-    starts `run`) and reply with b_i, M doubles; the last column's reply
-    adds the `progress_tail` against `deadline`."""
+    starts `run`, rank 0's running [residual, basis skips]) and reply
+    with b_i, M doubles; the last column's reply adds the 2-double
+    `progress_tail` against `deadline`."""
     m, k = B.shape
     if i == 0:
         run[0] = total[m + 1]
@@ -262,8 +272,9 @@ def reduce_progress(world, local: float, deadline: float) -> tuple[float, int, b
     the stop test of a step whose own reply cannot carry it, and e0.
 
     Each rank sends only its `local` residual, in one service reduction;
-    rank 0's finishing step replies with the total's `progress_tail`.
+    rank 0's finishing step replies with the total's `progress_tail`,
+    2 doubles.
     """
-    reply = allreduce_sum(world, [local], service=True, reply_size=3,
-                          finish=lambda t: progress_tail([t[0], 0.0], deadline))
+    reply = allreduce_sum(world, [local], service=True, reply_size=2,
+                          finish=lambda t: progress_tail(t, deadline))
     return read_progress(reply, 0)

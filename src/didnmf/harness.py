@@ -128,9 +128,10 @@ class IterRow:
     """Metrics for one completed iteration.
 
     `b_norm` (for parity checks), `service_calls` (the iteration's
-    service reductions) and `skipped` (this rank's degenerate coordinate
-    updates left untouched, C rows and B columns) are kept in memory but
-    never serialized.
+    service reductions) and `skipped` (the degenerate coordinate updates
+    left untouched: this rank's C rows on every rank, and B columns on
+    rank 0, the only rank that moves B) are kept in memory but never
+    serialized.
     """
 
     iteration: int

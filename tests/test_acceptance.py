@@ -110,7 +110,7 @@ def test_acceptance_3_batched_basis_update_identity():
             b_column_apply(B_seq, i, y, z)
 
         B_msg = np.array(B, order="F")
-        did_update_basis(B_msg, did_build_message(S, V, 0.0), math.inf)
+        did_update_basis(B_msg, did_build_message(S, V, 0.0), np.zeros(2), math.inf)
         scale = max(1.0, float(np.abs(B_seq).max()))
         worst = max(worst, float(np.abs(B_msg - B_seq).max()) / scale)
     elapsed = time.perf_counter() - t0

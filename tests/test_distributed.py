@@ -1,5 +1,7 @@
 import functools
 import math
+import pathlib
+import re
 import threading
 
 import numpy as np
@@ -26,6 +28,8 @@ from didnmf.kernels import (
 )
 from helpers import STEPS, free_addr, fresh_state, make_column_blocks, run_world
 from didnmf.matrix import frob_norm_sq
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def random_problem(m, n, k, seed):
@@ -107,10 +111,11 @@ def test_did_messages_add_across_blocks():
 
 def update_basis(B, S, V):
     """Apply did_update_basis to (S, V); return (skipped, delta), the skip
-    count read from its reply."""
+    count read from rank 0's running [resid, skips]."""
     before = B.copy()
-    skipped = int(did_update_basis(B, did_payload(S, V), math.inf)[-2])
-    return skipped, B - before
+    run = np.zeros(2)
+    did_update_basis(B, did_payload(S, V), run, math.inf)
+    return int(run[1]), B - before
 
 
 def test_did_update_basis_single_column():
@@ -170,7 +175,7 @@ def test_did_update_basis_matches_sequential_column_loop():
             b_column_apply(B_seq, i, y, z)
 
         B_msg = np.array(B, order="F")
-        did_update_basis(B_msg, did_build_message(S, V, 0.0), math.inf)
+        did_update_basis(B_msg, did_build_message(S, V, 0.0), np.zeros(2), math.inf)
         assert np.array_equal(B_msg, B_seq), trial
 
 
@@ -421,13 +426,13 @@ def test_rank_blocks_straddling_tile_edges_match_sequential(alg):
 def star_frames(alg, m, k):
     """The doubles of each frame one collective iteration sends up each
     star edge (peer to rank 0) and down it (rank 0 to peer)."""
-    if alg == "did":  # S, V's lower triangle, rr; B, resid, skips, flag
-        return [m * k + k * (k + 1) // 2 + 1], [m * k + 3]
+    if alg == "did":  # S, V's lower triangle, rr; B, resid, flag
+        return [m * k + k * (k + 1) // 2 + 1], [m * k + 2]
     if alg == "dbcd":  # [y, z] per basis column, the first with rr;
-        # b_i per column, the last with resid, skips and flag
-        return [m + 2] + [m + 1] * (k - 1), [m] * (k - 1) + [m + 3]
-    # dadmm: [gram, rhs], B; service: the residual, [resid, skips, flag]
-    return [k * k + m * k, 1], [m * k, 3]
+        # b_i per column, the last with resid and flag
+        return [m + 2] + [m + 1] * (k - 1), [m] * (k - 1) + [m + 2]
+    # dadmm: [gram, rhs], B; service: the residual, [resid, flag]
+    return [k * k + m * k, 1], [m * k, 2]
 
 
 def wire_bytes(up, down):
@@ -436,7 +441,7 @@ def wire_bytes(up, down):
 
 
 # did moves 4(K-1)(K-6) more wire bytes per iteration than dbcd at P = 2:
-# K(K-1)/2 more doubles up, as many down (MK + 3 each), 2(K-1) fewer
+# K(K-1)/2 more doubles up, as many down (MK + 2 each), 2(K-1) fewer
 # frame headers
 DID_WIRE_SURPLUS = {3: -24, 10: 144, 30: 2784}
 
@@ -466,9 +471,9 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, m, k,
     # runs. No uplink carries a flag: dbcd's first [y, z] also carries
     # rr, and dadmm adds a service reduction of its residual alone. Every
     # reply is what rank 0 computed: did's B, dbcd's b_i (the last with
-    # resid, skips and flag), dadmm's B and then its [resid, skips,
-    # flag]. The in-process reference run writes the same frames over its
-    # socket pairs
+    # resid and flag), dadmm's B and then its [resid, flag]. The
+    # in-process reference run writes the same frames over its socket
+    # pairs
     frames = []
     servers = []
     codec_calls = []
@@ -533,6 +538,63 @@ def test_tcp_collectives_are_one_frame_per_tree_edge(monkeypatch, alg, m, k,
         assert np.array_equal(B, B_ref) and np.array_equal(c, c_ref)
 
 
+def readme_ints(pattern):
+    """The integers that `pattern`'s groups match, once, in README.md with
+    its whitespace collapsed, so a figure may wrap across lines; a group
+    that matches a number word reads as its number."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    [found] = re.findall(pattern, text)
+    words = ("zero", "one", "two", "three", "four", "five", "six")
+    return [words.index(g) if g in words else int(g)
+            for g in ([found] if isinstance(found, str) else found)]
+
+
+def test_readme_wire_figures_follow_the_frames():
+    # README's figures at M=5, K=3, P=2 against the frames that
+    # `test_tcp_collectives_are_one_frame_per_tree_edge` pins on sockets
+    m, k = 5, 3
+    frames = {alg: star_frames(alg, m, k) for alg in ("did", "dbcd", "dadmm")}
+    (did_up, did_down), (dbcd_up, dbcd_down) = frames["did"], frames["dbcd"]
+    assert readme_ints(r"\| `did` \|.*?time-cap flag: MK \+ (\d+) \|") == [
+        did_down[0] - m * k]
+    assert readme_ints(r"\| `dbcd` \|.*?`b_i`, M, the last \+ (\d+) ") == [
+        dbcd_down[-1] - m]
+    assert readme_ints(r"replies ends in the same (\w+) doubles") == [
+        did_down[0] - m * k]
+    # the wire paragraph
+    assert readme_ints(r"a `did` frame up to rank 0 carries (\d+) doubles"
+                       r".*? Its reply carries (\d+), MK \+ (\d+):") == [
+        did_up[0], did_down[0], did_down[0] - m * k]
+    assert readme_ints(r"the moved `b_i`, M \(the last \+ (\d+):") == [
+        dbcd_down[-1] - m]
+    assert readme_ints(
+        r"an iteration moves (\d+) bytes on the wire for `did` \(frames of "
+        r"(\d+) and (\d+) bytes\) and (\d+) for `dbcd` \((\w+) frames of "
+        r"(\d+) header bytes, (\d+) payload bytes in all\)") == [
+        wire_bytes(did_up, did_down), *[12 + 8 * d for d in did_up + did_down],
+        wire_bytes(dbcd_up, dbcd_down), len(dbcd_up + dbcd_down), 12,
+        8 * sum(dbcd_up + dbcd_down)]
+    assert readme_ints(r"as many down \(MK \+ (\d+) each\)") == [
+        did_down[0] - m * k]
+    assert readme_ints(r"That is (\d+) bytes fewer at K=3, (\d+) more at "
+                       r"K=10 and (\d+) more at K=30") == [
+        -DID_WIRE_SURPLUS[3], DID_WIRE_SURPLUS[10], DID_WIRE_SURPLUS[30]]
+    for kk, surplus in DID_WIRE_SURPLUS.items():
+        assert (wire_bytes(*star_frames("did", m, kk))
+                - wire_bytes(*star_frames("dbcd", m, kk))) == surplus
+    # the CSV's `bytes` model: each algorithmic collective's payload up
+    # and reply back, one tree step; dadmm's service frames are not in it
+    model = []
+    for alg in ("did", "dbcd", "dadmm"):
+        up, down = frames[alg]
+        up, down = (up[:1], down[:1]) if alg == "dadmm" else (up, down)
+        model += [8 * sum(up + down), 8 * sum(up), 8 * sum(down)]
+    assert readme_ints(
+        r"`did` reads (\d+) bytes \((\d+) up, (\d+) back\), `dbcd` (\d+) "
+        r"\((\d+) up, (\d+) back\), and `anls` and `dadmm` (\d+) "
+        r"\((\d+) up, (\d+) back\)") == model
+
+
 # the stopping residual carried by the message
 
 
@@ -582,8 +644,9 @@ def test_message_residual_matches_the_direct_pass(alg, p, instance):
 
 @pytest.mark.parametrize("alg", ["did", "dbcd"])
 def test_message_residual_with_dead_rows_and_columns(alg):
-    # b_0 = 0 and c_0 = 0: row 0 of C and column 0 of B are skipped on
-    # every rank, and contribute no move to the identity
+    # b_0 = 0 and c_0 = 0: row 0 of C is skipped on every rank and
+    # column 0 of B on rank 0, which moves B, and neither contributes a
+    # move to the identity
     X, B0, C0 = random_problem(5, 30, 3, 17)
     B0[:, 0] = 0.0
     C0[0] = 0.0

@@ -570,26 +570,65 @@ def test_run_metrics_row_accounting():
             assert r.b_norm > 0.0
 
 
-def test_run_rows_count_the_skipped_updates(monkeypatch):
-    # B[:, 0] = 0 and C[0] = 0: row 0 of C (g_00 = 0) and column 0 of B
-    # (v_00 = 0) are dead, so each did and dbcd iteration skips two
-    # updates on every rank; a healthy start skips none
-    X = synth_lowrank(5, 100, 3, 3)
-    for alg in ("did", "dbcd"):
-        config = lowrank_config(alg, p=2, max_iters=5, epsilon=1e-30)
-        assert [r.skipped for r in run(config, X=X).rows] == [0] * 5
+def dead_start(monkeypatch):
+    """Start every rank from B[:, 0] = 0 and C[0] = 0: row 0 of C
+    (g_00 = 0) and column 0 of B (v_00 = 0) are dead."""
     init = harness.init_factors
 
-    def dead_start(*args, **kwargs):
+    def init_dead(*args, **kwargs):
         B, C = init(*args, **kwargs)
         B[:, 0] = 0.0
         C[0] = 0.0
         return B, C
 
-    monkeypatch.setattr(harness, "init_factors", dead_start)
+    monkeypatch.setattr(harness, "init_factors", init_dead)
+
+
+def test_run_rows_count_the_skipped_updates(monkeypatch):
+    # from a dead start each did and dbcd iteration skips two updates on
+    # rank 0, whose rows `run` returns: its row 0 of C and column 0 of
+    # B; a healthy start skips none
+    X = synth_lowrank(5, 100, 3, 3)
+    for alg in ("did", "dbcd"):
+        config = lowrank_config(alg, p=2, max_iters=5, epsilon=1e-30)
+        assert [r.skipped for r in run(config, X=X).rows] == [0] * 5
+    dead_start(monkeypatch)
     for alg in ("did", "dbcd"):
         config = lowrank_config(alg, p=2, max_iters=5, epsilon=1e-30)
         assert [r.skipped for r in run(config, X=X).rows] == [2] * 5
+
+
+@pytest.mark.parametrize("transport", ["in-process", "tcp"])
+@pytest.mark.parametrize("alg", ["did", "dbcd"])
+def test_only_rank_0_counts_basis_skips(monkeypatch, alg, transport):
+    # from a dead start at P = 2 each rank leaves its own row 0 of C
+    # untouched, and rank 0, the only rank that moves B, column 0 of B
+    # too: rank 0's rows read 2 skips and rank 1's 1. No reply carries
+    # rank 0's count. A healthy start skips none on either rank
+    X = synth_lowrank(5, 100, 3, 3)
+    kw = dict(algorithm=alg, m=5, n=100, k=3, p=2, seed=3, max_iters=5,
+              epsilon=1e-30, transport=transport, comm_timeout=30.0)
+    skips = {}
+    loop = harness._distributed_worker
+
+    def spy(config, world, block, B):
+        metrics = loop(config, world, block, B)
+        skips[world.rank] = [r.skipped for r in metrics.rows]
+        return metrics
+
+    def run_both():
+        skips.clear()
+        if transport == "tcp":
+            _, errors = _tcp_ranks(kw, X)
+            assert errors == [None, None], errors
+        else:
+            run(RunConfig(**kw), X=X)
+        return [skips[0], skips[1]]
+
+    monkeypatch.setattr(harness, "_distributed_worker", spy)
+    assert run_both() == [[0] * 5, [0] * 5]
+    dead_start(monkeypatch)
+    assert run_both() == [[2] * 5, [1] * 5]
 
 
 def test_run_epsilon_one_converges_before_first_iteration():
@@ -834,16 +873,16 @@ def test_partitioned_traces_match_sequential(alg, p):
 def test_comm_cost_columns_match_algorithm_structure():
     # modelled bytes at P=2: (payload + reply) doubles x 8 bytes x 1 tree
     # step. did packs S (MK), V's lower triangle (K(K+1)/2) and rr into
-    # one payload, and its reply is the moved B (MK), the residual, the
-    # basis skips and rank 0's time-cap flag; dbcd sends K [y, z]
-    # payloads of M + 1, the first with rr, and each reply is the moved
-    # b_i (M), the last with the residual, skips and flag; dadmm sends one
-    # [gram, rhs] of K^2 + MK and gets back B (MK). That is 320 bytes for
-    # did, 296 for dbcd and 312 for dadmm
+    # one payload, and its reply is the moved B (MK), the residual and
+    # rank 0's time-cap flag; dbcd sends K [y, z] payloads of M + 1, the
+    # first with rr, and each reply is the moved b_i (M), the last with
+    # the residual and flag; dadmm sends one [gram, rhs] of K^2 + MK and
+    # gets back B (MK). That is 312 bytes for did, 288 for dbcd and 312
+    # for dadmm
     M, K = 5, 3
     X = synth_lowrank(M, 100, K, 3)
-    expected = {"did": (1, 8 * (M * K + K * (K + 1) // 2 + 1 + M * K + 3)),
-                "dbcd": (K, 8 * (K * (M + 1) + 1 + K * M + 3)),
+    expected = {"did": (1, 8 * (M * K + K * (K + 1) // 2 + 1 + M * K + 2)),
+                "dbcd": (K, 8 * (K * (M + 1) + 1 + K * M + 2)),
                 "dadmm": (1, 8 * (K * K + M * K + M * K))}
     for alg, (per_iter, nbytes) in expected.items():
         metrics = run(lowrank_config(alg, p=2, max_iters=8, epsilon=1e-30), X=X)
